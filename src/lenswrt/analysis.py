@@ -11,10 +11,10 @@ ordinary one (integer coefficients in A = -z^p).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 
+from .codec import coeff_terms_to_json
 from .cyclotomic import CyclotomicNumber
 from .errors import (
     BadConditioning,
@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .gauss import GaussSumSpec, gauss_sum
-from .laurent import LaurentPoly, RationalFunction, coeff_div, laurent_gcd
+from .laurent import LaurentPoly, RationalFunction, laurent_gcd
 from .numtheory import is_prime, mod_inverse
 from .skein import SkeinElement
 from .wrt import LensSpace, f_poly
@@ -35,8 +35,6 @@ class LaurentMatrix:
     """Entries indexed by congruence class k (rows) and color c (columns)."""
 
     entries: tuple[tuple[LaurentPoly, ...], ...]
-    row_labels: tuple[int, ...]
-    col_labels: tuple[int, ...]
 
     @property
     def nrows(self) -> int:
@@ -88,7 +86,7 @@ def build_f_matrix(space: LensSpace) -> LaurentMatrix:
     entries = tuple(
         tuple(f_poly(space, c, k).signed_body for c in cols) for k in range(p)
     )
-    return LaurentMatrix(entries=entries, row_labels=tuple(range(p)), col_labels=tuple(cols))
+    return LaurentMatrix(entries=entries)
 
 
 # --- fraction-free elimination ------------------------------------------------
@@ -106,22 +104,28 @@ def _strip_row(row: list[LaurentPoly]) -> list[LaurentPoly]:
 
 
 def _bareiss_echelon(rows: list[list[LaurentPoly]], pivot_cols: int):
-    """In-place fraction-free row echelon; returns list of (row, col) pivots.
+    """In-place fraction-free row echelon; returns the (row, col) pivots and
+    whether the row swaps made an odd permutation.
 
     Only columns < pivot_cols are eligible as pivots, but updates span the
     whole row (so augmented columns are transformed consistently).  Rows
-    are rescaled by monomial units to keep exponents small.
+    are rescaled by monomial units to keep exponents small; constant rows
+    are left as they are, so on a square constant matrix with a full set
+    of pivots the last pivot is the determinant up to the swap sign.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[tuple[int, int]] = []
+    odd = False
     prev: LaurentPoly | None = None
     r = 0
     for col in range(min(pivot_cols, ncols)):
         piv = next((i for i in range(r, nrows) if rows[i][col]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            odd = not odd
         pivot_entry = rows[r][col]
         for i in range(r + 1, nrows):
             row_i = rows[i]
@@ -136,7 +140,7 @@ def _bareiss_echelon(rows: list[list[LaurentPoly]], pivot_cols: int):
         r += 1
         if r == nrows:
             break
-    return pivots
+    return pivots, odd
 
 
 def rank(matrix: LaurentMatrix) -> int:
@@ -144,7 +148,7 @@ def rank(matrix: LaurentMatrix) -> int:
     rows = [_strip_row(list(row)) for row in matrix.entries]
     if not rows:
         return 0
-    pivots = _bareiss_echelon(rows, matrix.ncols)
+    pivots, _ = _bareiss_echelon(rows, matrix.ncols)
     return len(pivots)
 
 
@@ -153,7 +157,7 @@ def kernel(space: LensSpace) -> list[RationalFunctionVector]:
     matrix = build_f_matrix(space)
     rows = [_strip_row(list(row)) for row in matrix.entries]
     ncols = matrix.ncols
-    pivots = _bareiss_echelon(rows, ncols)
+    pivots, _ = _bareiss_echelon(rows, ncols)
     pivot_cols = [c for _, c in pivots]
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
@@ -194,7 +198,7 @@ def _normalize_kernel_vector(vec: list[RationalFunction]) -> RationalFunctionVec
     if not (content.is_constant() and content.coeff(0) == 1):
         polys = [w.divexact(content) if w else w for w in polys]
     last = next(w for w in reversed(polys) if w)
-    unit_scale = coeff_div(1, last.trailing_coeff())
+    unit_scale = last.trailing_coeff().inverse()
     shift = -last.valuation()
     polys = [w.shift(shift).scale(unit_scale) if w else w for w in polys]
     return RationalFunctionVector(components=tuple(polys))
@@ -223,19 +227,12 @@ class SubmatrixCertificate:
         return not self.determinant.is_zero()
 
     def to_json(self) -> dict:
-        def cyclo(value: CyclotomicNumber):
-            return [
-                [j, Fraction(v).numerator, Fraction(v).denominator]
-                for j, v in enumerate(value.coeffs)
-                if v
-            ]
-
         return {
             "rows": list(self.row_selection),
             "cols": list(self.col_selection),
             "order": self.determinant.order,
-            "entries": [[cyclo(e) for e in row] for row in self.entries],
-            "determinant": cyclo(self.determinant),
+            "entries": [[coeff_terms_to_json(e) for e in row] for row in self.entries],
+            "determinant": coeff_terms_to_json(self.determinant),
             "nonzero": self.nonzero,
         }
 
@@ -266,39 +263,15 @@ def fullrank_submatrix(space: LensSpace) -> SubmatrixCertificate:
         tuple(gauss_sum(GaussSumSpec(p, q * k, q * c + q + 1)) for c in gammas)
         for k in deltas
     )
-    det = _cyclotomic_det([list(row) for row in entries])
+    rows = [[LaurentPoly("z", {0: e}) for e in row] for row in entries]
+    pivots, odd = _bareiss_echelon(rows, len(rows))
+    det = rows[-1][-1].coeff(0) if len(pivots) == len(rows) else CyclotomicNumber.zero(p)
     return SubmatrixCertificate(
         row_selection=tuple(deltas),
         col_selection=tuple(gammas),
         entries=entries,
-        determinant=det,
+        determinant=-det if odd else det,
     )
-
-
-def _cyclotomic_det(rows: list[list[CyclotomicNumber]]) -> CyclotomicNumber:
-    """Fraction-free determinant of a square matrix over a cyclotomic field."""
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    sign = 1
-    prev: CyclotomicNumber | None = None
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col]), None)
-        if piv is None:
-            order = rows[0][0].order if isinstance(rows[0][0], CyclotomicNumber) else 1
-            return CyclotomicNumber.zero(order)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            sign = -sign
-        pivot_entry = rows[col][col]
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                num = pivot_entry * rows[i][j] - rows[i][col] * rows[col][j]
-                rows[i][j] = num / prev if prev is not None else num
-            rows[i][col] = CyclotomicNumber.zero(pivot_entry.order)
-        prev = pivot_entry
-    det = rows[n - 1][n - 1]
-    return -det if sign < 0 else det
 
 
 # --- solving the link system ----------------------------------------------------
@@ -329,7 +302,7 @@ def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
     matrix = build_f_matrix(space)
     ncols = matrix.ncols
     rows = [list(row) + [fp] for row, fp in zip(matrix.entries, fpolys)]
-    pivots = _bareiss_echelon(rows, ncols)
+    pivots, _ = _bareiss_echelon(rows, ncols)
     if len(pivots) < ncols:
         raise RankDeficient(
             f"f-matrix of L({space.p},{space.q}) has rank {len(pivots)} < {ncols}"
@@ -356,14 +329,9 @@ def _try_a_form(p: int, components: list[RationalFunction]) -> SkeinElement | No
         poly = comp.as_polynomial()
         terms = {}
         for e, c in poly.items():
-            if e % p != 0:
+            if e % p != 0 or not c.is_rational():
                 return None
-            if isinstance(c, CyclotomicNumber):
-                if not c.is_rational():
-                    return None
-                c = c.rational_value()
-            a_exp = e // p
-            terms[a_exp] = Fraction(c) if a_exp % 2 == 0 else -Fraction(c)
+            terms[e // p] = c if (e // p) % 2 == 0 else -c
         coeffs.append(LaurentPoly("A", terms))
     return SkeinElement(p, coeffs)
 
@@ -379,30 +347,34 @@ def lambda_membership(vector, p: int) -> bool:
     Decided exactly: it holds iff every componentwise ratio v_c / v_ref is
     a rational function of z^p with rational coefficients.
     """
-    comps = [c if isinstance(c, LaurentPoly) else c for c in vector]
-    comps = [c.as_polynomial() if isinstance(c, RationalFunction) else c for c in comps]
+    comps = [c.as_polynomial() if isinstance(c, RationalFunction) else c for c in vector]
     nonzero = [c for c in comps if c]
     if not nonzero:
         return True
     ref = nonzero[-1]
     for comp in nonzero:
-        g = laurent_gcd(comp, ref)
-        num = comp.divexact(g)
-        den = ref.divexact(g)
-        shift = den.valuation()
-        lead = den.leading_coeff()
-        num = num.shift(-shift).scale(coeff_div(1, lead))
-        den = den.shift(-shift).scale(coeff_div(1, lead))
-        for poly in (num, den):
-            for e, c in poly.items():
-                if e % p != 0:
-                    return False
-                if isinstance(c, CyclotomicNumber) and not c.is_rational():
-                    return False
+        ratio = RationalFunction(comp, ref)
+        for poly in (ratio.num, ratio.den):
+            if any(e % p != 0 or not c.is_rational() for e, c in poly.items()):
+                return False
     return True
 
 
 # --- numeric interpolation of an f-polynomial from samples -------------------------
+
+
+@dataclass(frozen=True)
+class NumericPoly:
+    """A Laurent polynomial with complex coefficients, as interpolate_f recovers it."""
+
+    var: str
+    terms: dict[int, complex]
+
+    def coeff(self, exponent: int) -> complex:
+        return self.terms.get(exponent, 0)
+
+    def is_zero(self) -> bool:
+        return not self.terms
 
 
 def interpolate_f(
@@ -426,8 +398,8 @@ def interpolate_f(
 
     The evaluation points cluster near 1, so the square system (smallest
     levels) is solved at elevated working precision and the solution is
-    validated against every remaining sample.  Returns (poly, residual);
-    raises UnderDetermined or BadConditioning.
+    validated against every remaining sample.  Returns (NumericPoly,
+    residual); raises UnderDetermined or BadConditioning.
     """
     p = space.p
     pts = sorted(((int(r), v) for r, v in samples), key=lambda rv: rv[0])
@@ -439,7 +411,7 @@ def interpolate_f(
     if len({r for r, _ in pts}) != len(pts):
         raise ValueError("duplicate sample levels")
     if window is None:
-        e_mid = int(Fraction(12 * p) * space.dedekind)
+        e_mid = int(12 * p * space.dedekind)
         m = p // 2
         window = (
             e_mid - 2 - p * deg_a,
@@ -472,5 +444,5 @@ def interpolate_f(
             residual = max(residual, abs(fit - v))
         if residual > tol * scale:
             raise BadConditioning(f"residual {mpmath.nstr(residual, 3)} exceeds tolerance")
-    poly = LaurentPoly("z", {e: complex(coeffs[j]) for j, e in enumerate(exponents) if coeffs[j]})
+    poly = NumericPoly("z", {e: complex(coeffs[j]) for j, e in enumerate(exponents) if coeffs[j]})
     return poly, float(residual)

@@ -11,15 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import mpmath
 
 from .analysis import build_f_matrix, kernel, rank, recover_skein
-from .cyclotomic import CyclotomicNumber, embed_complex
+from .codec import coeff_to_json, field, load_json, poly_from_json, poly_to_json
+from .cyclotomic import embed_complex
 from .errors import ComputationError
 from .gauss import GaussSumSpec, gauss_sum
-from .laurent import LaurentPoly
 from .numtheory import classify_order, dedekind_sum, rademacher_phi
 from .selftest import run_selftest
 from .skein import SkeinElement
@@ -34,53 +33,7 @@ from .wrt import (
 )
 
 
-# --- serialization helpers ------------------------------------------------------
-
-
-def coeff_to_json(c):
-    """Rational -> [num, den]; cyclotomic -> {"order": N, "coeffs": [[j, num, den], ...]}."""
-    if isinstance(c, CyclotomicNumber):
-        if c.is_rational():
-            c = c.rational_value()
-        else:
-            return {
-                "order": c.order,
-                "coeffs": [
-                    [j, Fraction(v).numerator, Fraction(v).denominator]
-                    for j, v in enumerate(c.coeffs)
-                    if v
-                ],
-            }
-    f = Fraction(c)
-    return [f.numerator, f.denominator]
-
-
-def poly_to_json(poly: LaurentPoly) -> list:
-    """Sorted [exponent, num, den] triples, or [exponent, {cyclotomic}] entries."""
-    out = []
-    for e, c in poly.items():
-        cj = coeff_to_json(c)
-        if isinstance(cj, list):
-            out.append([e, cj[0], cj[1]])
-        else:
-            out.append([e, cj])
-    return out
-
-
-def poly_from_json(var: str, data) -> LaurentPoly:
-    terms = {}
-    for entry in data:
-        e = int(entry[0])
-        if len(entry) == 3:
-            terms[e] = Fraction(int(entry[1]), int(entry[2]))
-        else:
-            spec = entry[1]
-            order = int(spec["order"])
-            vec = [Fraction(0)] * order
-            for j, num, den in spec["coeffs"]:
-                vec[int(j)] = Fraction(int(num), int(den))
-            terms[e] = CyclotomicNumber(order, vec)
-    return LaurentPoly(var, terms)
+# --- serialization helpers (the coefficient and polynomial codec is lenswrt.codec) ---
 
 
 def fpoly_to_json(fp: FPolynomial, p: int, q: int, c: int, k: int) -> dict:
@@ -97,9 +50,9 @@ def fpoly_to_json(fp: FPolynomial, p: int, q: int, c: int, k: int) -> dict:
 
 def fpoly_from_json(data: dict) -> FPolynomial:
     return FPolynomial(
-        p=int(data["p"]),
-        prefactor_sign=int(data["prefactor_sign"]),
-        body=poly_from_json("z", data["body"]),
+        p=field(data, "p", int),
+        prefactor_sign=field(data, "prefactor_sign", int),
+        body=poly_from_json("z", field(data, "body")),
     )
 
 
@@ -201,11 +154,10 @@ def cmd_fpoly(args, out: _Output):
 
 
 def _load_skein_file(path: str):
-    with open(path) as fh:
-        data = json.load(fh)
-    if "components" in data:
-        comps = [poly_from_json("z", entry) for entry in data["components"]]
-        return int(data["p"]), ("z", comps)
+    data = load_json(path)
+    if isinstance(data, dict) and "components" in data:
+        comps = [poly_from_json("z", entry) for entry in field(data, "components", list)]
+        return field(data, "p", int), ("z", comps)
     element = SkeinElement.from_json(data)
     return element.p, ("A", element)
 
@@ -215,6 +167,8 @@ def cmd_wrt(args, out: _Output):
     prec = args.precision
     if (args.color is None) == (args.skein_file is None):
         raise ValueError("specify exactly one of --color or --skein-file")
+    if args.rmin > args.rmax:
+        raise ValueError(f"--rmin {args.rmin} exceeds --rmax {args.rmax}")
     if args.color is not None:
         def value_at(r):
             return eval_meridian(space, args.color, r, prec)
@@ -309,12 +263,11 @@ def cmd_classify(args, out: _Output):
 
 
 def cmd_recover(args, out: _Output):
-    with open(args.samples_file) as fh:
-        data = json.load(fh)
-    p, q = int(data["p"]), int(data["q"])
+    data = load_json(args.samples_file)
+    p, q = field(data, "p", int), field(data, "q", int)
     if (p, q) != (args.p, args.q):
         raise ValueError(f"samples file is for L({p},{q}), expected L({args.p},{args.q})")
-    fpolys = [poly_from_json("z", entry) for entry in data["fpolys"]]
+    fpolys = [poly_from_json("z", entry) for entry in field(data, "fpolys", list)]
     space = LensSpace(p, q)
     result = recover_skein(space, fpolys)
     comps = []

@@ -1,0 +1,107 @@
+"""The JSON form of exact coefficients and Laurent polynomials.
+
+A rational coefficient is [num, den].  Any other element of Q(xi_N) is
+{"order": N, "coeffs": [[j, num, den], ...]}, listing its nonzero
+power-basis values.  A polynomial is a sorted list of [exponent, num, den]
+and [exponent, {cyclotomic}] entries.  The decoders check every shape and
+raise ValueError, never KeyError or TypeError, on malformed input.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+
+from .cyclotomic import CyclotomicNumber
+from .laurent import LaurentPoly
+
+
+def coeff_terms_to_json(c: CyclotomicNumber) -> list:
+    """[[j, num, den], ...] over the nonzero power-basis values of c."""
+    return [[j, v.numerator, v.denominator] for j, v in enumerate(c.coeffs) if v]
+
+
+def coeff_to_json(c: CyclotomicNumber):
+    """Rational -> [num, den]; otherwise {"order": N, "coeffs": [[j, num, den], ...]}."""
+    if c.is_rational():
+        v = c.coeffs[0]
+        return [v.numerator, v.denominator]
+    return {"order": c.order, "coeffs": coeff_terms_to_json(c)}
+
+
+def poly_to_json(poly: LaurentPoly) -> list:
+    """Sorted [exponent, num, den] triples, or [exponent, {cyclotomic}] entries."""
+    return [[e, *coeff_to_json(c)] if c.is_rational() else [e, coeff_to_json(c)]
+            for e, c in poly.items()]
+
+
+def field(data, key: str, kind: type | None = None):
+    """data[key] of a JSON object, checked to be of the given kind."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object with key {key!r}, got {_show(data)}")
+    if key not in data:
+        raise ValueError(f"missing key {key!r}")
+    return _checked(data[key], kind, key)
+
+
+def _checked(value, kind: type | None, what: str):
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+        raise ValueError(f"{what} must be of JSON type {kind.__name__}, got {_show(value)}")
+    return value
+
+
+def _show(value) -> str:
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _rational(num, den) -> Fraction:
+    num, den = _checked(num, int, "numerator"), _checked(den, int, "denominator")
+    if den == 0:
+        raise ValueError(f"zero denominator in {num}/{den}")
+    return Fraction(num, den)
+
+
+def _entry(value, size: int, what: str) -> list:
+    if not isinstance(value, list) or len(value) != size:
+        raise ValueError(f"{what} must be a list of {size} values, got {_show(value)}")
+    return value
+
+
+def coeff_from_json(data) -> CyclotomicNumber:
+    """Inverse of coeff_to_json."""
+    if not isinstance(data, dict):
+        return CyclotomicNumber.from_rational(_rational(*_entry(data, 2, "a rational coefficient")))
+    order = field(data, "order", int)
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    vec = [0] * order
+    for term in field(data, "coeffs", list):
+        j, num, den = _entry(term, 3, "a cyclotomic term [j, num, den]")
+        if not 0 <= _checked(j, int, "a power") < order:
+            raise ValueError(f"power {j} outside 0..{order - 1}")
+        vec[j] = _rational(num, den)
+    return CyclotomicNumber(order, vec)
+
+
+def poly_from_json(var: str, data) -> LaurentPoly:
+    """Inverse of poly_to_json, in the variable var."""
+    terms = {}
+    for entry in _checked(data, list, "a polynomial"):
+        if isinstance(entry, list) and len(entry) == 3:
+            c = coeff_from_json(entry[1:])
+        elif isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], dict):
+            c = coeff_from_json(entry[1])
+        else:
+            raise ValueError(f"a polynomial term is [e, num, den] or [e, {{...}}], got {_show(entry)}")
+        terms[_checked(entry[0], int, "an exponent")] = c
+    return LaurentPoly(var, terms)
+
+
+def load_json(path: str):
+    """The JSON document in a file; ValueError when it cannot be read or parsed."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None

@@ -1,9 +1,17 @@
 """Exact arithmetic in cyclotomic fields Q(xi_N), xi_N = e^(2 pi i / N).
 
-Values are stored as length-N coefficient vectors over the power basis
-1, xi, ..., xi^(N-1), reduced to canonical form modulo the N-th cyclotomic
-polynomial, so equality of values is equality of vectors (after lifting to
-a common order).  All coefficients are ints or Fractions.
+This is the one exact coefficient domain of the package.  A value is
+phi(N) integer numerators over one positive integer denominator, in
+lowest terms:
+
+    x = (n_0 + n_1 xi + ... + n_(phi(N)-1) xi^(phi(N)-1)) / den,
+
+with the numerator reduced modulo the N-th cyclotomic polynomial, so
+equality of values is equality of (numerators, denominator) after
+lifting to a common order.  Products are integer convolutions reduced by
+the cached rows of Phi_N; an inverse is the product of the nontrivial
+Galois conjugates over the integer norm.  int and Fraction values enter
+through the constructor and leave through `.coeffs`.
 """
 
 from __future__ import annotations
@@ -11,10 +19,9 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from operator import add
 
 import mpmath
-
-Scalar = int | Fraction
 
 _ORDER_CACHE: dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
 _ORDER_LOCK = threading.RLock()  # reentrant: computing Phi_n recurses into divisors
@@ -64,107 +71,106 @@ def _order_data(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         phi = cyclotomic_polynomial(n)
         deg = len(phi) - 1
         rows: list[tuple[int, ...]] = []
-        if deg < n:
-            row = [-c for c in phi[:deg]]  # x^deg mod Phi_n
+        row = [-c for c in phi[:deg]]  # x^deg mod Phi_n
+        for _ in range(deg, n):
             rows.append(tuple(row))
-            for _ in range(deg + 1, n):
-                top = row[-1]
-                row = [0] + row[:-1]
-                if top:
-                    for i in range(deg):
-                        row[i] -= top * phi[i]
-                rows.append(tuple(row))
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                for i in range(deg):
+                    row[i] -= top * phi[i]
         data = (phi, tuple(rows))
         _ORDER_CACHE[n] = data
         return data
 
 
-def _norm_scalar(x) -> Scalar:
-    if type(x) is int:
-        return x
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    if isinstance(x, bool):
-        raise TypeError("bool is not a coefficient")
-    if isinstance(x, int):
-        return int(x)
-    raise TypeError(f"cannot use {type(x).__name__} as an exact coefficient")
+def _reduce(order: int, vec: list[int]) -> list[int]:
+    """phi(order) integers: vec, a polynomial in xi_order, reduced modulo Phi_order."""
+    phi, rows = _order_data(order)
+    deg = len(phi) - 1
+    for k in range(len(vec) - 1, order - 1, -1):  # xi^order = 1
+        if vec[k]:
+            vec[k - order] += vec[k]
+    for j in range(min(len(vec), order) - 1, deg - 1, -1):
+        c = vec[j]
+        if c:
+            vec[:deg] = [v + c * r for v, r in zip(vec, rows[j - deg])]
+    vec[deg:] = []
+    vec += [0] * (deg - len(vec))
+    return vec
 
 
-def _mobius(n: int) -> int:
-    result = 1
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            n //= f
-            if n % f == 0:
-                return 0
-            result = -result
-        f += 1
-    if n > 1:
-        result = -result
-    return result
+def _convolve(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    m = len(b)
+    for i, ai in enumerate(a):
+        if ai:
+            out[i:i + m] = [o + ai * bj for o, bj in zip(out[i:i + m], b)]
+    return out
 
 
-def _euler_phi(n: int) -> int:
-    result = n
-    f = 2
-    m = n
-    while f * f <= m:
-        if m % f == 0:
-            while m % f == 0:
-                m //= f
-            result -= result // f
-        f += 1
-    if m > 1:
-        result -= result // m
-    return result
+def _make(order: int, num, den: int) -> CyclotomicNumber:
+    """The number num / den (num: phi(order) ints, den > 0), brought to lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    x = object.__new__(CyclotomicNumber)
+    x._order = order
+    x._num = tuple(num)
+    x._den = den
+    return x
+
+
+def _rational_parts(value) -> tuple[int, int]:
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"cannot use {type(value).__name__} as an exact coefficient")
+    return value.numerator, value.denominator
+
+
+def as_cyclotomic(value) -> CyclotomicNumber | None:
+    """value itself, or an int or Fraction as a rational of order 1; None for anything else."""
+    if isinstance(value, CyclotomicNumber):
+        return value
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return _make(1, [value.numerator], value.denominator)
+    return None
+
+
+def _common(x: CyclotomicNumber, y: CyclotomicNumber):
+    if x._order == y._order:
+        return x, y
+    n = math.lcm(x._order, y._order)
+    return x.lift(n), y.lift(n)
 
 
 class CyclotomicNumber:
-    """An element of Q(xi_N) in canonical reduced form."""
+    """An element of Q(xi_N): phi(N) integer numerators over one denominator."""
 
-    __slots__ = ("_order", "_coeffs")
+    __slots__ = ("_order", "_num", "_den")
 
-    def __init__(self, order: int, coeffs, *, _canonical: bool = False):
+    def __init__(self, order: int, coeffs):
+        """The value sum_j coeffs[j] xi_order^j, for int/Fraction coeffs, len(coeffs) <= order."""
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        self._order = order
-        if _canonical:
-            self._coeffs = coeffs
-            return
-        vec = [_norm_scalar(c) for c in coeffs]
-        if len(vec) > order:
+        parts = [_rational_parts(c) for c in coeffs]
+        if len(parts) > order:
             raise ValueError(f"coefficient vector longer than order {order}")
-        vec += [0] * (order - len(vec))
-        self._coeffs = self._reduce(order, vec)
-
-    @staticmethod
-    def _reduce(order: int, vec: list[Scalar]) -> tuple[Scalar, ...]:
-        phi, rows = _order_data(order)
-        deg = len(phi) - 1
-        for j in range(order - 1, deg - 1, -1):
-            c = vec[j]
-            if c:
-                vec[j] = 0
-                row = rows[j - deg]
-                for i in range(deg):
-                    if row[i]:
-                        vec[i] = _norm_scalar(vec[i] + c * row[i])
-        return tuple(vec[i] if not isinstance(vec[i], Fraction) or vec[i].denominator != 1
-                     else int(vec[i]) for i in range(order))
+        den = math.lcm(1, *(d for _, d in parts))
+        x = _make(order, _reduce(order, [n * (den // d) for n, d in parts]), den)
+        self._order, self._num, self._den = order, x._num, x._den
 
     # --- constructors ----------------------------------------------------
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> CyclotomicNumber:
-        vec = [0] * order
-        vec[0] = _norm_scalar(Fraction(value))
-        return cls(order, vec)
+        num, den = _rational_parts(value)
+        return _make(order, _reduce(order, [num]), den)
 
     @classmethod
     def zero(cls, order: int = 1) -> CyclotomicNumber:
-        return cls(order, (0,) * order, _canonical=True)
+        return _make(order, _reduce(order, []), 1)
 
     # --- basic accessors -------------------------------------------------
 
@@ -173,22 +179,25 @@ class CyclotomicNumber:
         return self._order
 
     @property
-    def coeffs(self) -> tuple[Scalar, ...]:
-        return self._coeffs
+    def coeffs(self) -> tuple[int | Fraction, ...]:
+        """Power-basis values as int or Fraction, indexed by exponent 0..order-1."""
+        d = self._den
+        vals = tuple(n // d if n % d == 0 else Fraction(n, d) for n in self._num)
+        return vals + (0,) * (self._order - len(vals))
 
     def is_zero(self) -> bool:
-        return not any(self._coeffs)
+        return not any(self._num)
 
     def __bool__(self) -> bool:
-        return any(self._coeffs)
+        return any(self._num)
 
     def is_rational(self) -> bool:
-        return not any(self._coeffs[1:])
+        return not any(self._num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return Fraction(self._coeffs[0])
+        return Fraction(self._num[0], self._den)
 
     # --- order management -------------------------------------------------
 
@@ -199,43 +208,29 @@ class CyclotomicNumber:
         if order % self._order != 0:
             raise ValueError(f"cannot lift order {self._order} into order {order}")
         step = order // self._order
-        vec: list[Scalar] = [0] * order
-        for j, c in enumerate(self._coeffs):
-            if c:
-                vec[j * step] = c
-        return CyclotomicNumber(order, vec)
-
-    @staticmethod
-    def _common(x: CyclotomicNumber, y: CyclotomicNumber):
-        if x._order == y._order:
-            return x, y
-        n = math.lcm(x._order, y._order)
-        return x.lift(n), y.lift(n)
-
-    def _coerce(self, other) -> CyclotomicNumber | None:
-        if isinstance(other, CyclotomicNumber):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber.from_rational(other, 1)
-        return None
+        vec = [0] * ((len(self._num) - 1) * step + 1)
+        vec[::step] = self._num
+        return _make(order, _reduce(order, vec), self._den)
 
     # --- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = as_cyclotomic(other)
         if o is None:
             return NotImplemented
-        a, b = self._common(self, o)
-        vec = [_norm_scalar(x + y) for x, y in zip(a._coeffs, b._coeffs)]
-        return CyclotomicNumber(a._order, tuple(vec), _canonical=True)
+        a, b = _common(self, o)
+        if a._den == b._den:
+            return _make(a._order, list(map(add, a._num, b._num)), a._den)
+        da, db = a._den, b._den
+        return _make(a._order, [x * db + y * da for x, y in zip(a._num, b._num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self) -> CyclotomicNumber:
-        return CyclotomicNumber(self._order, tuple(-c for c in self._coeffs), _canonical=True)
+        return _make(self._order, [-c for c in self._num], self._den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = as_cyclotomic(other)
         if o is None:
             return NotImplemented
         return self + (-o)
@@ -244,43 +239,17 @@ class CyclotomicNumber:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = as_cyclotomic(other)
         if o is None:
             return NotImplemented
-        if o.is_rational():
-            r = o._coeffs[0]
-            return CyclotomicNumber(
-                self._order, tuple(_norm_scalar(c * r) for c in self._coeffs), _canonical=True
-            )
-        if self.is_rational():
-            r = self._coeffs[0]
-            return CyclotomicNumber(
-                o._order, tuple(_norm_scalar(c * r) for c in o._coeffs), _canonical=True
-            )
-        a, b = self._common(self, o)
-        n = a._order
-        vec: list[Scalar] = [0] * n
-        if all(type(c) is int for c in a._coeffs) and all(type(c) is int for c in b._coeffs):
-            # integer convolution without per-entry normalization
-            for i, ci in enumerate(a._coeffs):
-                if ci:
-                    for j, cj in enumerate(b._coeffs):
-                        if cj:
-                            k = i + j
-                            if k >= n:
-                                k -= n
-                            vec[k] += ci * cj
-        else:
-            for i, ci in enumerate(a._coeffs):
-                if not ci:
-                    continue
-                for j, cj in enumerate(b._coeffs):
-                    if cj:
-                        k = i + j
-                        if k >= n:
-                            k -= n
-                        vec[k] = _norm_scalar(vec[k] + ci * cj)
-        return CyclotomicNumber(n, self._reduce(n, vec), _canonical=True)
+        a, b = _common(self, o)
+        if not any(b._num[1:]):
+            a, b = b, a
+        den = a._den * b._den
+        if not any(a._num[1:]):  # a rational factor scales the other one
+            r = a._num[0]
+            return _make(b._order, [r * c for c in b._num], den)
+        return _make(a._order, _reduce(a._order, _convolve(a._num, b._num)), den)
 
     __rmul__ = __mul__
 
@@ -298,37 +267,28 @@ class CyclotomicNumber:
         return result
 
     def inverse(self) -> CyclotomicNumber:
-        """Multiplicative inverse, via the extended Euclidean algorithm mod Phi_N."""
+        """Multiplicative inverse: den times the product of the nontrivial Galois
+        conjugates of the integral numerator a, over the integer norm N(a)."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
-        if self.is_rational():
-            return CyclotomicNumber.from_rational(1 / Fraction(self._coeffs[0]), self._order)
-        phi = [Fraction(c) for c in _order_data(self._order)[0]]
-        deg = len(phi) - 1
-        f = [Fraction(c) for c in self._coeffs[:deg]]
-        while len(f) > 1 and f[-1] == 0:
-            f.pop()
-        # extended Euclid: u * f == gcd (mod phi); gcd is a nonzero constant
-        r0, r1 = phi, f
-        u0, u1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, _frac_poly_sub(u0, _frac_poly_mul(q, u1))
-        if len(r0) != 1:
-            raise ZeroDivisionError("element is a zero divisor (not a unit)")
-        inv_const = 1 / r0[0]
-        vec = [c * inv_const for c in u0]
-        return CyclotomicNumber(self._order, vec)
+        n = self._order
+        a = _make(n, self._num, 1)
+        conj = CyclotomicNumber.from_rational(1, n)
+        for u in range(2, n):
+            if math.gcd(u, n) == 1:
+                conj = conj * a.galois(u)
+        norm = (a * conj)._num[0]
+        sign = 1 if norm > 0 else -1
+        return _make(n, [sign * self._den * c for c in conj._num], abs(norm))
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = as_cyclotomic(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = as_cyclotomic(other)
         if o is None:
             return NotImplemented
         return o * self.inverse()
@@ -340,39 +300,37 @@ class CyclotomicNumber:
         return self.galois(-1)
 
     def galois(self, a: int) -> CyclotomicNumber:
-        """The map xi_N -> xi_N^a for a coprime to N (coefficient permutation)."""
+        """The map xi_N -> xi_N^a for a coprime to N."""
         n = self._order
         if math.gcd(a % n, n) != 1:
             raise ValueError(f"exponent {a} is not coprime to the order {n}")
-        vec: list[Scalar] = [0] * n
-        for j, c in enumerate(self._coeffs):
+        vec = [0] * n
+        for j, c in enumerate(self._num):
             if c:
-                k = (j * a) % n
-                vec[k] = _norm_scalar(vec[k] + c)
-        return CyclotomicNumber(n, vec)
+                vec[j * a % n] += c
+        return _make(n, _reduce(n, vec), self._den)
 
     # --- comparisons --------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
+        o = as_cyclotomic(other)
         if o is None:
             return NotImplemented
-        if self._order == o._order:
-            return self._coeffs == o._coeffs
-        a, b = self._common(self, o)
-        return a._coeffs == b._coeffs
+        a, b = _common(self, o)
+        return a._num == b._num and a._den == b._den
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(Fraction(self._coeffs[0]))
-        # normalized trace Tr(x)/phi(N) is independent of the ambient order
-        n = self._order
-        tr = Fraction(0)
-        for j, c in enumerate(self._coeffs):
+        # Tr(x)/phi(N), which does not depend on the order x is written in and
+        # is x itself for rational x, so rationals hash like int and Fraction.
+        # Tr(xi^j) / phi(N) = mu(m) / phi(m) for xi^j of order m, and mu(m) is
+        # minus the second-highest coefficient of Phi_m.
+        n, deg = self._order, len(self._num)
+        trace = 0
+        for j, c in enumerate(self._num):
             if c:
-                m = n // math.gcd(j, n)
-                tr += Fraction(c) * _mobius(m) / _euler_phi(m)
-        return hash(("cyclotomic", tr))
+                phi_m = _order_data(n // math.gcd(j, n))[0]
+                trace -= c * phi_m[-2] * (deg // (len(phi_m) - 1))
+        return hash(Fraction(trace, deg * self._den))
 
     # --- numeric embedding ---------------------------------------------------
 
@@ -383,10 +341,11 @@ class CyclotomicNumber:
     # --- display ---------------------------------------------------------------
 
     def __repr__(self) -> str:
+        coeffs = self.coeffs
         if self.is_rational():
-            return str(self._coeffs[0])
+            return str(coeffs[0])
         terms = []
-        for j, c in enumerate(self._coeffs):
+        for j, c in enumerate(coeffs):
             if not c:
                 continue
             if j == 0:
@@ -402,72 +361,27 @@ class CyclotomicNumber:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dd, 1)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        c /= lead
-        quot[i - dd] = c
-        for j, dj in enumerate(den):
-            num[i - dd + j] -= c * dj
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def root_of_unity(order: int, exponent: int = 1) -> CyclotomicNumber:
     """Canonical form of xi_order^exponent."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    e = exponent % order
     vec = [0] * order
-    vec[e] = 1
-    return CyclotomicNumber(order, vec)
+    vec[exponent % order] = 1
+    return _make(order, _reduce(order, vec), 1)
 
 
-def conjugate(x: CyclotomicNumber) -> CyclotomicNumber:
-    return x.conjugate()
-
-
-def embed_complex(x, precision: int = 53) -> mpmath.mpc:
-    """Complex value of a CyclotomicNumber (or exact scalar) at `precision` bits."""
+def embed_complex(x: CyclotomicNumber, precision: int = 53) -> mpmath.mpc:
+    """Complex value of a CyclotomicNumber at `precision` bits."""
     if precision < 53:
         raise ValueError(f"precision must be >= 53 bits, got {precision}")
+    num, den = x._num, x._den
     with mpmath.workprec(precision):
-        if isinstance(x, int):
-            return mpmath.mpc(x)
-        if isinstance(x, Fraction):
-            return mpmath.mpc(mpmath.mpf(x.numerator) / x.denominator)
+        if x.is_rational():
+            return mpmath.mpc(mpmath.mpf(num[0]) if den == 1 else mpmath.mpf(num[0]) / den)
         total = mpmath.mpc(0)
         n = x.order
-        for j, c in enumerate(x.coeffs):
+        for j, c in enumerate(num):
             if c:
-                cf = mpmath.mpf(c) if isinstance(c, int) else mpmath.mpf(c.numerator) / c.denominator
+                cf = mpmath.mpf(c) if den == 1 else mpmath.mpf(c) / den
                 total += cf * mpmath.expjpi(mpmath.mpf(2 * j) / n)
         return total

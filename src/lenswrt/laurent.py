@@ -1,54 +1,26 @@
-"""Laurent polynomials in one variable with exact coefficients.
+"""Laurent polynomials in one variable over the one exact coefficient domain.
 
-Coefficients are ints, Fractions, or CyclotomicNumbers (numeric
-coefficients are tolerated only for interpolation output).  No zero
-coefficient is ever stored.  RationalFunction provides the fraction
-field needed for kernel computations.
+Every coefficient is a CyclotomicNumber: phi(N) integer numerators over
+one denominator.  int and Fraction coefficients are converted once, when
+a polynomial is constructed.  No zero coefficient is ever stored.
+RationalFunction provides the fraction field needed for kernel
+computations.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 import mpmath
 
-from .cyclotomic import CyclotomicNumber, embed_complex
+from .cyclotomic import CyclotomicNumber, as_cyclotomic, embed_complex
+
+_ZERO = CyclotomicNumber.zero()
 
 
-def _simplify_coeff(c):
-    if isinstance(c, CyclotomicNumber):
-        if c.is_rational():
-            r = c.rational_value()
-            return int(r) if r.denominator == 1 else r
-        return c
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    if isinstance(c, (int, float, complex)):
-        return c
-    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
-
-
-def coeff_div(a, b):
-    """Exact coefficient quotient a / b in Q or Q(xi_N)."""
-    if isinstance(a, CyclotomicNumber) or isinstance(b, CyclotomicNumber):
-        if not isinstance(a, CyclotomicNumber):
-            a = CyclotomicNumber.from_rational(a)
-        return _simplify_coeff(a / b)
-    return _simplify_coeff(Fraction(a) / Fraction(b))
-
-
-def coeff_inv(b):
-    """Multiplicative inverse of a coefficient."""
-    if isinstance(b, CyclotomicNumber):
-        return _simplify_coeff(b.inverse())
-    return _simplify_coeff(1 / Fraction(b))
-
-
-def coeff_conj(c):
-    if isinstance(c, CyclotomicNumber):
-        return c.conjugate()
-    return c
+def _exact(c) -> CyclotomicNumber:
+    x = as_cyclotomic(c)
+    if x is None:
+        raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+    return x
 
 
 class LaurentPoly:
@@ -58,13 +30,28 @@ class LaurentPoly:
 
     def __init__(self, var: str, terms=None):
         self._var = var
-        clean: dict[int, object] = {}
+        clean: dict[int, CyclotomicNumber] = {}
         if terms:
             for e, c in terms.items():
-                c = _simplify_coeff(c)
-                if c:
-                    clean[int(e)] = c
+                x = _exact(c)
+                if x:
+                    clean[int(e)] = x
         self._terms = clean
+
+    @staticmethod
+    def _make(var: str, terms: dict[int, CyclotomicNumber]) -> LaurentPoly:
+        """A polynomial from nonzero CyclotomicNumber terms, taken as they are."""
+        result = LaurentPoly.__new__(LaurentPoly)
+        result._var = var
+        result._terms = terms
+        return result
+
+    def _operand(self, other) -> LaurentPoly | None:
+        """other as a polynomial in this variable; None unless a polynomial or exact scalar."""
+        if isinstance(other, LaurentPoly):
+            return other
+        c = as_cyclotomic(other)
+        return None if c is None else LaurentPoly._make(self._var, {0: c} if c else {})
 
     # --- constructors -----------------------------------------------------
 
@@ -93,8 +80,8 @@ class LaurentPoly:
     def items(self):
         return sorted(self._terms.items())
 
-    def coeff(self, exponent: int):
-        return self._terms.get(exponent, 0)
+    def coeff(self, exponent: int) -> CyclotomicNumber:
+        return self._terms.get(exponent, _ZERO)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -128,35 +115,27 @@ class LaurentPoly:
             raise ValueError(f"variable mismatch: {self._var} vs {other._var}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            other = LaurentPoly(self._var, {0: other})
-        if not isinstance(other, LaurentPoly):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         self._check_var(other)
         out = dict(self._terms)
         for e, c in other._terms.items():
-            s = _simplify_coeff(out.get(e, 0) + c)
+            s = out[e] + c if e in out else c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._var = self._var if self._terms or not other._terms else other._var
-        result._terms = out
-        return result
+                del out[e]
+        return LaurentPoly._make(self._var if self._terms or not other._terms else other._var, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._var = self._var
-        result._terms = {e: -c for e, c in self._terms.items()}
-        return result
+        return LaurentPoly._make(self._var, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            other = LaurentPoly(self._var, {0: other})
-        if not isinstance(other, LaurentPoly):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         return self + (-other)
 
@@ -164,47 +143,28 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            return self.scale(other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            c = as_cyclotomic(other)
+            return NotImplemented if c is None else self.scale(c)
         self._check_var(other)
-        out: dict[int, object] = {}
+        out: dict[int, CyclotomicNumber] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = e1 + e2
-                s = _simplify_coeff(out.get(e, 0) + c1 * c2)
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._var = self._var
-        result._terms = out
-        return result
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return LaurentPoly._make(self._var, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def scale(self, c) -> LaurentPoly:
-        c = _simplify_coeff(c)
+        c = _exact(c)
         if not c:
             return LaurentPoly(self._var)
-        out = {}
-        for e, v in self._terms.items():
-            s = _simplify_coeff(v * c)
-            if s:
-                out[e] = s
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._var = self._var
-        result._terms = out
-        return result
+        return LaurentPoly._make(self._var, {e: v * c for e, v in self._terms.items()})
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by var^k."""
-        result = LaurentPoly.__new__(LaurentPoly)
-        result._var = self._var
-        result._terms = {e + k: c for e, c in self._terms.items()}
-        return result
+        return LaurentPoly._make(self._var, {e + k: c for e, c in self._terms.items()})
 
     def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
@@ -220,14 +180,11 @@ class LaurentPoly:
 
     def conj_coeffs(self) -> LaurentPoly:
         """Coefficient-wise complex conjugation (exponents untouched)."""
-        return LaurentPoly(self._var, {e: coeff_conj(c) for e, c in self._terms.items()})
-
-    def map_coeffs(self, fn) -> LaurentPoly:
-        return LaurentPoly(self._var, {e: fn(c) for e, c in self._terms.items()})
+        return LaurentPoly._make(self._var, {e: c.conjugate() for e, c in self._terms.items()})
 
     def subst_signed_power(self, p: int, new_var: str) -> LaurentPoly:
         """Substitute var -> -(new_var)^p, e.g. A -> -z^p."""
-        return LaurentPoly(
+        return LaurentPoly._make(
             new_var, {p * e: (c if e % 2 == 0 else -c) for e, c in self._terms.items()}
         )
 
@@ -245,24 +202,12 @@ class LaurentPoly:
             raise ArithmeticError("division is not exact")
         return quot
 
-    def __call__(self, z):
-        """Evaluate at a numeric point (float/complex/mpmath)."""
-        total = mpmath.mpc(0)
-        for e, c in self._terms.items():
-            cv = embed_complex(c) if isinstance(c, (int, Fraction, CyclotomicNumber)) else mpmath.mpc(c)
-            total += cv * mpmath.mpc(z) ** e
-        return total
-
     def eval_at_unit_root(self, numerator: int, denominator: int, precision: int = 53):
         """Value at e^(2 pi i numerator / denominator), exponents reduced first."""
         with mpmath.workprec(precision):
             total = mpmath.mpc(0)
             for e, c in self._terms.items():
-                cv = (
-                    embed_complex(c, precision)
-                    if isinstance(c, (int, Fraction, CyclotomicNumber))
-                    else mpmath.mpc(c)
-                )
+                cv = embed_complex(c, precision)
                 arg = (e * numerator) % denominator
                 total += cv * mpmath.expjpi(mpmath.mpf(2 * arg) / denominator)
             return total
@@ -270,9 +215,8 @@ class LaurentPoly:
     # --- comparisons ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            other = LaurentPoly(self._var, {0: other})
-        if not isinstance(other, LaurentPoly):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         if self._terms and other._terms and self._var != other._var:
             return False
@@ -306,23 +250,23 @@ def _poly_divmod(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laure
     n = {e - nshift: c for e, c in num._terms.items()}
     d = {e - dshift: c for e, c in den._terms.items()}
     ddeg = max(d)
-    dlead_inv = coeff_inv(d[ddeg])  # hoisted: one field inversion per division
-    quot: dict[int, object] = {}
+    dlead_inv = d[ddeg].inverse()  # hoisted: one field inversion per division
+    quot: dict[int, CyclotomicNumber] = {}
     while n:
         ndeg = max(n)
         if ndeg < ddeg:
             break
-        c = _simplify_coeff(n[ndeg] * dlead_inv)
+        c = n[ndeg] * dlead_inv
         quot[ndeg - ddeg] = c
         for e, dc in d.items():
             tgt = ndeg - ddeg + e
-            s = _simplify_coeff(n.get(tgt, 0) - c * dc)
+            s = n[tgt] - c * dc if tgt in n else -(c * dc)
             if s:
                 n[tgt] = s
             else:
-                n.pop(tgt, None)
-    q = LaurentPoly(var, quot).shift(nshift - dshift)
-    r = LaurentPoly(var, n).shift(nshift)
+                del n[tgt]
+    q = LaurentPoly._make(var, quot).shift(nshift - dshift)
+    r = LaurentPoly._make(var, n).shift(nshift)
     return q, r
 
 
@@ -336,7 +280,7 @@ def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         _, rem = _poly_divmod(r0, r1)
         r0, r1 = r1, rem
     r0 = r0.shift(-r0.valuation())
-    return r0.scale(coeff_div(1, r0.leading_coeff()))
+    return r0.scale(r0.leading_coeff().inverse())
 
 
 class RationalFunction:
@@ -359,9 +303,9 @@ class RationalFunction:
             den = den.divexact(g)
         # move the denominator's unit part (lead coeff and monomial) into num
         shift = den.valuation()
-        lead = den.leading_coeff()
-        den = den.shift(-shift).scale(coeff_div(1, lead))
-        num = num.shift(-shift).scale(coeff_div(1, lead))
+        unit = den.leading_coeff().inverse()
+        den = den.shift(-shift).scale(unit)
+        num = num.shift(-shift).scale(unit)
         self.num = num
         self.den = den
 
@@ -386,6 +330,14 @@ class RationalFunction:
         if not self.is_polynomial():
             raise ValueError(f"{self!r} is not a Laurent polynomial")
         return self.num
+
+    def eval_at_unit_root(self, numerator: int, denominator: int, precision: int = 53):
+        """Value at e^(2 pi i numerator / denominator); no division when den is 1."""
+        with mpmath.workprec(precision):
+            value = self.num.eval_at_unit_root(numerator, denominator, precision)
+            if not self.is_polynomial():
+                value /= self.den.eval_at_unit_root(numerator, denominator, precision)
+            return value
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -429,11 +381,8 @@ class RationalFunction:
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, LaurentPoly):
-            return RationalFunction(other)
-        if isinstance(other, (int, Fraction, CyclotomicNumber)):
-            return RationalFunction.from_scalar(other, self.var)
-        return None
+        other = self.num._operand(other)
+        return None if other is None else RationalFunction(other)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)

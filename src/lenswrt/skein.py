@@ -6,9 +6,7 @@ e_c = alpha e_(c-1) - e_(c-2).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .cyclotomic import CyclotomicNumber
+from .codec import field, poly_from_json, poly_to_json
 from .laurent import LaurentPoly
 
 
@@ -67,13 +65,10 @@ class SkeinElement:
 
     @staticmethod
     def _as_poly(c) -> LaurentPoly:
-        if isinstance(c, LaurentPoly):
-            if c and c.var != "A":
-                raise ValueError(f"skein coefficients live in A, got variable {c.var}")
-            return c
-        if isinstance(c, (int, Fraction, CyclotomicNumber)):
-            return LaurentPoly("A", {0: c})
-        raise TypeError(f"cannot use {type(c).__name__} as a skein coefficient")
+        poly = c if isinstance(c, LaurentPoly) else LaurentPoly("A", {0: c})
+        if poly and poly.var != "A":
+            raise ValueError(f"skein coefficients live in A, got variable {poly.var}")
+        return poly
 
     @classmethod
     def zero(cls, p: int) -> SkeinElement:
@@ -132,38 +127,13 @@ class SkeinElement:
     # --- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        """{"p": p, "coeffs": [[[exponent, num, den], ...] per generator]}."""
-        out = []
-        for c in self._coeffs:
-            entries = []
-            for e, v in c.items():
-                f = Fraction(v)
-                entries.append([e, f.numerator, f.denominator])
-            out.append(entries)
-        return {"p": self._p, "coeffs": out}
+        """{"p": p, "coeffs": [polynomial per generator]}, polynomials as in codec."""
+        return {"p": self._p, "coeffs": [poly_to_json(c) for c in self._coeffs]}
 
     @classmethod
     def from_json(cls, data: dict) -> SkeinElement:
-        p = int(data["p"])
-        coeffs = []
-        for entries in data["coeffs"]:
-            terms = {}
-            for e, num, den in entries:
-                terms[int(e)] = Fraction(int(num), int(den))
-            coeffs.append(LaurentPoly("A", terms))
-        return cls(p, coeffs)
-
-
-def skein_make(p: int, coeffs) -> SkeinElement:
-    return SkeinElement(p, coeffs)
-
-
-def skein_add(x: SkeinElement, y: SkeinElement) -> SkeinElement:
-    return x + y
-
-
-def skein_scale(x: SkeinElement, factor) -> SkeinElement:
-    return x.scale(factor)
+        p = field(data, "p", int)
+        return cls(p, [poly_from_json("A", entries) for entries in field(data, "coeffs", list)])
 
 
 def power_to_colored(p: int, c: int) -> SkeinElement:

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 
 from .gauss import g_pm
 from .laurent import LaurentPoly
-from .numtheory import SL2Word, dedekind_sum, mod_inverse, rademacher_phi, sl2_expand, _validate_pq
+from .numtheory import dedekind_sum, mod_inverse, rademacher_phi, _validate_pq
 from .skein import SkeinElement
 
 
@@ -45,10 +44,6 @@ class LensSpace:
         self.phi = rademacher_phi(p, q)
         if (6 * p * self.dedekind).denominator != 1:
             raise AssertionError(f"6 p s(q,p) is not an integer at ({p}, {q})")
-
-    def sl2_word(self) -> SL2Word:
-        """The continued-fraction factorization of the gluing matrix."""
-        return sl2_expand(self.p, self.q)
 
     def __repr__(self) -> str:
         return f"LensSpace({self.p}, {self.q})"
@@ -113,7 +108,7 @@ def f_poly(space: LensSpace, c: int, k: int) -> FPolynomial:
     cached = _F_CACHE.get(key)
     if cached is not None:
         return cached
-    base = Fraction(12 * p) * space.dedekind + q * (c * c + 2 * c)
+    base = 12 * p * space.dedekind + q * (c * c + 2 * c)
     if base.denominator != 1:
         raise AssertionError(f"non-integer exponent 12 p s + q(c^2+2c) at {key}")
     e0 = int(base)
@@ -170,16 +165,9 @@ def eval_z_combination(space: LensSpace, components, r: int, precision: int = 53
         total = mpmath.mpc(0)
         denom = 4 * space.p * r
         for c, comp in enumerate(components):
-            if isinstance(comp, LaurentPoly):
-                num_val, den_val = comp, None
-            else:
-                num_val, den_val = comp.num, comp.den
-            if num_val.is_zero():
+            if comp.is_zero():
                 continue
-            weight = num_val.eval_at_unit_root(1, denom, precision)
-            if den_val is not None and not den_val == LaurentPoly.one("z"):
-                weight /= den_val.eval_at_unit_root(1, denom, precision)
-            total += weight * eval_meridian(space, c, r, precision)
+            total += comp.eval_at_unit_root(1, denom, precision) * eval_meridian(space, c, r, precision)
         return total
 
 

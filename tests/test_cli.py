@@ -187,3 +187,51 @@ class TestDeterminismAndValidation:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["rank"] == 3
+
+
+class TestInvalidInput:
+    """Malformed input exits 2 with one error line, never a traceback."""
+
+    @staticmethod
+    def assert_input_error(code, err):
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error ["), err
+
+    def recover(self, capsys, tmp_path, payload):
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps(payload))
+        return run_cli(capsys, "recover", "5", "2", str(path))
+
+    def test_missing_key(self, capsys, tmp_path):
+        fpolys = [[[0, {"coeffs": [[1, 1, 1]]}]]] + [[] for _ in range(4)]
+        code, _, err = self.recover(capsys, tmp_path, {"p": 5, "q": 2, "fpolys": fpolys})
+        self.assert_input_error(code, err)
+
+    def test_wrong_shape(self, capsys, tmp_path):
+        fpolys = [[[0, 1]]] + [[] for _ in range(4)]
+        code, _, err = self.recover(capsys, tmp_path, {"p": 5, "q": 2, "fpolys": fpolys})
+        self.assert_input_error(code, err)
+
+    def test_zero_denominator(self, capsys, tmp_path):
+        fpolys = [[[0, 1, 0]]] + [[] for _ in range(4)]
+        code, _, err = self.recover(capsys, tmp_path, {"p": 5, "q": 2, "fpolys": fpolys})
+        self.assert_input_error(code, err)
+
+    def test_missing_input_file(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "recover", "5", "2", str(tmp_path / "absent.json"))
+        self.assert_input_error(code, err)
+
+    def test_recover_without_fpolys(self, capsys, tmp_path):
+        code, _, err = self.recover(capsys, tmp_path, {"p": 5, "q": 2})
+        self.assert_input_error(code, err)
+
+    def test_skein_file_without_coeffs(self, capsys, tmp_path):
+        path = tmp_path / "element.json"
+        path.write_text(json.dumps({"p": 5}))
+        code, _, err = run_cli(capsys, "wrt", "5", "2", "--skein-file", str(path))
+        self.assert_input_error(code, err)
+
+    def test_empty_level_range(self, capsys):
+        code, _, err = run_cli(capsys, "wrt", "5", "2", "--color", "0", "--rmin", "10", "--rmax", "3")
+        self.assert_input_error(code, err)

@@ -8,9 +8,6 @@ from lenswrt.skein import (
     chebyshev_expand,
     chebyshev_matrix,
     power_to_colored,
-    skein_add,
-    skein_make,
-    skein_scale,
 )
 
 
@@ -92,11 +89,11 @@ class TestSkeinElement:
     def test_scale_cancellation(self):
         mu1 = SkeinElement.basis_vector(5, 1)
         a_sq = LaurentPoly("A", {2: 1})
-        total = skein_add(skein_scale(mu1, a_sq), skein_scale(mu1, -a_sq))
+        total = mu1.scale(a_sq) + mu1.scale(-a_sq)
         assert total.is_zero()
 
     def test_serialization_round_trip(self):
-        element = skein_make(7, [LaurentPoly("A", {-2: 3, 1: -1}), 0, 2, LaurentPoly("A", {0: 5})])
+        element = SkeinElement(7, [LaurentPoly("A", {-2: 3, 1: -1}), 0, 2, LaurentPoly("A", {0: 5})])
         assert SkeinElement.from_json(element.to_json()) == element
 
     def test_power_minus_colored(self):
@@ -106,11 +103,11 @@ class TestSkeinElement:
 
     def test_length_validation(self):
         with pytest.raises(ValueError):
-            skein_make(5, [1, 2])
+            SkeinElement(5, [1, 2])
 
     def test_module_axioms(self):
-        a = skein_make(4, [LaurentPoly("A", {1: 1}), 2, 0])
-        b = skein_make(4, [0, LaurentPoly("A", {-1: 1}), 3])
+        a = SkeinElement(4, [LaurentPoly("A", {1: 1}), 2, 0])
+        b = SkeinElement(4, [0, LaurentPoly("A", {-1: 1}), 3])
         f = LaurentPoly("A", {0: 2, 2: -1})
         assert (a + b).scale(f) == a.scale(f) + b.scale(f)
         assert a + b == b + a

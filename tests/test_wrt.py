@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from lenswrt.gauss import GaussSumSpec, gauss_sum
-from lenswrt.laurent import LaurentPoly
+from lenswrt.laurent import LaurentPoly, RationalFunction
 from lenswrt.skein import SkeinElement, power_to_colored
 from lenswrt.wrt import (
     LensSpace,
@@ -213,4 +213,17 @@ class TestZCombination:
         for r in (2, 7):
             lhs = eval_z_combination(space, comps, r, 64)
             rhs = eval_link(space, element, r, 64)
+            assert abs(lhs - rhs) < 1e-10
+
+    def test_rational_function_components(self):
+        rng = random.Random(24)
+        space = LensSpace(5, 2)
+        element = random_skein(5, rng, max_exp=2)
+        comps = [poly.subst_signed_power(5, "z") for poly in element.coeffs]
+        den = LaurentPoly("z", {0: 2, 3: 1})
+        quotients = [RationalFunction(comp, den) for comp in comps]
+        assert not all(q.is_polynomial() for q in quotients)
+        for r in (2, 7):
+            lhs = eval_z_combination(space, quotients, r, 64) * den.eval_at_unit_root(1, 20 * r, 64)
+            rhs = eval_z_combination(space, comps, r, 64)
             assert abs(lhs - rhs) < 1e-10
