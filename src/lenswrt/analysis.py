@@ -162,21 +162,27 @@ def kernel(space: LensSpace) -> list[RationalFunctionVector]:
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
     for f in free_cols:
-        vec: list[RationalFunction] = [
-            RationalFunction.from_scalar(0, "z") for _ in range(ncols)
-        ]
+        vec = [RationalFunction.from_scalar(0, "z") for _ in range(ncols)]
         vec[f] = RationalFunction.from_scalar(1, "z")
-        for row_idx, col in reversed(pivots):
-            if col > f:
-                continue
-            acc = RationalFunction.from_scalar(0, "z")
-            for j in range(col + 1, ncols):
-                entry = rows[row_idx][j]
-                if entry and vec[j]:
-                    acc = acc + RationalFunction(entry) * vec[j]
-            vec[col] = -acc / RationalFunction(rows[row_idx][col])
-        basis.append(_normalize_kernel_vector(vec))
+        basis.append(_normalize_kernel_vector(_back_substitute(rows, pivots, vec)))
     return basis
+
+
+def _back_substitute(rows, pivots, x: list[RationalFunction], rhs_col: int | None = None):
+    """Solve echelon rows for the pivot entries of x, in place, last pivot first:
+    x[col] = (rhs - sum_(j > col) a_rj x_j) / a_r,col over the rational functions.
+
+    x arrives with its free entries set; rhs is column rhs_col of each row,
+    or zero when rhs_col is None.
+    """
+    for row_idx, col in reversed(pivots):
+        row = rows[row_idx]
+        acc = RationalFunction(row[rhs_col] if rhs_col is not None else LaurentPoly("z"))
+        for j in range(col + 1, len(x)):
+            if row[j] and x[j]:
+                acc = acc - RationalFunction(row[j]) * x[j]
+        x[col] = acc / RationalFunction(row[col])
+    return x
 
 
 def _normalize_kernel_vector(vec: list[RationalFunction]) -> RationalFunctionVector:
@@ -310,13 +316,8 @@ def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
     for i in range(len(pivots), p):
         if rows[i][ncols]:
             raise Inconsistent("right-hand side is not in the column span")
-    x: list[RationalFunction] = [RationalFunction.from_scalar(0, "z") for _ in range(ncols)]
-    for row_idx, col in reversed(pivots):
-        acc = RationalFunction(rows[row_idx][ncols])
-        for j in range(col + 1, ncols):
-            if rows[row_idx][j] and x[j]:
-                acc = acc - RationalFunction(rows[row_idx][j]) * x[j]
-        x[col] = acc / RationalFunction(rows[row_idx][col])
+    x = [RationalFunction.from_scalar(0, "z") for _ in range(ncols)]
+    _back_substitute(rows, pivots, x, ncols)
     a_form = _try_a_form(space.p, x)
     return RecoveredSkein(z_components=tuple(x), a_form=a_form)
 
@@ -435,9 +436,22 @@ def interpolate_f(
             rhs[i] = pts[i][1]
             for j, e in enumerate(exponents):
                 vmat[i, j] = z ** e
-        coeffs = mpmath.lu_solve(vmat, rhs)
-        residual = mpmath.mpf(0)
+        lu, perm = mpmath.mp.LU_decomp(vmat)
+        coeffs = mpmath.mp.U_solve(lu, mpmath.mp.L_solve(lu, rhs, perm))
         scale = max(mpmath.mpf(1), max(abs(v) for _, v in pts))
+        # a fit can be exact while the coefficients are not: re-solve with each
+        # sample moved by one rounding, 2^-precision of the sample scale, in
+        # alternating directions (an exact zero has no rounding and stays), and
+        # see how far the coefficients follow
+        eps = mpmath.ldexp(scale, -precision)
+        bumped = mpmath.matrix([rhs[i] + (-1) ** i * eps if rhs[i] else rhs[i] for i in range(width)])
+        moved = mpmath.mp.U_solve(lu, mpmath.mp.L_solve(lu, bumped, perm))
+        drift = max(abs(moved[j] - coeffs[j]) for j in range(width))
+        if drift > tol * scale:
+            raise BadConditioning(
+                f"coefficients move by {mpmath.nstr(drift, 3)} under a 2^-{precision} change of the samples"
+            )
+        residual = mpmath.mpf(0)
         for r, v in pts:
             z = point(r)
             fit = mpmath.fsum(coeffs[j] * z ** e for j, e in enumerate(exponents))

@@ -19,18 +19,11 @@ from .codec import coeff_to_json, field, load_json, poly_from_json, poly_to_json
 from .cyclotomic import embed_complex
 from .errors import ComputationError
 from .gauss import GaussSumSpec, gauss_sum
+from .laurent import LaurentPoly
 from .numtheory import classify_order, dedekind_sum, rademacher_phi
 from .selftest import run_selftest
 from .skein import SkeinElement
-from .wrt import (
-    FPolynomial,
-    LensSpace,
-    eval_link,
-    eval_meridian,
-    eval_z_combination,
-    f_poly,
-    jeffrey_oracle,
-)
+from .wrt import FPolynomial, LensSpace, eval_z_combination, f_poly, jeffrey_oracle
 
 
 # --- serialization helpers (the coefficient and polynomial codec is lenswrt.codec) ---
@@ -49,10 +42,11 @@ def fpoly_to_json(fp: FPolynomial, p: int, q: int, c: int, k: int) -> dict:
 
 
 def fpoly_from_json(data: dict) -> FPolynomial:
+    p = field(data, "p", int)
     return FPolynomial(
-        p=field(data, "p", int),
+        p=p,
         prefactor_sign=field(data, "prefactor_sign", int),
-        body=poly_from_json("z", field(data, "body")),
+        body=poly_from_json("z", field(data, "body"), p),
     )
 
 
@@ -71,8 +65,11 @@ class _Output:
     def flush(self):
         text = "\n".join(self.lines) + ("\n" if self.lines else "")
         if self.path:
-            with open(self.path, "w") as fh:
-                fh.write(text)
+            try:
+                with open(self.path, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValueError(f"cannot write {self.path}: {exc.strerror}") from None
         else:
             sys.stdout.write(text)
 
@@ -153,13 +150,20 @@ def cmd_fpoly(args, out: _Output):
     )
 
 
-def _load_skein_file(path: str):
+def _load_skein_file(path: str, p: int) -> dict:
+    """The class in a skein file for order p as z-components {color: v_c(z)}.
+
+    An ordinary element's coefficients C_c(A) become C_c(-z^p) here, once.
+    """
     data = load_json(path)
-    if isinstance(data, dict) and "components" in data:
-        comps = [poly_from_json("z", entry) for entry in field(data, "components", list)]
-        return field(data, "p", int), ("z", comps)
-    element = SkeinElement.from_json(data)
-    return element.p, ("A", element)
+    file_p = field(data, "p", int)
+    if file_p != p:
+        raise ValueError(f"skein file has order {file_p}, expected {p}")
+    if "components" in data:
+        comps = [poly_from_json("z", entry, p) for entry in field(data, "components", list)]
+    else:
+        comps = [coeff.subst_signed_power(p, "z") for coeff in SkeinElement.from_json(data).coeffs]
+    return dict(enumerate(comps))
 
 
 def cmd_wrt(args, out: _Output):
@@ -170,40 +174,23 @@ def cmd_wrt(args, out: _Output):
     if args.rmin > args.rmax:
         raise ValueError(f"--rmin {args.rmin} exceeds --rmax {args.rmax}")
     if args.color is not None:
-        def value_at(r):
-            return eval_meridian(space, args.color, r, prec)
-
-        def oracle_at(r):
-            return jeffrey_oracle(space, args.color, r, prec)
+        components = {args.color: LaurentPoly.one("z")}
     else:
-        file_p, (kind, payload) = _load_skein_file(args.skein_file)
-        if file_p != args.p:
-            raise ValueError(f"skein file has order {file_p}, expected {args.p}")
-        if kind == "A":
-            def value_at(r):
-                return eval_link(space, payload, r, prec)
+        components = _load_skein_file(args.skein_file, args.p)
 
-            def weight(c, r):
-                return payload.coeffs[c].eval_at_unit_root(2 * r + 1, 4 * r, prec)
-        else:
-            def value_at(r):
-                return eval_z_combination(space, payload, r, prec)
-
-            def weight(c, r):
-                return payload[c].eval_at_unit_root(1, 4 * space.p * r, prec)
-
-        def oracle_at(r):
-            with mpmath.workprec(prec):
-                return mpmath.fsum(
-                    (weight(c, r) * jeffrey_oracle(space, c, r, prec)
-                     for c in range(space.p // 2 + 1)),
-                    absolute=False,
-                )
+    def oracle_at(r):
+        """The same weights v_c(zeta) on the direct-sum oracle's meridian values."""
+        with mpmath.workprec(prec):
+            return mpmath.fsum(
+                (comp.eval_at_unit_root(1, 4 * space.p * r, prec) * jeffrey_oracle(space, c, r, prec)
+                 for c, comp in components.items() if comp),
+                absolute=False,
+            )
 
     rows = []
     with mpmath.workprec(args.precision):
         for r in range(args.rmin, args.rmax + 1):
-            v = value_at(r)
+            v = eval_z_combination(space, components, r, prec)
             o = oracle_at(r)
             rows.append((r, v, o, abs(v - o)))
     doc = {
@@ -267,8 +254,8 @@ def cmd_recover(args, out: _Output):
     p, q = field(data, "p", int), field(data, "q", int)
     if (p, q) != (args.p, args.q):
         raise ValueError(f"samples file is for L({p},{q}), expected L({args.p},{args.q})")
-    fpolys = [poly_from_json("z", entry) for entry in field(data, "fpolys", list)]
     space = LensSpace(p, q)
+    fpolys = [poly_from_json("z", entry, p) for entry in field(data, "fpolys", list)]
     result = recover_skein(space, fpolys)
     comps = []
     for comp in result.z_components:
@@ -381,13 +368,13 @@ def main(argv=None) -> int:
     out = _Output(args.output)
     try:
         code = args.func(args, out)
+        out.flush()
     except ValueError as exc:
         _report_error(args.format, "ValueError", str(exc))
         return 2
     except ComputationError as exc:
         _report_error(args.format, type(exc).__name__, str(exc))
         return 3
-    out.flush()
     return code or 0
 
 

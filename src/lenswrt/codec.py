@@ -4,7 +4,10 @@ A rational coefficient is [num, den].  Any other element of Q(xi_N) is
 {"order": N, "coeffs": [[j, num, den], ...]}, listing its nonzero
 power-basis values.  A polynomial is a sorted list of [exponent, num, den]
 and [exponent, {cyclotomic}] entries.  The decoders check every shape and
-raise ValueError, never KeyError or TypeError, on malformed input.
+raise ValueError, never KeyError or TypeError, on malformed input.  A
+document for order p holds only elements of Q(xi_p), so a decoder is
+given p and rejects any order N that does not divide it before Phi_N is
+built.
 """
 
 from __future__ import annotations
@@ -68,13 +71,13 @@ def _entry(value, size: int, what: str) -> list:
     return value
 
 
-def coeff_from_json(data) -> CyclotomicNumber:
-    """Inverse of coeff_to_json."""
+def coeff_from_json(data, p: int) -> CyclotomicNumber:
+    """Inverse of coeff_to_json, for a coefficient in Q(xi_p): its order must divide p."""
     if not isinstance(data, dict):
         return CyclotomicNumber.from_rational(_rational(*_entry(data, 2, "a rational coefficient")))
     order = field(data, "order", int)
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    if not 0 < order <= p or p % order:
+        raise ValueError(f"coefficient order {order} does not divide {p}")
     vec = [0] * order
     for term in field(data, "coeffs", list):
         j, num, den = _entry(term, 3, "a cyclotomic term [j, num, den]")
@@ -84,14 +87,14 @@ def coeff_from_json(data) -> CyclotomicNumber:
     return CyclotomicNumber(order, vec)
 
 
-def poly_from_json(var: str, data) -> LaurentPoly:
-    """Inverse of poly_to_json, in the variable var."""
+def poly_from_json(var: str, data, p: int) -> LaurentPoly:
+    """Inverse of poly_to_json, in the variable var, with coefficients in Q(xi_p)."""
     terms = {}
     for entry in _checked(data, list, "a polynomial"):
         if isinstance(entry, list) and len(entry) == 3:
-            c = coeff_from_json(entry[1:])
+            c = coeff_from_json(entry[1:], p)
         elif isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], dict):
-            c = coeff_from_json(entry[1])
+            c = coeff_from_json(entry[1], p)
         else:
             raise ValueError(f"a polynomial term is [e, num, den] or [e, {{...}}], got {_show(entry)}")
         terms[_checked(entry[0], int, "an exponent")] = c

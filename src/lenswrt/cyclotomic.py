@@ -253,19 +253,6 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> CyclotomicNumber:
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = CyclotomicNumber.from_rational(1, self._order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def inverse(self) -> CyclotomicNumber:
         """Multiplicative inverse: den times the product of the nontrivial Galois
         conjugates of the integral numerator a, over the integer norm N(a)."""
@@ -331,12 +318,6 @@ class CyclotomicNumber:
                 phi_m = _order_data(n // math.gcd(j, n))[0]
                 trace -= c * phi_m[-2] * (deg // (len(phi_m) - 1))
         return hash(Fraction(trace, deg * self._den))
-
-    # --- numeric embedding ---------------------------------------------------
-
-    def embed(self, precision: int = 53) -> mpmath.mpc:
-        """Numeric value under xi_N -> e^(2 pi i / N) at the given precision."""
-        return embed_complex(self, precision)
 
     # --- display ---------------------------------------------------------------
 

@@ -56,16 +56,8 @@ class LaurentPoly:
     # --- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, var: str) -> LaurentPoly:
-        return cls(var)
-
-    @classmethod
     def one(cls, var: str) -> LaurentPoly:
         return cls(var, {0: 1})
-
-    @classmethod
-    def monomial(cls, var: str, exponent: int, coeff=1) -> LaurentPoly:
-        return cls(var, {exponent: coeff})
 
     # --- accessors ----------------------------------------------------------
 
@@ -165,18 +157,6 @@ class LaurentPoly:
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by var^k."""
         return LaurentPoly._make(self._var, {e + k: c for e, c in self._terms.items()})
-
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            raise ValueError("negative powers only for monomials; use shift")
-        result = LaurentPoly.one(self._var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def conj_coeffs(self) -> LaurentPoly:
         """Coefficient-wise complex conjugation (exponents untouched)."""

@@ -104,9 +104,6 @@ def classify_order(p: int) -> OrderClass:
 
 # --- SL(2,Z) words in the letters J(m) = T^m S ---------------------------
 
-S_MATRIX: Matrix2 = ((0, -1), (1, 0))
-T_MATRIX: Matrix2 = ((1, 1), (0, 1))
-
 
 def mat_mul(a: Matrix2, b: Matrix2) -> Matrix2:
     return (

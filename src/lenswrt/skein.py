@@ -133,7 +133,7 @@ class SkeinElement:
     @classmethod
     def from_json(cls, data: dict) -> SkeinElement:
         p = field(data, "p", int)
-        return cls(p, [poly_from_json("A", entries) for entries in field(data, "coeffs", list)])
+        return cls(p, [poly_from_json("A", entries, p) for entries in field(data, "coeffs", list)])
 
 
 def power_to_colored(p: int, c: int) -> SkeinElement:

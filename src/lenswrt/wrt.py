@@ -60,7 +60,7 @@ class FPolynomial:
     """prefactor_sign * (i / sqrt(2p)) * body(z), body over Q(xi_p).
 
     The scalar i / sqrt(2p) is kept symbolic; it is only multiplied in by
-    the numeric evaluators.
+    eval_meridian.
     """
 
     p: int
@@ -78,13 +78,6 @@ class FPolynomial:
 
     def is_zero(self) -> bool:
         return self.body.is_zero()
-
-    def evaluate(self, numerator: int, denominator: int, precision: int = 53) -> mpmath.mpc:
-        """Full value (scale included) at z = e^(2 pi i numerator/denominator)."""
-        with mpmath.workprec(precision):
-            val = self.body.eval_at_unit_root(numerator, denominator, precision)
-            scale = mpmath.mpc(0, self.prefactor_sign) / mpmath.sqrt(2 * self.p)
-            return scale * val
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FPolynomial):
@@ -136,35 +129,40 @@ def f_link(space: LensSpace, element: SkeinElement, k: int) -> FPolynomial:
 
 
 def eval_meridian(space: LensSpace, c: int, r: int, precision: int = 53) -> mpmath.mpc:
-    """w_r(L(p,q), mu_c): the f-polynomial route, divided by sqrt(r)."""
+    """w_r(L(p,q), mu_c): the f-polynomial at z = e^(2 pi i / 4pr), divided by sqrt(r)."""
     if r < 2:
         raise ValueError(f"level parameter r must be >= 2, got {r}")
     fp = f_poly(space, c, r % space.p)
     with mpmath.workprec(precision):
-        return fp.evaluate(1, 4 * space.p * r, precision) / mpmath.sqrt(r)
+        value = fp.body.eval_at_unit_root(1, 4 * space.p * r, precision)
+        scale = mpmath.mpc(0, fp.prefactor_sign) / mpmath.sqrt(2 * fp.p)
+        return scale * value / mpmath.sqrt(r)
 
 
 def eval_link(space: LensSpace, element: SkeinElement, r: int, precision: int = 53) -> mpmath.mpc:
-    """w_r(L(p,q), J) for a skein element J, through its f-polynomials."""
-    if r < 2:
-        raise ValueError(f"level parameter r must be >= 2, got {r}")
-    fp = f_link(space, element, r % space.p)
-    with mpmath.workprec(precision):
-        return fp.evaluate(1, 4 * space.p * r, precision) / mpmath.sqrt(r)
+    """w_r(L(p,q), J) for a skein element J: its coefficients C_c(-z^p) as z-components."""
+    if element.p != space.p:
+        raise ValueError(f"skein element of order {element.p} in L({space.p},{space.q})")
+    components = [coeff.subst_signed_power(space.p, "z") for coeff in element.coeffs]
+    return eval_z_combination(space, components, r, precision)
 
 
 def eval_z_combination(space: LensSpace, components, r: int, precision: int = 53) -> mpmath.mpc:
-    """w_r of sum_c v_c(z) mu_c for z-rational-function coordinates v_c.
+    """w_r of sum_c v_c(z) mu_c: the sum of v_c(zeta) * w_r(mu_c) at zeta = e^(2 pi i / 4pr).
 
-    Used for classes of the extended skein module (e.g. kernel vectors);
-    each component is evaluated at z = e^(2 pi i / 4pr).
+    components is a sequence indexed by color, or a mapping color -> v_c
+    for any integer colors; each v_c is a LaurentPoly or RationalFunction
+    in z.  This is the one place that combines colors: ordinary skein
+    elements (eval_link), extended classes such as kernel vectors, and
+    single meridians all evaluate here.
     """
     if r < 2:
         raise ValueError(f"level parameter r must be >= 2, got {r}")
+    items = components.items() if isinstance(components, dict) else enumerate(components)
     with mpmath.workprec(precision):
         total = mpmath.mpc(0)
         denom = 4 * space.p * r
-        for c, comp in enumerate(components):
+        for c, comp in items:
             if comp.is_zero():
                 continue
             total += comp.eval_at_unit_root(1, denom, precision) * eval_meridian(space, c, r, precision)

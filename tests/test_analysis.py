@@ -18,7 +18,7 @@ from lenswrt.analysis import (
     rank,
     recover_skein,
 )
-from lenswrt.cyclotomic import root_of_unity
+from lenswrt.cyclotomic import embed_complex, root_of_unity
 from lenswrt.errors import (
     BadConditioning,
     Inconsistent,
@@ -30,7 +30,7 @@ from lenswrt.gauss import GaussSumSpec, g_pm, gauss_sum
 from lenswrt.laurent import LaurentPoly
 from lenswrt.numtheory import count_squares_mod, mod_inverse
 from lenswrt.skein import SkeinElement
-from lenswrt.wrt import LensSpace, eval_z_combination, f_link, f_poly
+from lenswrt.wrt import LensSpace, eval_z_combination, f_link, f_poly, jeffrey_oracle
 
 
 def z(terms):
@@ -313,7 +313,7 @@ class TestInterpolation:
         fp = f_poly(space, c, k)
         with mpmath.workprec(prec):
             scale = mpmath.mpc(0, fp.prefactor_sign) / mpmath.sqrt(2 * space.p)
-            target = {e: scale * v.embed(prec) for e, v in fp.body.terms.items()}
+            target = {e: scale * embed_complex(v, prec) for e, v in fp.body.terms.items()}
         for e in set(poly.terms) | set(target):
             got = complex(poly.coeff(e) or 0)
             want = complex(target.get(e, 0))
@@ -344,6 +344,26 @@ class TestInterpolation:
             ]
         with pytest.raises(BadConditioning):
             interpolate_f(space, samples, 2, window=(50, 55), precision=prec)
+
+    def test_ill_conditioned_samples_rejected(self):
+        # 32 oracle samples of L(5,2) fit to 2e-54 at 200 bits while the
+        # coefficients are off by up to 1e12; at 300 bits they are right
+        space = LensSpace(5, 2)
+        c, k = 1, 1
+        levels = [r for r in range(2, 200) if r % 5 == k][:32]
+        fp = f_poly(space, c, k)
+        for prec in (200, 300):
+            with mpmath.workprec(prec):
+                samples = [(r, jeffrey_oracle(space, c, r, prec) * mpmath.sqrt(r)) for r in levels]
+                scale = mpmath.mpc(0, fp.prefactor_sign) / mpmath.sqrt(2 * space.p)
+                target = {e: complex(scale * embed_complex(v, prec)) for e, v in fp.body.terms.items()}
+            if prec == 200:
+                with pytest.raises(BadConditioning):
+                    interpolate_f(space, samples, k, precision=prec)
+                continue
+            poly, _ = interpolate_f(space, samples, k, precision=prec)
+            for e in set(poly.terms) | set(target):
+                assert abs(complex(poly.coeff(e)) - target.get(e, 0)) < 1e-6, e
 
 
 class TestColumnCollisions:

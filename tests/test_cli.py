@@ -1,6 +1,12 @@
 """Command-line interface: outputs, determinism, exit codes, file formats."""
 
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenswrt.cli import fpoly_from_json, main, poly_from_json, poly_to_json
 from lenswrt.laurent import LaurentPoly
@@ -116,7 +122,7 @@ class TestExactCommands:
         code, out, _ = run_cli(capsys, "--format", "json", "kernel", "9", "4")
         doc = json.loads(out)
         assert doc["dimension"] == 1
-        comps = [poly_from_json("z", entry) for entry in doc["basis"][0]["components"]]
+        comps = [poly_from_json("z", entry, 9) for entry in doc["basis"][0]["components"]]
         expected = [
             LaurentPoly("z", {84: -1, 108: 1}),
             LaurentPoly("z"),
@@ -235,3 +241,138 @@ class TestInvalidInput:
     def test_empty_level_range(self, capsys):
         code, _, err = run_cli(capsys, "wrt", "5", "2", "--color", "0", "--rmin", "10", "--rmax", "3")
         self.assert_input_error(code, err)
+
+    def test_coefficient_order_must_divide_p(self, capsys, tmp_path):
+        # Phi_2000003 would take minutes to build; the order is refused first
+        fpolys = [[[0, {"order": 2000003, "coeffs": [[1, 1, 1]]}]]] + [[] for _ in range(4)]
+        code, _, err = self.recover(capsys, tmp_path, {"p": 5, "q": 2, "fpolys": fpolys})
+        self.assert_input_error(code, err)
+        assert "order 2000003" in err
+
+    def test_skein_file_order_must_divide_p(self, capsys, tmp_path):
+        path = tmp_path / "element.json"
+        coeffs = [[[0, {"order": 7, "coeffs": [[1, 1, 1]]}]], [], []]
+        path.write_text(json.dumps({"p": 5, "coeffs": coeffs}))
+        code, _, err = run_cli(capsys, "wrt", "5", "2", "--skein-file", str(path))
+        self.assert_input_error(code, err)
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "out.txt"
+        code, _, err = run_cli(capsys, "--output", str(target), "rank", "5", "2")
+        self.assert_input_error(code, err)
+
+
+class TestSkeinFileForms:
+    def test_a_form_matches_z_form(self, capsys, tmp_path):
+        element = SkeinElement(7, [LaurentPoly("A", {-1: 2, 2: -1}), 3, 0, LaurentPoly("A", {1: 1})])
+        a_path, z_path = tmp_path / "a.json", tmp_path / "z.json"
+        a_path.write_text(json.dumps(element.to_json()))
+        comps = [poly_to_json(c.subst_signed_power(7, "z")) for c in element.coeffs]
+        z_path.write_text(json.dumps({"p": 7, "variable": "z", "components": comps}))
+        docs = []
+        for path in (a_path, z_path):
+            code, out, _ = run_cli(capsys, "--format", "json", "wrt", "7", "3", "--skein-file", str(path),
+                                   "--rmax", "20", "--precision", "64")
+            assert code == 0
+            docs.append(json.loads(out)["rows"])
+        for a_row, z_row in zip(*docs):
+            for key in ("re", "im", "oracle_re", "oracle_im"):
+                assert abs(a_row[key] - z_row[key]) < 1e-12
+
+    def test_fewer_components_than_colors(self, capsys, tmp_path):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"p": 9, "variable": "z", "components": [[[0, 1, 1]]]}))
+        code, out, _ = run_cli(capsys, "--format", "csv", "wrt", "9", "1", "--skein-file", str(path), "--rmax", "12")
+        assert code == 0
+        for line in out.strip().splitlines()[1:]:
+            assert float(line.split(",")[-1]) < 1e-9
+
+
+# --- fuzzed command lines: exit 0, 2 or 3, never a traceback ------------------------
+
+small = st.integers(-2, 12)
+json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-3, 30), st.just("x"), st.just([]))
+coeff_doc = st.one_of(
+    st.tuples(st.integers(-2, 3), st.integers(-2, 3)).map(list),
+    st.fixed_dictionaries({"order": st.integers(-1, 30), "coeffs": st.lists(st.one_of(
+        st.tuples(st.integers(0, 5), st.integers(-2, 3), st.integers(1, 3)).map(list),
+        st.lists(st.integers(-2, 30), max_size=4)), max_size=3)}),
+    json_leaf,
+)
+poly_doc = st.one_of(
+    st.lists(st.one_of(
+        st.tuples(st.integers(-5, 5), coeff_doc).map(list),
+        st.tuples(st.integers(-5, 5), st.integers(-2, 3), st.integers(-2, 3)).map(list),
+        json_leaf,
+    ), max_size=3),
+    json_leaf,
+)
+
+
+def documents(p: str, q: str):
+    """Skein and sample files, mostly for the command's own (p, q) and sized
+    for it, so that decoding and solving are reached."""
+    p, q = int(p), int(q)
+    order, other = st.one_of(st.just(p), small), st.one_of(st.just(q), small)
+    divisor = st.sampled_from([d for d in range(1, p + 1) if p % d == 0])
+    cyclotomic = divisor.flatmap(lambda n: st.fixed_dictionaries({"order": st.just(n), "coeffs": st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(-2, 2), st.integers(1, 3)).map(list), max_size=2)}))
+    valid_poly = st.lists(st.one_of(
+        st.tuples(st.integers(-5, 5), st.integers(-2, 2), st.integers(1, 3)).map(list),
+        st.tuples(st.integers(-5, 5), cyclotomic).map(list),
+    ), max_size=3)
+    poly = st.one_of(valid_poly, valid_poly, valid_poly, poly_doc)
+    polys = st.one_of(*(st.lists(poly, min_size=n, max_size=n) for n in {p, p // 2 + 1}),
+                      st.lists(poly_doc, max_size=13), json_leaf)
+    return st.one_of(
+        st.fixed_dictionaries({"p": order, "q": other, "fpolys": polys}),
+        st.fixed_dictionaries({"p": order, "coeffs": polys}),
+        st.fixed_dictionaries({"p": order, "variable": st.just("z"), "components": polys}),
+        st.dictionaries(st.sampled_from(["p", "q", "fpolys", "coeffs", "components"]), json_leaf, max_size=3),
+        json_leaf,
+        st.just("{not json"),
+    )
+
+
+def _num(strategy):
+    return strategy.map(str)
+
+
+FILE = "<file>"
+lens = st.sampled_from([(str(p), str(q)) for p in range(2, 13) for q in range(1, p) if math.gcd(p, q) == 1])
+commands = st.one_of(
+    st.tuples(st.just("gauss"), _num(small), _num(st.integers(-3, 20)), _num(st.integers(-3, 20))),
+    st.tuples(st.just("dedekind"), _num(small), _num(small)),
+    st.tuples(st.just("phi"), _num(small), _num(small)),
+    st.tuples(st.just("fpoly"), _num(small), _num(small), _num(st.integers(-4, 13)), _num(st.integers(-1, 13))),
+    st.tuples(st.just("wrt"), _num(small), _num(small), st.just("--color"), _num(st.integers(-4, 13)),
+              st.just("--rmin"), _num(st.integers(-1, 20)), st.just("--rmax"), _num(st.integers(-1, 20))),
+    st.tuples(lens, _num(st.integers(-1, 20))).map(
+        lambda t: ("wrt", *t[0], "--skein-file", FILE, "--rmax", t[1])),
+    st.tuples(st.just("rank"), _num(st.integers(-2, 10)), _num(small)),
+    st.tuples(st.just("kernel"), _num(st.integers(-2, 9)), _num(small)),
+    st.tuples(st.just("classify"), _num(st.integers(-3, 40))),
+    lens.map(lambda pq: ("recover", *pq, FILE)),
+    # an empty --only selects every criterion, about a minute of work: not drawn
+    st.tuples(st.just("selftest"), st.just("--only"), st.sampled_from(["1", "0", "13", "1,x"])),
+)
+options = st.tuples(st.sampled_from(["text", "json", "csv"]), st.sampled_from([53, 64, 128, 52]))
+
+
+@settings(deadline=None, max_examples=300, derandomize=True, database=None)
+@given(commands, options, st.data())
+def test_fuzzed_command_lines(tmp_path_factory, command, opts, data):
+    argv = ["--format", opts[0], "--precision", str(opts[1]), *command]
+    if FILE in command:
+        document = data.draw(documents(command[1], command[2]))
+        path = tmp_path_factory.mktemp("fuzz") / "input.json"
+        path.write_text(document if isinstance(document, str) else json.dumps(document))
+        argv[argv.index(FILE)] = str(path)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from lenswrt.gauss import GaussSumSpec, gauss_sum
@@ -206,14 +207,22 @@ class TestJeffreyOracle:
 
 class TestZCombination:
     def test_matches_link_on_a_forms(self):
+        # eval_link sums colors numerically; f_link sums them exactly first
         rng = random.Random(23)
         space = LensSpace(5, 2)
         element = random_skein(5, rng, max_exp=2)
-        comps = [poly.subst_signed_power(5, "z") for poly in element.coeffs]
         for r in (2, 7):
-            lhs = eval_z_combination(space, comps, r, 64)
-            rhs = eval_link(space, element, r, 64)
-            assert abs(lhs - rhs) < 1e-10
+            with mpmath.workprec(64):
+                body = f_link(space, element, r % 5).body.eval_at_unit_root(1, 20 * r, 64)
+                exact_route = mpmath.mpc(0, 1) / mpmath.sqrt(10) * body / mpmath.sqrt(r)
+            assert abs(eval_link(space, element, r, 64) - exact_route) < 1e-10
+
+    def test_mapping_of_any_colors(self):
+        space = LensSpace(7, 3)
+        one = LaurentPoly("z", {0: 1})
+        for r in (2, 9):
+            for c in (-3, 0, 5, 9):
+                assert eval_z_combination(space, {c: one}, r, 64) == eval_meridian(space, c, r, 64)
 
     def test_rational_function_components(self):
         rng = random.Random(24)
