@@ -1,15 +1,32 @@
 """Exact linear algebra over Laurent polynomials and rational functions.
 
-Builds the p x ([p/2]+1) matrix of f-polynomial bodies, computes its rank
-and kernel by fraction-free (Bareiss) elimination, produces the explicit
-nonsingular-submatrix certificates for p prime or twice an odd prime,
-recovers skein coefficients from a full set of link polynomials, and
-decides whether a rational-function skein class is a unit multiple of an
-ordinary one (integer coefficients in A = -z^p).
+Builds the p x ([p/2]+1) matrix of f-polynomial bodies and computes its
+rank and kernel, and recovers skein coefficients from a full set of link
+polynomials, in three steps:
+
+- pivot selection mod l: the matrix is mapped to F_l (l = 1 mod p prime,
+  xi_p -> an element of exact order p, z -> a fixed point t), and the
+  pivot rows of that image, whose nonzero minor proves them independent,
+  are the only rows eliminated exactly;
+- fraction-free (Bareiss) elimination on those rows, then fraction-free
+  back-substitution: with D the last pivot, each kernel vector has D at
+  its free column, and each solution coordinate is num_c / D;
+- an exact proof on all p rows: M v = 0 for every kernel vector (which
+  bounds the rank from above), and M num = D b for a solution.  A failed
+  proof tries the next (l, t), and in the end eliminates on all rows.
+
+Kernel vectors are normalized: common polynomial content removed, the
+highest-index nonzero component of valuation 0 and trailing coefficient
+1.  The module also produces the explicit nonsingular-submatrix
+certificates for p prime or twice an odd prime, and decides whether a
+rational-function skein class is a unit multiple of an ordinary one
+(integer coefficients in A = -z^p).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -118,6 +135,7 @@ def _bareiss_echelon(rows: list[list[LaurentPoly]], pivot_cols: int):
     pivots: list[tuple[int, int]] = []
     odd = False
     prev: LaurentPoly | None = None
+    prev_inv = None  # inverse of prev's leading coefficient, one per pivot step
     r = 0
     for col in range(min(pivot_cols, ncols)):
         piv = next((i for i in range(r, nrows) if rows[i][col]), None)
@@ -132,67 +150,179 @@ def _bareiss_echelon(rows: list[list[LaurentPoly]], pivot_cols: int):
             factor = row_i[col]
             for j in range(col + 1, ncols):
                 num = pivot_entry * row_i[j] - factor * rows[r][j]
-                row_i[j] = num.divexact(prev) if prev is not None and num else num
+                row_i[j] = num.divexact(prev, prev_inv) if prev is not None and num else num
             row_i[col] = LaurentPoly(row_i[col].var)
             rows[i] = _strip_row(row_i)
         pivots.append((r, col))
         prev = pivot_entry
+        prev_inv = prev.leading_coeff().inverse()
         r += 1
         if r == nrows:
             break
     return pivots, odd
 
 
+def _back_substitute(rows, pivots, x: list[LaurentPoly]) -> list[LaurentPoly]:
+    """Fill the pivot entries of x, in place and last pivot first, so that
+    every echelon row annihilates x: x[col] = -(sum_(j > col) a_rj x_j) / a_r,col.
+
+    x arrives with its free entries set: a multiple of the last pivot D (a
+    kernel vector has D at one free column; a right-hand side in column j
+    is solved by x[j] = -D), which makes every quotient exact by Cramer's rule.
+    """
+    for row_idx, col in reversed(pivots):
+        row = rows[row_idx]
+        x[col] = -_row_times(row[col + 1:], x[col + 1:]).divexact(row[col])
+    return x
+
+
+def _row_times(row, x) -> LaurentPoly:
+    """sum_c row[c] x[c], exactly."""
+    total = LaurentPoly("z")
+    for a, v in zip(row, x):
+        if a and v:
+            total = total + a * v
+    return total
+
+
+# --- certified modular pivots ----------------------------------------------------
+#
+# The entries of the f-matrix lie in Z[xi_n][z, 1/z] with n = p.  For a prime
+# l = 1 (mod n) and omega of exact order n in F_l, xi_n -> omega, z -> t is a
+# ring map into F_l, so the pivot rows of the image are exactly independent: a
+# nonzero r x r image minor proves rank >= r.  Exact elimination then runs on
+# those rows only, and every answer built from them is checked exactly on all
+# rows; a failed check moves on to the next (l, t), and after _IMAGE_ATTEMPTS
+# of them to the elimination on all rows.
+
+_IMAGE_ATTEMPTS = 3
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime_mr(n: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases: a proof for n < 3.3e24."""
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _modulus(n: int, attempt: int) -> tuple[int, int, int]:
+    """(l, omega, t): the attempt-th prime l = 1 (mod n) above 2^62, an omega
+    of exact order n in F_l, and a fixed nonzero evaluation point t."""
+    m = 2**62 // n
+    for _ in range(attempt + 1):
+        m += 1
+        while not _is_prime_mr(m * n + 1):
+            m += 1
+    ell = m * n + 1
+    g = 2
+    # omega = g^m has order dividing n, exactly n when no omega^(n/f), f | n, f > 1, is 1
+    while any(pow(g, m * (n // f), ell) == 1 for f in range(2, n + 1) if n % f == 0):
+        g += 1
+    omega = pow(g, m, ell)
+    t = 0x9E3779B97F4A7C15 * (attempt + 1) % ell
+    return ell, omega, t
+
+
+def _image_pivot_rows(matrix: LaurentMatrix, attempt: int) -> list[int]:
+    """Indices of the pivot rows of the matrix's image in F_l under the attempt-th map."""
+    n = math.lcm(*(c.order for row in matrix.entries for e in row for _, c in e.items()))
+    ell, omega, t = _modulus(n, attempt)
+
+    def image(entry: LaurentPoly) -> int:
+        return sum(
+            c.image_mod(ell, pow(omega, n // c.order, ell)) * pow(t, e, ell) for e, c in entry.items()
+        ) % ell
+
+    remaining = {k: [image(e) for e in row] for k, row in enumerate(matrix.entries)}
+    chosen = []
+    for col in range(matrix.ncols):
+        piv = next((k for k in remaining if remaining[k][col]), None)
+        if piv is None:
+            continue
+        pivot_row = remaining.pop(piv)
+        chosen.append(piv)
+        inv = pow(pivot_row[col], -1, ell)
+        for k, row in remaining.items():
+            f = row[col] * inv % ell
+            if f:
+                remaining[k] = [(a - f * b) % ell for a, b in zip(row, pivot_row)]
+    return sorted(chosen)
+
+
+def _proven_kernel(matrix: LaurentMatrix, selection) -> list[RationalFunctionVector] | None:
+    """Normalized kernel basis of the selected rows, or None when a vector
+    fails M v = 0 exactly on some row of the whole matrix.
+
+    Each free column f gets the vector with v_f = D, the last pivot, and 0
+    at the other free columns; its support is the pivots < f and f.
+    """
+    ncols = matrix.ncols
+    rows = [_strip_row(list(matrix.entries[k])) for k in selection]
+    pivots, _ = _bareiss_echelon(rows, ncols)
+    det = rows[pivots[-1][0]][pivots[-1][1]] if pivots else LaurentPoly.one("z")
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        x = [LaurentPoly("z")] * ncols
+        x[f] = det
+        vec = _normalize_kernel_vector(_back_substitute(rows, pivots, x))
+        if any(_row_times(row, vec.components) for row in matrix.entries):
+            return None
+        basis.append(vec)
+    return basis
+
+
+def _certified(matrix: LaurentMatrix) -> tuple[list[int], list[RationalFunctionVector]]:
+    """Rows whose exact elimination has the matrix's rank, and the normalized
+    kernel basis; both proven, the rank being ncols - len(basis).
+
+    Image pivot rows of full column rank need no further proof.  Otherwise
+    the kernel vectors of the selected rows must annihilate every row, which
+    bounds the rank from above by the selected rows' own exact rank.
+    """
+    ncols = matrix.ncols
+    for attempt in range(_IMAGE_ATTEMPTS):
+        selection = _image_pivot_rows(matrix, attempt)
+        if len(selection) == ncols:
+            return selection, []
+        basis = _proven_kernel(matrix, selection)
+        if basis is not None:
+            return selection, basis
+    selection = list(range(matrix.nrows))
+    return selection, _proven_kernel(matrix, selection)
+
+
 def rank(matrix: LaurentMatrix) -> int:
     """Exact rank over the rational-function field."""
-    rows = [_strip_row(list(row)) for row in matrix.entries]
-    if not rows:
+    if not matrix.entries:
         return 0
-    pivots, _ = _bareiss_echelon(rows, matrix.ncols)
-    return len(pivots)
+    return matrix.ncols - len(_certified(matrix)[1])
 
 
 def kernel(space: LensSpace) -> list[RationalFunctionVector]:
     """Basis of { v : sum_c M[k][c] v_c = 0 for all k }, normalized."""
-    matrix = build_f_matrix(space)
-    rows = [_strip_row(list(row)) for row in matrix.entries]
-    ncols = matrix.ncols
-    pivots, _ = _bareiss_echelon(rows, ncols)
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for f in free_cols:
-        vec = [RationalFunction.from_scalar(0, "z") for _ in range(ncols)]
-        vec[f] = RationalFunction.from_scalar(1, "z")
-        basis.append(_normalize_kernel_vector(_back_substitute(rows, pivots, vec)))
-    return basis
+    return _certified(build_f_matrix(space))[1]
 
 
-def _back_substitute(rows, pivots, x: list[RationalFunction], rhs_col: int | None = None):
-    """Solve echelon rows for the pivot entries of x, in place, last pivot first:
-    x[col] = (rhs - sum_(j > col) a_rj x_j) / a_r,col over the rational functions.
-
-    x arrives with its free entries set; rhs is column rhs_col of each row,
-    or zero when rhs_col is None.
-    """
-    for row_idx, col in reversed(pivots):
-        row = rows[row_idx]
-        acc = RationalFunction(row[rhs_col] if rhs_col is not None else LaurentPoly("z"))
-        for j in range(col + 1, len(x)):
-            if row[j] and x[j]:
-                acc = acc - RationalFunction(row[j]) * x[j]
-        x[col] = acc / RationalFunction(row[col])
-    return x
-
-
-def _normalize_kernel_vector(vec: list[RationalFunction]) -> RationalFunctionVector:
-    var = "z"
-    common = LaurentPoly.one(var)
-    for v in vec:
-        if not v.is_zero() and not v.is_polynomial():
-            g = laurent_gcd(common, v.den)
-            common = common * v.den.divexact(g)
-    polys = [(v * common).as_polynomial() for v in vec]
+def _normalize_kernel_vector(polys: list[LaurentPoly]) -> RationalFunctionVector:
     nonzero = [w for w in polys if w]
     if not nonzero:
         return RationalFunctionVector(components=tuple(polys))
@@ -307,17 +437,27 @@ def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
         raise ValueError(f"need one polynomial per k = 0..{p - 1}, got {len(fpolys)}")
     matrix = build_f_matrix(space)
     ncols = matrix.ncols
-    rows = [list(row) + [fp] for row, fp in zip(matrix.entries, fpolys)]
-    pivots, _ = _bareiss_echelon(rows, ncols)
-    if len(pivots) < ncols:
+    selection, basis = _certified(matrix)
+    if basis:
         raise RankDeficient(
-            f"f-matrix of L({space.p},{space.q}) has rank {len(pivots)} < {ncols}"
+            f"f-matrix of L({space.p},{space.q}) has rank {ncols - len(basis)} < {ncols}"
         )
-    for i in range(len(pivots), p):
-        if rows[i][ncols]:
+    rows = [_strip_row(list(matrix.entries[k]) + [fpolys[k]]) for k in selection]
+    pivots, _ = _bareiss_echelon(rows, ncols)
+    det = rows[pivots[-1][0]][pivots[-1][1]]
+    num = _back_substitute(rows, pivots, [LaurentPoly("z")] * ncols + [-det])[:ncols]
+    # the solution of the selected rows is unique, so one failed row proves there is none
+    for row, fp in zip(matrix.entries, fpolys):
+        if _row_times(row, num) != det * fp:
             raise Inconsistent("right-hand side is not in the column span")
-    x = [RationalFunction.from_scalar(0, "z") for _ in range(ncols)]
-    _back_substitute(rows, pivots, x, ncols)
+    x = []
+    for n in num:
+        try:
+            quot = n.divexact(det)
+        except ArithmeticError:  # a remainder: the coordinate is not a polynomial
+            x.append(RationalFunction(n, det))
+        else:
+            x.append(RationalFunction(quot))
     a_form = _try_a_form(space.p, x)
     return RecoveredSkein(z_components=tuple(x), a_form=a_form)
 

@@ -21,7 +21,7 @@ from .errors import ComputationError
 from .gauss import GaussSumSpec, gauss_sum
 from .laurent import LaurentPoly
 from .numtheory import classify_order, dedekind_sum, rademacher_phi
-from .selftest import run_selftest
+from .selftest import CRITERIA, run_selftest
 from .skein import SkeinElement
 from .wrt import FPolynomial, LensSpace, eval_z_combination, f_poly, jeffrey_oracle
 
@@ -279,10 +279,15 @@ def cmd_recover(args, out: _Output):
 
 def cmd_selftest(args, out: _Output):
     only = None
-    if args.only:
-        only = {int(tok) for tok in args.only.split(",")}
-    code = run_selftest(only=only, writeln=out.writeln)
-    return code
+    if args.only is not None:
+        numbers = {number for number, _, _ in CRITERIA}
+        try:
+            only = {int(tok) for tok in args.only.split(",")}
+        except ValueError:
+            only = set()
+        if not only or not only <= numbers:
+            raise ValueError(f"--only takes criterion numbers {min(numbers)}..{max(numbers)}, got {args.only!r}")
+    return run_selftest(only=only, writeln=out.writeln)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -199,6 +199,15 @@ class CyclotomicNumber:
             raise ValueError(f"{self} is not rational")
         return Fraction(self._num[0], self._den)
 
+    def image_mod(self, prime: int, root: int) -> int:
+        """The image in F_prime under xi_N -> root, for root a zero of Phi_N
+        mod prime (an element of exact order N): a ring map wherever the
+        denominator is invertible."""
+        value = 0
+        for c in reversed(self._num):
+            value = (value * root + c) % prime
+        return value * pow(self._den, -1, prime) % prime
+
     # --- order management -------------------------------------------------
 
     def lift(self, order: int) -> CyclotomicNumber:

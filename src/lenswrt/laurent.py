@@ -170,14 +170,18 @@ class LaurentPoly:
 
     # --- exact division -----------------------------------------------------
 
-    def divexact(self, other: LaurentPoly) -> LaurentPoly:
-        """Exact quotient in the Laurent ring; raises if division leaves a remainder."""
+    def divexact(self, other: LaurentPoly, lead_inv=None) -> LaurentPoly:
+        """Exact quotient in the Laurent ring; raises if division leaves a remainder.
+
+        lead_inv, when given, is the inverse of other's leading coefficient:
+        a caller dividing many polynomials by one divisor computes it once.
+        """
         if other.is_zero():
             raise ZeroDivisionError("Laurent division by zero")
         if self.is_zero():
             return LaurentPoly(self._var)
         self._check_var(other)
-        quot, rem = _poly_divmod(self, other)
+        quot, rem = _poly_divmod(self, other, lead_inv)
         if not rem.is_zero():
             raise ArithmeticError("division is not exact")
         return quot
@@ -220,8 +224,11 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-def _poly_divmod(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Division of num by den allowing monomial units: num = quot * den + rem."""
+def _poly_divmod(num: LaurentPoly, den: LaurentPoly, lead_inv=None) -> tuple[LaurentPoly, LaurentPoly]:
+    """Division of num by den allowing monomial units: num = quot * den + rem.
+
+    lead_inv is the inverse of den's leading coefficient, computed here when None.
+    """
     var = num.var
     if num.is_zero():
         return LaurentPoly(var), LaurentPoly(var)
@@ -230,7 +237,7 @@ def _poly_divmod(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, Laure
     n = {e - nshift: c for e, c in num._terms.items()}
     d = {e - dshift: c for e, c in den._terms.items()}
     ddeg = max(d)
-    dlead_inv = d[ddeg].inverse()  # hoisted: one field inversion per division
+    dlead_inv = d[ddeg].inverse() if lead_inv is None else lead_inv
     quot: dict[int, CyclotomicNumber] = {}
     while n:
         ndeg = max(n)
@@ -288,10 +295,6 @@ class RationalFunction:
         num = num.shift(-shift).scale(unit)
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_scalar(cls, c, var: str) -> RationalFunction:
-        return cls(LaurentPoly(var, {0: c}))
 
     @property
     def var(self) -> str:

@@ -7,7 +7,9 @@ import random
 import mpmath
 import pytest
 
+from lenswrt import analysis
 from lenswrt.analysis import (
+    LaurentMatrix,
     RationalFunctionVector,
     build_f_matrix,
     fullrank_submatrix,
@@ -27,7 +29,7 @@ from lenswrt.errors import (
     UnsupportedOrder,
 )
 from lenswrt.gauss import GaussSumSpec, g_pm, gauss_sum
-from lenswrt.laurent import LaurentPoly
+from lenswrt.laurent import LaurentPoly, RationalFunction
 from lenswrt.numtheory import count_squares_mod, mod_inverse
 from lenswrt.skein import SkeinElement
 from lenswrt.wrt import LensSpace, eval_z_combination, f_link, f_poly, jeffrey_oracle
@@ -144,6 +146,100 @@ class TestKernel:
                     for c in range(matrix.ncols):
                         total = total + matrix.entries[k][c] * vec.components[c]
                     assert total.is_zero(), (p, q, k)
+
+
+def annihilates(matrix, vec):
+    for row in matrix.entries:
+        total = LaurentPoly("z")
+        for entry, comp in zip(row, vec.components):
+            total = total + entry * comp
+        if not total.is_zero():
+            return False
+    return True
+
+
+class TestCertifiedPivots:
+    """rank, kernel and recover_skein eliminate only on the pivot rows of a
+    mod-l image and prove the answer on every row; with no image attempts
+    they eliminate on all rows."""
+
+    @staticmethod
+    def all_rows(monkeypatch, fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_IMAGE_ATTEMPTS", 0)
+            return fn(*args)
+
+    def test_rank_and_kernel_match_all_rows(self, monkeypatch):
+        for p in range(2, 17):
+            for q in valid_qs(p):
+                space = LensSpace(p, q)
+                matrix = build_f_matrix(space)
+                expected = self.all_rows(monkeypatch, kernel, space)
+                assert rank(matrix) == matrix.ncols - len(expected), (p, q)
+                assert kernel(space) == expected, (p, q)
+
+    def test_recover_matches_all_rows(self, monkeypatch):
+        rng = random.Random(7)
+        for p, q in ((5, 2), (7, 3), (10, 3)):
+            space = LensSpace(p, q)
+            element = random_skein(p, rng, max_exp=2)
+            polys = [f_link(space, element, k).signed_body for k in range(p)]
+            fast = recover_skein(space, polys)
+            slow = self.all_rows(monkeypatch, recover_skein, space, polys)
+            assert fast.z_components == slow.z_components
+            assert fast.a_form == element
+
+    def test_rational_solution(self, monkeypatch):
+        # the f-matrix's solutions are Laurent polynomials; a stand-in matrix
+        # reaches the coordinate that only a rational function can hold
+        d = z({0: 1, 1: 1})
+        matrix = LaurentMatrix(((d, z({})), (z({}), z({0: 1}))))
+        monkeypatch.setattr(analysis, "build_f_matrix", lambda space: matrix)
+        polys = [z({0: 1}), z({})]
+        fast = recover_skein(LensSpace(2, 1), polys)
+        slow = self.all_rows(monkeypatch, recover_skein, LensSpace(2, 1), polys)
+        assert fast.z_components == slow.z_components
+        assert fast.z_components == (RationalFunction(z({0: 1}), d), RationalFunction(z({})))
+        assert fast.a_form is None
+
+    def test_wrong_selection_rejected(self, monkeypatch):
+        calls = []
+        find = analysis._image_pivot_rows
+
+        def drop_a_row(matrix, attempt):
+            calls.append(attempt)
+            return find(matrix, attempt)[:-1]
+
+        for p, q in ((9, 1), (7, 2)):
+            space = LensSpace(p, q)
+            matrix = build_f_matrix(space)
+            wrong = drop_a_row(matrix, 0)
+            assert analysis._proven_kernel(matrix, wrong) is None
+            expected = self.all_rows(monkeypatch, kernel, space)
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "_image_pivot_rows", drop_a_row)
+                calls.clear()
+                assert kernel(space) == expected
+                assert rank(matrix) == matrix.ncols - len(expected)
+                assert calls == list(range(analysis._IMAGE_ATTEMPTS)) * 2
+
+    def test_wrong_selection_rejected_in_recover(self, monkeypatch):
+        space = LensSpace(5, 2)
+        element = random_skein(5, random.Random(3))
+        polys = [f_link(space, element, k).signed_body for k in range(5)]
+        find = analysis._image_pivot_rows
+        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda m, a: find(m, a)[:-1])
+        assert recover_skein(space, polys).a_form == element
+
+    def test_order_25_kernel(self):
+        # eliminating on all 25 rows did not finish in ten minutes
+        space = LensSpace(25, 1)
+        matrix = build_f_matrix(space)
+        basis = kernel(space)
+        assert len(basis) == 13 - 11
+        for vec in basis:
+            assert not vec.is_zero()
+            assert annihilates(matrix, vec)
 
 
 class TestHatC:

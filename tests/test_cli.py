@@ -5,6 +5,7 @@ import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -170,6 +171,13 @@ class TestSelftestCommand:
         code, out, _ = run_cli(capsys, "selftest", "--only", "7,9")
         assert code == 0
         assert out.count("[PASS]") == 2
+
+    @pytest.mark.parametrize("only", ["", "0", "13", "99", "1,13", "1,x"])
+    def test_invalid_selection(self, capsys, only):
+        code, out, err = run_cli(capsys, "selftest", "--only", only)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error ["), err
 
 
 class TestDeterminismAndValidation:
@@ -353,8 +361,7 @@ commands = st.one_of(
     st.tuples(st.just("kernel"), _num(st.integers(-2, 9)), _num(small)),
     st.tuples(st.just("classify"), _num(st.integers(-3, 40))),
     lens.map(lambda pq: ("recover", *pq, FILE)),
-    # an empty --only selects every criterion, about a minute of work: not drawn
-    st.tuples(st.just("selftest"), st.just("--only"), st.sampled_from(["1", "0", "13", "1,x"])),
+    st.tuples(st.just("selftest"), st.just("--only"), st.sampled_from(["1", "0", "13", "1,x", ""])),
 )
 options = st.tuples(st.sampled_from(["text", "json", "csv"]), st.sampled_from([53, 64, 128, 52]))
 
