@@ -10,10 +10,12 @@ polynomials, in three steps:
   are the only rows eliminated exactly;
 - fraction-free (Bareiss) elimination on those rows, then fraction-free
   back-substitution: with D the last pivot, each kernel vector has D at
-  its free column, and each solution coordinate is num_c / D;
-- an exact proof on all p rows: M v = 0 for every kernel vector (which
-  bounds the rank from above), and M num = D b for a solution.  A failed
-  proof tries the next (l, t), and in the end eliminates on all rows.
+  its free column;
+- an exact proof on all p rows: M v = 0 for every kernel vector, which
+  bounds the rank from above.  A row that a vector fails is independent
+  of the selection; it joins the selection, which is eliminated again.
+  A solution of M x = b is the kernel vector (v, d) of [M | -b] over the
+  proven rows, x = v / d, and a row that it fails proves there is none.
 
 Kernel vectors are normalized: common polynomial content removed, the
 highest-index nonzero component of valuation 0 and trailing coefficient
@@ -120,13 +122,11 @@ def _strip_row(row: list[LaurentPoly]) -> list[LaurentPoly]:
     return [e.shift(-v) if e else e for e in row]
 
 
-def _bareiss_echelon(rows: list[list[LaurentPoly]], pivot_cols: int):
+def _bareiss_echelon(rows: list[list[LaurentPoly]]):
     """In-place fraction-free row echelon; returns the (row, col) pivots and
     whether the row swaps made an odd permutation.
 
-    Only columns < pivot_cols are eligible as pivots, but updates span the
-    whole row (so augmented columns are transformed consistently).  Rows
-    are rescaled by monomial units to keep exponents small; constant rows
+    Rows are rescaled by monomial units to keep exponents small; constant rows
     are left as they are, so on a square constant matrix with a full set
     of pivots the last pivot is the determinant up to the swap sign.
     """
@@ -137,7 +137,7 @@ def _bareiss_echelon(rows: list[list[LaurentPoly]], pivot_cols: int):
     prev: LaurentPoly | None = None
     prev_inv = None  # inverse of prev's leading coefficient, one per pivot step
     r = 0
-    for col in range(min(pivot_cols, ncols)):
+    for col in range(ncols):
         piv = next((i for i in range(r, nrows) if rows[i][col]), None)
         if piv is None:
             continue
@@ -166,9 +166,8 @@ def _back_substitute(rows, pivots, x: list[LaurentPoly]) -> list[LaurentPoly]:
     """Fill the pivot entries of x, in place and last pivot first, so that
     every echelon row annihilates x: x[col] = -(sum_(j > col) a_rj x_j) / a_r,col.
 
-    x arrives with its free entries set: a multiple of the last pivot D (a
-    kernel vector has D at one free column; a right-hand side in column j
-    is solved by x[j] = -D), which makes every quotient exact by Cramer's rule.
+    x arrives with the last pivot D at one free column and 0 at the others,
+    which makes every quotient exact by Cramer's rule.
     """
     for row_idx, col in reversed(pivots):
         row = rows[row_idx]
@@ -192,57 +191,31 @@ def _row_times(row, x) -> LaurentPoly:
 # ring map into F_l, so the pivot rows of the image are exactly independent: a
 # nonzero r x r image minor proves rank >= r.  Exact elimination then runs on
 # those rows only, and every answer built from them is checked exactly on all
-# rows; a failed check moves on to the next (l, t), and after _IMAGE_ATTEMPTS
-# of them to the elimination on all rows.
-
-_IMAGE_ATTEMPTS = 3
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime_mr(n: int) -> bool:
-    """Miller-Rabin on the first twelve prime bases: a proof for n < 3.3e24."""
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+# rows.  A row that an answer fails is independent of the selected rows, so
+# it joins them, at most rank - (number of image pivots) times.
 
 
 @functools.lru_cache(maxsize=None)
-def _modulus(n: int, attempt: int) -> tuple[int, int, int]:
-    """(l, omega, t): the attempt-th prime l = 1 (mod n) above 2^62, an omega
-    of exact order n in F_l, and a fixed nonzero evaluation point t."""
-    m = 2**62 // n
-    for _ in range(attempt + 1):
+def _modulus(n: int) -> tuple[int, int, int]:
+    """(l, omega, t): the first prime l = 1 (mod n) above 2^62, an omega of
+    exact order n in F_l, and a fixed nonzero evaluation point t."""
+    m = 2**62 // n + 1
+    while not is_prime(m * n + 1):
         m += 1
-        while not _is_prime_mr(m * n + 1):
-            m += 1
     ell = m * n + 1
     g = 2
     # omega = g^m has order dividing n, exactly n when no omega^(n/f), f | n, f > 1, is 1
     while any(pow(g, m * (n // f), ell) == 1 for f in range(2, n + 1) if n % f == 0):
         g += 1
     omega = pow(g, m, ell)
-    t = 0x9E3779B97F4A7C15 * (attempt + 1) % ell
+    t = 0x9E3779B97F4A7C15 % ell
     return ell, omega, t
 
 
-def _image_pivot_rows(matrix: LaurentMatrix, attempt: int) -> list[int]:
-    """Indices of the pivot rows of the matrix's image in F_l under the attempt-th map."""
+def _image_pivot_rows(matrix: LaurentMatrix) -> list[int]:
+    """Indices of the pivot rows of the matrix's image in F_l."""
     n = math.lcm(*(c.order for row in matrix.entries for e in row for _, c in e.items()))
-    ell, omega, t = _modulus(n, attempt)
+    ell, omega, t = _modulus(n)
 
     def image(entry: LaurentPoly) -> int:
         return sum(
@@ -265,16 +238,16 @@ def _image_pivot_rows(matrix: LaurentMatrix, attempt: int) -> list[int]:
     return sorted(chosen)
 
 
-def _proven_kernel(matrix: LaurentMatrix, selection) -> list[RationalFunctionVector] | None:
-    """Normalized kernel basis of the selected rows, or None when a vector
-    fails M v = 0 exactly on some row of the whole matrix.
+def _proven_kernel(matrix: LaurentMatrix, selection) -> tuple[list[RationalFunctionVector], int | None]:
+    """(normalized kernel basis of the selected rows, None), or ([], k) when
+    a vector fails M v = 0 exactly on row k of the whole matrix.
 
     Each free column f gets the vector with v_f = D, the last pivot, and 0
     at the other free columns; its support is the pivots < f and f.
     """
     ncols = matrix.ncols
     rows = [_strip_row(list(matrix.entries[k])) for k in selection]
-    pivots, _ = _bareiss_echelon(rows, ncols)
+    pivots, _ = _bareiss_echelon(rows)
     det = rows[pivots[-1][0]][pivots[-1][1]] if pivots else LaurentPoly.one("z")
     pivot_cols = {c for _, c in pivots}
     basis = []
@@ -284,10 +257,11 @@ def _proven_kernel(matrix: LaurentMatrix, selection) -> list[RationalFunctionVec
         x = [LaurentPoly("z")] * ncols
         x[f] = det
         vec = _normalize_kernel_vector(_back_substitute(rows, pivots, x))
-        if any(_row_times(row, vec.components) for row in matrix.entries):
-            return None
+        for k, row in enumerate(matrix.entries):
+            if _row_times(row, vec.components):
+                return [], k
         basis.append(vec)
-    return basis
+    return basis, None
 
 
 def _certified(matrix: LaurentMatrix) -> tuple[list[int], list[RationalFunctionVector]]:
@@ -296,18 +270,17 @@ def _certified(matrix: LaurentMatrix) -> tuple[list[int], list[RationalFunctionV
 
     Image pivot rows of full column rank need no further proof.  Otherwise
     the kernel vectors of the selected rows must annihilate every row, which
-    bounds the rank from above by the selected rows' own exact rank.
+    bounds the rank from above by the selected rows' own exact rank; a row
+    that a vector fails is not in their span and joins them.
     """
-    ncols = matrix.ncols
-    for attempt in range(_IMAGE_ATTEMPTS):
-        selection = _image_pivot_rows(matrix, attempt)
-        if len(selection) == ncols:
-            return selection, []
-        basis = _proven_kernel(matrix, selection)
-        if basis is not None:
+    selection = _image_pivot_rows(matrix)
+    if len(selection) == matrix.ncols:
+        return selection, []
+    while True:
+        basis, refuting = _proven_kernel(matrix, selection)
+        if refuting is None:
             return selection, basis
-    selection = list(range(matrix.nrows))
-    return selection, _proven_kernel(matrix, selection)
+        selection = sorted(selection + [refuting])
 
 
 def rank(matrix: LaurentMatrix) -> int:
@@ -400,7 +373,7 @@ def fullrank_submatrix(space: LensSpace) -> SubmatrixCertificate:
         for k in deltas
     )
     rows = [[LaurentPoly("z", {0: e}) for e in row] for row in entries]
-    pivots, odd = _bareiss_echelon(rows, len(rows))
+    pivots, odd = _bareiss_echelon(rows)
     det = rows[-1][-1].coeff(0) if len(pivots) == len(rows) else CyclotomicNumber.zero(p)
     return SubmatrixCertificate(
         row_selection=tuple(deltas),
@@ -442,22 +415,15 @@ def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
         raise RankDeficient(
             f"f-matrix of L({space.p},{space.q}) has rank {ncols - len(basis)} < {ncols}"
         )
-    rows = [_strip_row(list(matrix.entries[k]) + [fpolys[k]]) for k in selection]
-    pivots, _ = _bareiss_echelon(rows, ncols)
-    det = rows[pivots[-1][0]][pivots[-1][1]]
-    num = _back_substitute(rows, pivots, [LaurentPoly("z")] * ncols + [-det])[:ncols]
-    # the solution of the selected rows is unique, so one failed row proves there is none
-    for row, fp in zip(matrix.entries, fpolys):
-        if _row_times(row, num) != det * fp:
-            raise Inconsistent("right-hand side is not in the column span")
-    x = []
-    for n in num:
-        try:
-            quot = n.divexact(det)
-        except ArithmeticError:  # a remainder: the coordinate is not a polynomial
-            x.append(RationalFunction(n, det))
-        else:
-            x.append(RationalFunction(quot))
+    augmented = LaurentMatrix(tuple(row + (-fp,) for row, fp in zip(matrix.entries, fpolys)))
+    # the selected rows have full column rank, so the solution (v, d) of
+    # M v = d b is unique up to scale: a pivot in the last column, or one
+    # row that it fails, proves there is none
+    solutions, refuting = _proven_kernel(augmented, selection)
+    if not solutions or refuting is not None:
+        raise Inconsistent("right-hand side is not in the column span")
+    *num, den = solutions[0]
+    x = [RationalFunction(v, den) for v in num]
     a_form = _try_a_form(space.p, x)
     return RecoveredSkein(z_components=tuple(x), a_form=a_form)
 
@@ -518,13 +484,14 @@ class NumericPoly:
         return not self.terms
 
 
+_INTERPOLATION_TOL = 1e-6  # relative bound on the coefficient drift and the residual
+
+
 def interpolate_f(
     space: LensSpace,
     samples,
     k: int,
     window: tuple[int, int] | None = None,
-    deg_a: int = 0,
-    tol: float = 1e-6,
     precision: int = 53,
 ):
     """Recover the Laurent polynomial behind sqrt(r) w_r samples on one
@@ -533,9 +500,9 @@ def interpolate_f(
     samples: iterable of (r, complex value of sqrt(r) * w_r); all r must be
     congruent to k mod p and the values may be ordinary complex numbers or
     mpmath.mpc at any precision.  The exponent window defaults to the
-    support bound for degree-deg_a coefficients: with e = 12 p s(q,p) and
-    m = [p/2], the body of color c contributes e + q(c^2+2c) +- 2(c+1), so
-    the window is [e - 2 - p*deg_a, e + q m(m+2) + 2(m+1) + p*deg_a].
+    support bound of the f-polynomials: with e = 12 p s(q,p) and m = [p/2],
+    the body of color c contributes e + q(c^2+2c) +- 2(c+1), so the window
+    is [e - 2, e + q m(m+2) + 2(m+1)].
 
     The evaluation points cluster near 1, so the square system (smallest
     levels) is solved at elevated working precision and the solution is
@@ -554,10 +521,7 @@ def interpolate_f(
     if window is None:
         e_mid = int(12 * p * space.dedekind)
         m = p // 2
-        window = (
-            e_mid - 2 - p * deg_a,
-            e_mid + space.q * m * (m + 2) + 2 * (m + 1) + p * deg_a,
-        )
+        window = (e_mid - 2, e_mid + space.q * m * (m + 2) + 2 * (m + 1))
     lo, hi = window
     exponents = list(range(lo, hi + 1))
     width = len(exponents)
@@ -587,7 +551,7 @@ def interpolate_f(
         bumped = mpmath.matrix([rhs[i] + (-1) ** i * eps if rhs[i] else rhs[i] for i in range(width)])
         moved = mpmath.mp.U_solve(lu, mpmath.mp.L_solve(lu, bumped, perm))
         drift = max(abs(moved[j] - coeffs[j]) for j in range(width))
-        if drift > tol * scale:
+        if drift > _INTERPOLATION_TOL * scale:
             raise BadConditioning(
                 f"coefficients move by {mpmath.nstr(drift, 3)} under a 2^-{precision} change of the samples"
             )
@@ -596,7 +560,7 @@ def interpolate_f(
             z = point(r)
             fit = mpmath.fsum(coeffs[j] * z ** e for j, e in enumerate(exponents))
             residual = max(residual, abs(fit - v))
-        if residual > tol * scale:
+        if residual > _INTERPOLATION_TOL * scale:
             raise BadConditioning(f"residual {mpmath.nstr(residual, 3)} exceeds tolerance")
     poly = NumericPoly("z", {e: complex(coeffs[j]) for j, e in enumerate(exponents) if coeffs[j]})
     return poly, float(residual)

@@ -117,21 +117,13 @@ def cmd_gauss(args, out: _Output):
 def cmd_dedekind(args, out: _Output):
     value = dedekind_sum(args.q, args.p)
     doc = {"q": args.q, "p": args.p, "numerator": value.numerator, "denominator": value.denominator}
-    _emit(
-        out,
-        args.format,
-        doc,
-        [f"s({args.q},{args.p}) = {value}"],
-        csv_rows=[[args.q, args.p, value.numerator, value.denominator]],
-        csv_header=["q", "p", "numerator", "denominator"],
-    )
+    _emit(out, args.format, doc, [f"s({args.q},{args.p}) = {value}"])
 
 
 def cmd_phi(args, out: _Output):
     value = rademacher_phi(args.p, args.q)
     doc = {"p": args.p, "q": args.q, "phi": value}
-    _emit(out, args.format, doc, [f"phi({args.p},{args.q}) = {value}"],
-          csv_rows=[[args.p, args.q, value]], csv_header=["p", "q", "phi"])
+    _emit(out, args.format, doc, [f"phi({args.p},{args.q}) = {value}"])
 
 
 def cmd_fpoly(args, out: _Output):
@@ -245,8 +237,7 @@ def cmd_kernel(args, out: _Output):
 def cmd_classify(args, out: _Output):
     result = classify_order(args.p).value
     doc = {"p": args.p, "classification": result}
-    _emit(out, args.format, doc, [f"{result}"],
-          csv_rows=[[args.p, result]], csv_header=["p", "classification"])
+    _emit(out, args.format, doc, [f"{result}"])
 
 
 def cmd_recover(args, out: _Output):

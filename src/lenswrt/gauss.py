@@ -80,12 +80,7 @@ def gauss_closed_form(spec: GaussSumSpec) -> CyclotomicNumber:
             # terms at n and n + s cancel in pairs
             return CyclotomicNumber.zero(p)
         half = mod_inverse(2, s)
-        inner = GaussSumSpec(s, a * half, b * half)
-        if inner.a == 0:
-            val = gauss_closed_form(inner)
-        else:
-            val = _odd_prime_closed_form(s, inner.a, inner.b)
-        return (2 * val).lift(p)
+        return (2 * _odd_prime_closed_form(s, a * half, b * half)).lift(p)
     raise UnsupportedCase(f"no closed form implemented for p = {p} with a != 0 mod p")
 
 

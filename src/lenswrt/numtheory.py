@@ -1,8 +1,8 @@
 """Exact integer and rational number theory.
 
 Modular inverses, Jacobi symbols, Dedekind sums, squares-mod-p counting,
-factorization of SL(2,Z) matrices into T^m S letters, and the Rademacher
-phi function obtained from such a factorization.
+deterministic primality, factorization of SL(2,Z) matrices into T^m S
+letters, and the Rademacher phi function obtained from such a factorization.
 """
 
 from __future__ import annotations
@@ -71,18 +71,33 @@ def count_squares_mod(p: int) -> int:
     return len({n * n % p for n in range(p)})
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # the least strong pseudoprime to all of _MR_BASES
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the first thirteen prime bases, a proof
+    for n < 3317044064679887385961981; raises ValueError at or above it."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"primality is only proven below {_MR_BOUND}, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

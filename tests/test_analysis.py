@@ -160,13 +160,14 @@ def annihilates(matrix, vec):
 
 class TestCertifiedPivots:
     """rank, kernel and recover_skein eliminate only on the pivot rows of a
-    mod-l image and prove the answer on every row; with no image attempts
-    they eliminate on all rows."""
+    mod-l image and prove the answer on every row; a row that an answer
+    fails joins the selection.  With every row selected they eliminate on
+    all rows."""
 
     @staticmethod
     def all_rows(monkeypatch, fn, *args):
         with monkeypatch.context() as m:
-            m.setattr(analysis, "_IMAGE_ATTEMPTS", 0)
+            m.setattr(analysis, "_image_pivot_rows", lambda matrix: list(range(matrix.nrows)))
             return fn(*args)
 
     def test_rank_and_kernel_match_all_rows(self, monkeypatch):
@@ -206,30 +207,69 @@ class TestCertifiedPivots:
         calls = []
         find = analysis._image_pivot_rows
 
-        def drop_a_row(matrix, attempt):
-            calls.append(attempt)
-            return find(matrix, attempt)[:-1]
+        def drop_a_row(matrix):
+            calls.append(matrix)
+            return find(matrix)[:-1]
 
         for p, q in ((9, 1), (7, 2)):
             space = LensSpace(p, q)
             matrix = build_f_matrix(space)
-            wrong = drop_a_row(matrix, 0)
-            assert analysis._proven_kernel(matrix, wrong) is None
+            wrong = drop_a_row(matrix)
+            basis, refuting = analysis._proven_kernel(matrix, wrong)
+            assert basis == [] and refuting is not None and refuting not in wrong
             expected = self.all_rows(monkeypatch, kernel, space)
             with monkeypatch.context() as m:
                 m.setattr(analysis, "_image_pivot_rows", drop_a_row)
                 calls.clear()
                 assert kernel(space) == expected
                 assert rank(matrix) == matrix.ncols - len(expected)
-                assert calls == list(range(analysis._IMAGE_ATTEMPTS)) * 2
+                assert len(calls) == 2  # one image per query
 
     def test_wrong_selection_rejected_in_recover(self, monkeypatch):
         space = LensSpace(5, 2)
         element = random_skein(5, random.Random(3))
         polys = [f_link(space, element, k).signed_body for k in range(5)]
         find = analysis._image_pivot_rows
-        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda m, a: find(m, a)[:-1])
+        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda m: find(m)[:-1])
         assert recover_skein(space, polys).a_form == element
+
+    def test_refuted_rows_join_the_selection(self, monkeypatch):
+        find = analysis._image_pivot_rows
+        shortened = {"empty": lambda m: [], "one short": lambda m: find(m)[:-1]}
+        rng = random.Random(11)
+        for p in range(2, 13):
+            for q in valid_qs(p):
+                space = LensSpace(p, q)
+                matrix = build_f_matrix(space)
+                expected = self.all_rows(monkeypatch, kernel, space)
+                if expected:
+                    polys = [LaurentPoly("z")] * p
+                else:
+                    element = random_skein(p, rng, max_exp=1, bound=2)
+                    polys = [f_link(space, element, k).signed_body for k in range(p)]
+                    solution = self.all_rows(monkeypatch, recover_skein, space, polys)
+                    assert solution.a_form == element, (p, q)
+                for name, shorten in shortened.items():
+                    with monkeypatch.context() as m:
+                        m.setattr(analysis, "_image_pivot_rows", shorten)
+                        assert kernel(space) == expected, (name, p, q)
+                        assert rank(matrix) == matrix.ncols - len(expected), (name, p, q)
+                        if expected:
+                            with pytest.raises(RankDeficient):
+                                recover_skein(space, polys)
+                        else:
+                            assert recover_skein(space, polys).z_components == solution.z_components
+
+    def test_inconsistent_on_any_selection(self, monkeypatch):
+        # with every row selected the contradiction is a pivot in the last
+        # column; with the image pivots it is a row the solution fails
+        space = LensSpace(5, 2)
+        polys = [f_link(space, random_skein(5, random.Random(5)), k).signed_body for k in range(5)]
+        polys[3] = polys[3] + z({1: 1})
+        with pytest.raises(Inconsistent):
+            recover_skein(space, polys)
+        with pytest.raises(Inconsistent):
+            self.all_rows(monkeypatch, recover_skein, space, polys)
 
     def test_order_25_kernel(self):
         # eliminating on all 25 rows did not finish in ten minutes

@@ -119,6 +119,11 @@ class TestExactCommands:
         code, out, _ = run_cli(capsys, "classify", "14")
         assert code == 0 and out.strip() == "Determining"
 
+    def test_classify_pseudoprime(self, capsys):
+        # 399165290221 * 798330580441, a strong pseudoprime to every prime base up to 37
+        code, out, _ = run_cli(capsys, "classify", "318665857834031151167461")
+        assert code == 0 and out.strip() == "NonDetermining"
+
     def test_kernel_json(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "json", "kernel", "9", "4")
         doc = json.loads(out)
@@ -230,6 +235,10 @@ class TestInvalidInput:
     def test_zero_denominator(self, capsys, tmp_path):
         fpolys = [[[0, 1, 0]]] + [[] for _ in range(4)]
         code, _, err = self.recover(capsys, tmp_path, {"p": 5, "q": 2, "fpolys": fpolys})
+        self.assert_input_error(code, err)
+
+    def test_classify_beyond_primality_bound(self, capsys):
+        code, _, err = run_cli(capsys, "classify", "3317044064679887385961981")
         self.assert_input_error(code, err)
 
     def test_missing_input_file(self, capsys, tmp_path):

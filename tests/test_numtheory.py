@@ -11,6 +11,7 @@ from lenswrt.numtheory import (
     classify_order,
     count_squares_mod,
     dedekind_sum,
+    is_prime,
     j_letter,
     jacobi_symbol,
     lens_matrix,
@@ -143,6 +144,43 @@ class TestSquaresCount:
                 continue
             if any(p % f == 0 for f in range(2, p)):
                 assert count_squares_mod(p) < p // 2, p
+
+
+MR_BOUND = 3317044064679887385961981  # the least strong pseudoprime to the bases 2..41
+
+
+class TestIsPrime:
+    def test_matches_sieve(self):
+        n = 10**5
+        sieve = [False, False] + [True] * (n - 2)
+        for f in range(2, int(n**0.5) + 1):
+            if sieve[f]:
+                sieve[f * f :: f] = [False] * len(range(f * f, n, f))
+        assert [m for m in range(-3, n) if is_prime(m)] == [m for m in range(n) if sieve[m]]
+
+    def test_strong_pseudoprimes(self):
+        # the least strong pseudoprimes to the prime bases up to 31 and up to 37
+        assert 149491 * 747451 * 34233211 == 3825123056546413051
+        assert 399165290221 * 798330580441 == 318665857834031151167461
+        assert not is_prime(3825123056546413051)
+        assert not is_prime(318665857834031151167461)
+        assert not is_prime(3215031751)  # strong pseudoprime to 2, 3, 5, 7
+
+    def test_carmichael_numbers(self):
+        for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185):
+            assert not is_prime(n), n
+            assert all(pow(b, n - 1, n) == 1 for b in range(2, 50) if math.gcd(b, n) == 1)
+
+    def test_large_primes(self):
+        for n in (2**31 - 1, 2**61 - 1, 2**64 - 59, 2**80 - 65, 3317044064679887385961813):
+            assert is_prime(n), n
+        assert not is_prime((2**19 - 1) * (2**61 - 1))
+
+    def test_refused_at_the_bound(self):
+        assert 1287836182261 * 2575672364521 == MR_BOUND
+        for n in (MR_BOUND, MR_BOUND + 2, 2**89 - 1):
+            with pytest.raises(ValueError):
+                is_prime(n)
 
 
 class TestClassifyOrder:
