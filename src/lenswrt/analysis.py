@@ -14,8 +14,8 @@ polynomials, in three steps:
 - an exact proof on all p rows: M v = 0 for every kernel vector, which
   bounds the rank from above.  A row that a vector fails is independent
   of the selection; it joins the selection, which is eliminated again.
-  A solution of M x = b is the kernel vector (v, d) of [M | -b] over the
-  proven rows, x = v / d, and a row that it fails proves there is none.
+  A solution of M x = b is the proven kernel vector (v, d) of [M | -b],
+  x = v / d; an empty kernel proves there is none.
 
 Kernel vectors are normalized: common polynomial content removed, the
 highest-index nonzero component of valuation 0 and trailing coefficient
@@ -128,14 +128,15 @@ def _bareiss_echelon(rows: list[list[LaurentPoly]]):
 
     Rows are rescaled by monomial units to keep exponents small; constant rows
     are left as they are, so on a square constant matrix with a full set
-    of pivots the last pivot is the determinant up to the swap sign.
+    of pivots the last pivot is the determinant up to the swap sign.  Each
+    step divides exactly by the previous pivot, whose leading coefficient
+    keeps its inverse, so it is inverted once.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[tuple[int, int]] = []
     odd = False
     prev: LaurentPoly | None = None
-    prev_inv = None  # inverse of prev's leading coefficient, one per pivot step
     r = 0
     for col in range(ncols):
         piv = next((i for i in range(r, nrows) if rows[i][col]), None)
@@ -150,12 +151,11 @@ def _bareiss_echelon(rows: list[list[LaurentPoly]]):
             factor = row_i[col]
             for j in range(col + 1, ncols):
                 num = pivot_entry * row_i[j] - factor * rows[r][j]
-                row_i[j] = num.divexact(prev, prev_inv) if prev is not None and num else num
+                row_i[j] = num.divexact(prev) if prev is not None and num else num
             row_i[col] = LaurentPoly(row_i[col].var)
             rows[i] = _strip_row(row_i)
         pivots.append((r, col))
         prev = pivot_entry
-        prev_inv = prev.leading_coeff().inverse()
         r += 1
         if r == nrows:
             break
@@ -264,9 +264,8 @@ def _proven_kernel(matrix: LaurentMatrix, selection) -> tuple[list[RationalFunct
     return basis, None
 
 
-def _certified(matrix: LaurentMatrix) -> tuple[list[int], list[RationalFunctionVector]]:
-    """Rows whose exact elimination has the matrix's rank, and the normalized
-    kernel basis; both proven, the rank being ncols - len(basis).
+def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
+    """The normalized kernel basis, proven: the rank is ncols - len(basis).
 
     Image pivot rows of full column rank need no further proof.  Otherwise
     the kernel vectors of the selected rows must annihilate every row, which
@@ -275,11 +274,11 @@ def _certified(matrix: LaurentMatrix) -> tuple[list[int], list[RationalFunctionV
     """
     selection = _image_pivot_rows(matrix)
     if len(selection) == matrix.ncols:
-        return selection, []
+        return []
     while True:
         basis, refuting = _proven_kernel(matrix, selection)
         if refuting is None:
-            return selection, basis
+            return basis
         selection = sorted(selection + [refuting])
 
 
@@ -287,12 +286,12 @@ def rank(matrix: LaurentMatrix) -> int:
     """Exact rank over the rational-function field."""
     if not matrix.entries:
         return 0
-    return matrix.ncols - len(_certified(matrix)[1])
+    return matrix.ncols - len(_certified(matrix))
 
 
 def kernel(space: LensSpace) -> list[RationalFunctionVector]:
     """Basis of { v : sum_c M[k][c] v_c = 0 for all k }, normalized."""
-    return _certified(build_f_matrix(space))[1]
+    return _certified(build_f_matrix(space))
 
 
 def _normalize_kernel_vector(polys: list[LaurentPoly]) -> RationalFunctionVector:
@@ -400,9 +399,11 @@ def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
     """Solve sum_c M[k][c] x_c = fpolys[k] for all k (signed-body convention).
 
     fpolys must hold one Laurent polynomial per k = 0..p-1, in the same
-    normalization as f_link(...).signed_body.  Raises RankDeficient unless
-    the matrix has full column rank, Inconsistent if the right-hand side
-    is outside the column span.
+    normalization as f_link(...).signed_body.  The proven kernel of
+    [M | -b] decides everything: its vectors with last component 0 are the
+    kernel of M, so any of them raise RankDeficient; an empty kernel raises
+    Inconsistent (b is outside the column span); otherwise its one vector
+    (v, d) gives x = v / d.
     """
     p = space.p
     fpolys = list(fpolys)
@@ -410,19 +411,16 @@ def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
         raise ValueError(f"need one polynomial per k = 0..{p - 1}, got {len(fpolys)}")
     matrix = build_f_matrix(space)
     ncols = matrix.ncols
-    selection, basis = _certified(matrix)
-    if basis:
-        raise RankDeficient(
-            f"f-matrix of L({space.p},{space.q}) has rank {ncols - len(basis)} < {ncols}"
-        )
     augmented = LaurentMatrix(tuple(row + (-fp,) for row, fp in zip(matrix.entries, fpolys)))
-    # the selected rows have full column rank, so the solution (v, d) of
-    # M v = d b is unique up to scale: a pivot in the last column, or one
-    # row that it fails, proves there is none
-    solutions, refuting = _proven_kernel(augmented, selection)
-    if not solutions or refuting is not None:
+    basis = _certified(augmented)
+    nullity = sum(1 for vec in basis if not vec.components[-1])
+    if nullity:
+        raise RankDeficient(
+            f"f-matrix of L({space.p},{space.q}) has rank {ncols - nullity} < {ncols}"
+        )
+    if not basis:
         raise Inconsistent("right-hand side is not in the column span")
-    *num, den = solutions[0]
+    *num, den = basis[0]
     x = [RationalFunction(v, den) for v in num]
     a_form = _try_a_form(space.p, x)
     return RecoveredSkein(z_components=tuple(x), a_form=a_form)

@@ -41,15 +41,6 @@ def fpoly_to_json(fp: FPolynomial, p: int, q: int, c: int, k: int) -> dict:
     }
 
 
-def fpoly_from_json(data: dict) -> FPolynomial:
-    p = field(data, "p", int)
-    return FPolynomial(
-        p=p,
-        prefactor_sign=field(data, "prefactor_sign", int),
-        body=poly_from_json("z", field(data, "body"), p),
-    )
-
-
 def _fmt17(x) -> str:
     return f"{float(x):.16e}"  # 17 significant digits: doubles round-trip
 
@@ -174,7 +165,7 @@ def cmd_wrt(args, out: _Output):
         """The same weights v_c(zeta) on the direct-sum oracle's meridian values."""
         with mpmath.workprec(prec):
             return mpmath.fsum(
-                (comp.eval_at_unit_root(1, 4 * space.p * r, prec) * jeffrey_oracle(space, c, r, prec)
+                (comp.eval_at_unit_root(4 * space.p * r, prec) * jeffrey_oracle(space, c, r, prec)
                  for c, comp in components.items() if comp),
                 absolute=False,
             )

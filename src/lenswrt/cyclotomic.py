@@ -8,23 +8,22 @@ lowest terms:
 
 with the numerator reduced modulo the N-th cyclotomic polynomial, so
 equality of values is equality of (numerators, denominator) after
-lifting to a common order.  Products are integer convolutions reduced by
-the cached rows of Phi_N; an inverse is the product of the nontrivial
-Galois conjugates over the integer norm.  int and Fraction values enter
-through the constructor and leave through `.coeffs`.
+lifting to a common order.  Products are integer convolutions, folded by
+xi^N = 1 and then divided by the monic Phi_N, whose remainder is the
+canonical form; an inverse is the product of the nontrivial Galois
+conjugates over the integer norm, computed once per number and kept on
+it.  int and Fraction values enter through the constructor and leave
+through `.coeffs`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from fractions import Fraction
 from operator import add
 
 import mpmath
-
-_ORDER_CACHE: dict[int, tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = {}
-_ORDER_LOCK = threading.RLock()  # reentrant: computing Phi_n recurses into divisors
 
 
 def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -59,42 +58,25 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _order_data(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """(Phi_n coefficients, reduction rows for x^j, deg <= j < n), cached."""
-    data = _ORDER_CACHE.get(n)
-    if data is not None:
-        return data
-    with _ORDER_LOCK:
-        data = _ORDER_CACHE.get(n)
-        if data is not None:
-            return data
-        phi = cyclotomic_polynomial(n)
-        deg = len(phi) - 1
-        rows: list[tuple[int, ...]] = []
-        row = [-c for c in phi[:deg]]  # x^deg mod Phi_n
-        for _ in range(deg, n):
-            rows.append(tuple(row))
-            top = row[-1]
-            row = [0] + row[:-1]
-            if top:
-                for i in range(deg):
-                    row[i] -= top * phi[i]
-        data = (phi, tuple(rows))
-        _ORDER_CACHE[n] = data
-        return data
+@functools.lru_cache(maxsize=None)
+def _order_data(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """(Phi_n coefficients, its nonzero (exponent, coefficient) terms below the leading one)."""
+    phi = cyclotomic_polynomial(n)
+    return phi, tuple((i, c) for i, c in enumerate(phi[:-1]) if c)
 
 
 def _reduce(order: int, vec: list[int]) -> list[int]:
     """phi(order) integers: vec, a polynomial in xi_order, reduced modulo Phi_order."""
-    phi, rows = _order_data(order)
+    phi, tail = _order_data(order)
     deg = len(phi) - 1
     for k in range(len(vec) - 1, order - 1, -1):  # xi^order = 1
         if vec[k]:
             vec[k - order] += vec[k]
-    for j in range(min(len(vec), order) - 1, deg - 1, -1):
+    for j in range(min(len(vec), order) - 1, deg - 1, -1):  # subtract c x^(j-deg) Phi_order
         c = vec[j]
         if c:
-            vec[:deg] = [v + c * r for v, r in zip(vec, rows[j - deg])]
+            for i, t in tail:
+                vec[j - deg + i] -= c * t
     vec[deg:] = []
     vec += [0] * (deg - len(vec))
     return vec
@@ -148,7 +130,7 @@ def _common(x: CyclotomicNumber, y: CyclotomicNumber):
 class CyclotomicNumber:
     """An element of Q(xi_N): phi(N) integer numerators over one denominator."""
 
-    __slots__ = ("_order", "_num", "_den")
+    __slots__ = ("_order", "_num", "_den", "_inverse")  # _inverse: set by inverse()
 
     def __init__(self, order: int, coeffs):
         """The value sum_j coeffs[j] xi_order^j, for int/Fraction coeffs, len(coeffs) <= order."""
@@ -193,11 +175,6 @@ class CyclotomicNumber:
 
     def is_rational(self) -> bool:
         return not any(self._num[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return Fraction(self._num[0], self._den)
 
     def image_mod(self, prime: int, root: int) -> int:
         """The image in F_prime under xi_N -> root, for root a zero of Phi_N
@@ -264,7 +241,12 @@ class CyclotomicNumber:
 
     def inverse(self) -> CyclotomicNumber:
         """Multiplicative inverse: den times the product of the nontrivial Galois
-        conjugates of the integral numerator a, over the integer norm N(a)."""
+        conjugates of the integral numerator a, over the integer norm N(a).
+        Computed on the first call and kept on the number; threads that race
+        on it store equal values."""
+        inv = getattr(self, "_inverse", None)
+        if inv is not None:
+            return inv
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
         n = self._order
@@ -275,7 +257,8 @@ class CyclotomicNumber:
                 conj = conj * a.galois(u)
         norm = (a * conj)._num[0]
         sign = 1 if norm > 0 else -1
-        return _make(n, [sign * self._den * c for c in conj._num], abs(norm))
+        self._inverse = _make(n, [sign * self._den * c for c in conj._num], abs(norm))
+        return self._inverse
 
     def __truediv__(self, other):
         o = as_cyclotomic(other)

@@ -32,13 +32,8 @@ class GaussSumSpec:
         object.__setattr__(self, "b", self.b % self.p)
 
 
-def gauss_sum(spec, a: int | None = None, b: int | None = None) -> CyclotomicNumber:
-    """Direct summation of sum_{n=0}^{p-1} xi_p^(a n^2 + b n).
-
-    Accepts either a GaussSumSpec or the three integers (p, a, b).
-    """
-    if not isinstance(spec, GaussSumSpec):
-        spec = GaussSumSpec(spec, a, b)
+def gauss_sum(spec: GaussSumSpec) -> CyclotomicNumber:
+    """Direct summation of sum_{n=0}^{p-1} xi_p^(a n^2 + b n)."""
     p_, a_, b_ = spec.p, spec.a, spec.b
     counts = [0] * p_
     for n in range(p_):

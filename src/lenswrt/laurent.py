@@ -170,29 +170,29 @@ class LaurentPoly:
 
     # --- exact division -----------------------------------------------------
 
-    def divexact(self, other: LaurentPoly, lead_inv=None) -> LaurentPoly:
+    def divexact(self, other: LaurentPoly) -> LaurentPoly:
         """Exact quotient in the Laurent ring; raises if division leaves a remainder.
 
-        lead_inv, when given, is the inverse of other's leading coefficient:
-        a caller dividing many polynomials by one divisor computes it once.
+        The inverse of other's leading coefficient is kept on that coefficient,
+        so dividing many polynomials by one divisor inverts it once.
         """
         if other.is_zero():
             raise ZeroDivisionError("Laurent division by zero")
         if self.is_zero():
             return LaurentPoly(self._var)
         self._check_var(other)
-        quot, rem = _poly_divmod(self, other, lead_inv)
+        quot, rem = _poly_divmod(self, other)
         if not rem.is_zero():
             raise ArithmeticError("division is not exact")
         return quot
 
-    def eval_at_unit_root(self, numerator: int, denominator: int, precision: int = 53):
-        """Value at e^(2 pi i numerator / denominator), exponents reduced first."""
+    def eval_at_unit_root(self, denominator: int, precision: int = 53):
+        """Value at e^(2 pi i / denominator), exponents reduced first."""
         with mpmath.workprec(precision):
             total = mpmath.mpc(0)
             for e, c in self._terms.items():
                 cv = embed_complex(c, precision)
-                arg = (e * numerator) % denominator
+                arg = e % denominator
                 total += cv * mpmath.expjpi(mpmath.mpf(2 * arg) / denominator)
             return total
 
@@ -224,11 +224,8 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-def _poly_divmod(num: LaurentPoly, den: LaurentPoly, lead_inv=None) -> tuple[LaurentPoly, LaurentPoly]:
-    """Division of num by den allowing monomial units: num = quot * den + rem.
-
-    lead_inv is the inverse of den's leading coefficient, computed here when None.
-    """
+def _poly_divmod(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Division of num by den allowing monomial units: num = quot * den + rem."""
     var = num.var
     if num.is_zero():
         return LaurentPoly(var), LaurentPoly(var)
@@ -237,7 +234,7 @@ def _poly_divmod(num: LaurentPoly, den: LaurentPoly, lead_inv=None) -> tuple[Lau
     n = {e - nshift: c for e, c in num._terms.items()}
     d = {e - dshift: c for e, c in den._terms.items()}
     ddeg = max(d)
-    dlead_inv = d[ddeg].inverse() if lead_inv is None else lead_inv
+    dlead_inv = d[ddeg].inverse()
     quot: dict[int, CyclotomicNumber] = {}
     while n:
         ndeg = max(n)
@@ -314,12 +311,12 @@ class RationalFunction:
             raise ValueError(f"{self!r} is not a Laurent polynomial")
         return self.num
 
-    def eval_at_unit_root(self, numerator: int, denominator: int, precision: int = 53):
-        """Value at e^(2 pi i numerator / denominator); no division when den is 1."""
+    def eval_at_unit_root(self, denominator: int, precision: int = 53):
+        """Value at e^(2 pi i / denominator); no division when den is 1."""
         with mpmath.workprec(precision):
-            value = self.num.eval_at_unit_root(numerator, denominator, precision)
+            value = self.num.eval_at_unit_root(denominator, precision)
             if not self.is_polynomial():
-                value /= self.den.eval_at_unit_root(numerator, denominator, precision)
+                value /= self.den.eval_at_unit_root(denominator, precision)
             return value
 
     def __add__(self, other):

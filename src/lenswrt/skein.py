@@ -71,10 +71,6 @@ class SkeinElement:
         return poly
 
     @classmethod
-    def zero(cls, p: int) -> SkeinElement:
-        return cls(p, [0] * (p // 2 + 1))
-
-    @classmethod
     def basis_vector(cls, p: int, c: int) -> SkeinElement:
         """The generator mu_c."""
         if not 0 <= c <= p // 2:

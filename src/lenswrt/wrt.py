@@ -134,7 +134,7 @@ def eval_meridian(space: LensSpace, c: int, r: int, precision: int = 53) -> mpma
         raise ValueError(f"level parameter r must be >= 2, got {r}")
     fp = f_poly(space, c, r % space.p)
     with mpmath.workprec(precision):
-        value = fp.body.eval_at_unit_root(1, 4 * space.p * r, precision)
+        value = fp.body.eval_at_unit_root(4 * space.p * r, precision)
         scale = mpmath.mpc(0, fp.prefactor_sign) / mpmath.sqrt(2 * fp.p)
         return scale * value / mpmath.sqrt(r)
 
@@ -165,7 +165,7 @@ def eval_z_combination(space: LensSpace, components, r: int, precision: int = 53
         for c, comp in items:
             if comp.is_zero():
                 continue
-            total += comp.eval_at_unit_root(1, denom, precision) * eval_meridian(space, c, r, precision)
+            total += comp.eval_at_unit_root(denom, precision) * eval_meridian(space, c, r, precision)
         return total
 
 

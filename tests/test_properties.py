@@ -13,7 +13,7 @@ from lenswrt.laurent import LaurentPoly
 from lenswrt.skein import SkeinElement
 
 PROPERTY = settings(deadline=None, max_examples=30, derandomize=True, database=None)
-ORDERS = (2, 3, 5, 7, 11, 13, 4, 8, 9, 12, 15, 26)
+ORDERS = (2, 3, 5, 7, 11, 13, 4, 8, 9, 12, 15, 26, 105)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 

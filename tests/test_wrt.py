@@ -213,7 +213,7 @@ class TestZCombination:
         element = random_skein(5, rng, max_exp=2)
         for r in (2, 7):
             with mpmath.workprec(64):
-                body = f_link(space, element, r % 5).body.eval_at_unit_root(1, 20 * r, 64)
+                body = f_link(space, element, r % 5).body.eval_at_unit_root(20 * r, 64)
                 exact_route = mpmath.mpc(0, 1) / mpmath.sqrt(10) * body / mpmath.sqrt(r)
             assert abs(eval_link(space, element, r, 64) - exact_route) < 1e-10
 
@@ -233,6 +233,6 @@ class TestZCombination:
         quotients = [RationalFunction(comp, den) for comp in comps]
         assert not all(q.is_polynomial() for q in quotients)
         for r in (2, 7):
-            lhs = eval_z_combination(space, quotients, r, 64) * den.eval_at_unit_root(1, 20 * r, 64)
+            lhs = eval_z_combination(space, quotients, r, 64) * den.eval_at_unit_root(20 * r, 64)
             rhs = eval_z_combination(space, comps, r, 64)
             assert abs(lhs - rhs) < 1e-10
