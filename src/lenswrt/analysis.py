@@ -2,20 +2,30 @@
 
 Builds the p x ([p/2]+1) matrix of f-polynomial bodies and computes its
 rank and kernel, and recovers skein coefficients from a full set of link
-polynomials, in three steps:
+polynomials.  A zero column c (an odd color when p = 0 mod 4) gives the
+kernel vector e_c and is dropped first.  Then:
 
 - pivot selection mod l: the matrix is mapped to F_l (l = 1 mod p prime,
   xi_p -> an element of exact order p, z -> a fixed point t), and the
   pivot rows of that image, whose nonzero minor proves them independent,
-  are the only rows eliminated exactly;
-- fraction-free (Bareiss) elimination on those rows, then fraction-free
-  back-substitution: with D the last pivot, each kernel vector has D at
-  its free column;
-- an exact proof on all p rows: M v = 0 for every kernel vector, which
+  bound the rank from below; full column rank ends the computation;
+- descent to Q(z): xi -> xi^u maps row k to row k/u and fixes z, so the
+  kernel has a basis over Q(z).  The power-basis coordinates of one row
+  per divisor d of p (row d mod p) are at most tau(p) phi(p) rows over
+  Q[z, 1/z], whose kernel is found by the two steps below.  It is the
+  answer when it meets both bounds: every vector annihilates all p rows
+  exactly (rank <= ncols - #basis) and the image pivot rows of the matrix
+  number ncols - #basis.  Otherwise the two steps run over Q(xi_p)(z), on
+  the matrix's own image pivot rows;
+- fraction-free (Bareiss) elimination on the selected rows, then
+  fraction-free back-substitution: with D the last pivot, each kernel
+  vector has D at its free column;
+- an exact proof on all rows: M v = 0 for every kernel vector, which
   bounds the rank from above.  A row that a vector fails is independent
   of the selection; it joins the selection, which is eliminated again.
-  A solution of M x = b is the proven kernel vector (v, d) of [M | -b],
-  x = v / d; an empty kernel proves there is none.
+
+A solution of M x = b is the proven kernel vector (v, d) of [M | -b],
+x = v / d; an empty kernel proves there is none.
 
 Kernel vectors are normalized: common polynomial content removed, the
 highest-index nonzero component of valuation 0 and trailing coefficient
@@ -212,9 +222,14 @@ def _modulus(n: int) -> tuple[int, int, int]:
     return ell, omega, t
 
 
+def _coefficient_order(matrix: LaurentMatrix) -> int:
+    """The lcm of the orders of the matrix's coefficients."""
+    return math.lcm(*(c.order for row in matrix.entries for e in row for _, c in e.items()))
+
+
 def _image_pivot_rows(matrix: LaurentMatrix) -> list[int]:
     """Indices of the pivot rows of the matrix's image in F_l."""
-    n = math.lcm(*(c.order for row in matrix.entries for e in row for _, c in e.items()))
+    n = _coefficient_order(matrix)
     ell, omega, t = _modulus(n)
 
     def image(entry: LaurentPoly) -> int:
@@ -257,29 +272,89 @@ def _proven_kernel(matrix: LaurentMatrix, selection) -> tuple[list[RationalFunct
         x = [LaurentPoly("z")] * ncols
         x[f] = det
         vec = _normalize_kernel_vector(_back_substitute(rows, pivots, x))
-        for k, row in enumerate(matrix.entries):
-            if _row_times(row, vec.components):
-                return [], k
+        refuting = _refuting_row(matrix, vec)
+        if refuting is not None:
+            return [], refuting
         basis.append(vec)
     return basis, None
 
 
-def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
-    """The normalized kernel basis, proven: the rank is ncols - len(basis).
+def _refuting_row(matrix: LaurentMatrix, vec: RationalFunctionVector) -> int | None:
+    """The first row k with M[k] v != 0, exactly; None when M v = 0."""
+    return next((k for k, row in enumerate(matrix.entries) if _row_times(row, vec.components)), None)
 
-    Image pivot rows of full column rank need no further proof.  Otherwise
-    the kernel vectors of the selected rows must annihilate every row, which
-    bounds the rank from above by the selected rows' own exact rank; a row
-    that a vector fails is not in their span and joins them.
-    """
-    selection = _image_pivot_rows(matrix)
-    if len(selection) == matrix.ncols:
-        return []
+
+def _refined(matrix: LaurentMatrix, selection) -> list[RationalFunctionVector]:
+    """The kernel basis of the selected rows, proven on every row: a row that
+    a vector fails is not in the selection's span and joins it."""
     while True:
         basis, refuting = _proven_kernel(matrix, selection)
         if refuting is None:
             return basis
         selection = sorted(selection + [refuting])
+
+
+def _descended(matrix: LaurentMatrix) -> LaurentMatrix:
+    """The rational rows: the power-basis coordinates, Laurent polynomials
+    over Q, of row d mod p for each divisor d of p = nrows, entries lifted to
+    the lcm of their coefficient orders.  For the f-matrix, xi -> xi^u maps
+    row k to row k/u, so these rows annihilate the same rational vectors as
+    the whole matrix."""
+    p = matrix.nrows
+    n = _coefficient_order(matrix)
+    rows = []
+    for k in (d % p for d in range(1, p + 1) if p % d == 0):
+        coords = [[{} for _ in range(matrix.ncols)] for _ in range(n)]
+        for col, entry in enumerate(matrix.entries[k]):
+            for e, c in entry.items():
+                for j, v in enumerate(c.lift(n).coeffs):
+                    if v:
+                        coords[j][col][e] = v
+        rows += [tuple(LaurentPoly("z", t) for t in row) for row in coords if any(row)]
+    return LaurentMatrix(tuple(rows))
+
+
+def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
+    """The normalized kernel basis, proven: the rank is ncols - len(basis).
+
+    A zero column c contributes e_c and is dropped.  Image pivot rows of
+    full column rank need no further proof.  Otherwise the kernel is first
+    sought over Q(z), on the descended rows: their proven kernel basis is
+    the answer when every vector annihilates all rows of the matrix exactly
+    (rank <= ncols - len(basis)) and the image pivot rows of the matrix
+    itself meet that bound (rank >= their number).  When the bounds
+    disagree (a right-hand side that is not Galois-compatible, or a weak
+    image) the matrix's own image pivot rows are refined over Q(xi_p)(z).
+    """
+    ncols = matrix.ncols
+    zero = [c for c in range(ncols) if not any(row[c] for row in matrix.entries)]
+    if zero:
+        kept = [c for c in range(ncols) if c not in zero]
+        inner = _certified(LaurentMatrix(tuple(tuple(row[c] for c in kept) for row in matrix.entries)))
+        basis = [_widened(vec, kept, ncols) for vec in inner]
+        basis += [_widened(RationalFunctionVector((LaurentPoly.one("z"),)), [c], ncols) for c in zero]
+        return sorted(basis, key=_free_column)
+    selection = _image_pivot_rows(matrix)
+    if len(selection) == ncols:
+        return []
+    rational = _descended(matrix)
+    basis = _refined(rational, _image_pivot_rows(rational))
+    if len(basis) == ncols - len(selection) and all(_refuting_row(matrix, vec) is None for vec in basis):
+        return basis
+    return _refined(matrix, selection)
+
+
+def _widened(vec: RationalFunctionVector, cols: list[int], ncols: int) -> RationalFunctionVector:
+    """vec placed at the columns cols of a vector of length ncols, zero elsewhere."""
+    components = [LaurentPoly("z")] * ncols
+    for c, w in zip(cols, vec.components):
+        components[c] = w
+    return RationalFunctionVector(components=tuple(components))
+
+
+def _free_column(vec: RationalFunctionVector) -> int:
+    """The free column of a normalized basis vector: its last nonzero component."""
+    return max(i for i, w in enumerate(vec.components) if w)
 
 
 def rank(matrix: LaurentMatrix) -> int:

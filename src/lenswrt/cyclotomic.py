@@ -11,9 +11,10 @@ equality of values is equality of (numerators, denominator) after
 lifting to a common order.  Products are integer convolutions, folded by
 xi^N = 1 and then divided by the monic Phi_N, whose remainder is the
 canonical form; an inverse is the product of the nontrivial Galois
-conjugates over the integer norm, computed once per number and kept on
-it.  int and Fraction values enter through the constructor and leave
-through `.coeffs`.
+conjugates over the integer norm, built by doubling along the orbits of
+the unit group (about 2 log2 phi(N) products) and kept on the number.
+int and Fraction values enter through the constructor and leave through
+`.coeffs`.
 """
 
 from __future__ import annotations
@@ -127,6 +128,59 @@ def _common(x: CyclotomicNumber, y: CyclotomicNumber):
     return x.lift(n), y.lift(n)
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_steps(n: int) -> tuple[tuple[int, int], ...]:
+    """(g_1, m_1), ..., (g_r, m_r) such that every unit mod n is
+    g_1^e_1 ... g_r^e_r, 0 <= e_i < m_i, in exactly one way: m_i is the
+    least m with g_i^m in the group of g_1..g_(i-1), and g_i is a unit
+    whose m_i is largest.  A cyclic unit group takes one step."""
+    units = [u for u in range(2, n) if math.gcd(u, n) == 1]
+    group = {1}
+    steps = []
+    while len(group) <= len(units):
+        best = (0, 0)
+        for u in units:
+            m, v = 1, u
+            while v not in group:
+                v, m = v * u % n, m + 1
+            best = max(best, (m, u))
+        m, g = best
+        group = {h * pow(g, e, n) % n for h in group for e in range(m)}
+        steps.append((g, m))
+    return tuple(steps)
+
+
+def _orbit_product(x: CyclotomicNumber, g: int, count: int) -> CyclotomicNumber:
+    """x sigma_g(x) ... sigma_g^(count-1)(x) for count >= 1, sigma_g: xi -> xi^g,
+    by doubling: about 2 log2(count) products."""
+    n = x._order
+    result, length = x, 1
+    for bit in bin(count)[3:]:
+        result = result * result.galois(pow(g, length, n))
+        length *= 2
+        if bit == "1":
+            result = result * x.galois(pow(g, length, n))
+            length += 1
+    return result
+
+
+def _nontrivial_conjugates(x: CyclotomicNumber) -> CyclotomicNumber:
+    """The product of sigma_u(x) over the units u != 1 mod x.order.
+
+    With the steps (g_i, m_i) of _unit_steps and P_0 = x, the product over
+    the group of g_1..g_i is P_i = P_(i-1) R_i, where R_i is the product of
+    sigma_(g_i^e)(P_(i-1)) over 1 <= e < m_i; so the answer is R_1 ... R_r.
+    """
+    steps = _unit_steps(x._order)
+    conj = CyclotomicNumber.from_rational(1, x._order)
+    for i, (g, m) in enumerate(steps):
+        r = _orbit_product(x, g, m - 1).galois(g)
+        conj = conj * r
+        if i + 1 < len(steps):
+            x = x * r
+    return conj
+
+
 class CyclotomicNumber:
     """An element of Q(xi_N): phi(N) integer numerators over one denominator."""
 
@@ -228,11 +282,11 @@ class CyclotomicNumber:
         o = as_cyclotomic(other)
         if o is None:
             return NotImplemented
-        a, b = _common(self, o)
-        if not any(b._num[1:]):
-            a, b = b, a
+        a, b = (o, self) if not any(o._num[1:]) else (self, o)
+        if a._order != b._order and (b._order % a._order or any(a._num[1:])):
+            a, b = _common(a, b)
         den = a._den * b._den
-        if not any(a._num[1:]):  # a rational factor scales the other one
+        if not any(a._num[1:]):  # a rational factor scales the other one in its own order
             r = a._num[0]
             return _make(b._order, [r * c for c in b._num], den)
         return _make(a._order, _reduce(a._order, _convolve(a._num, b._num)), den)
@@ -251,10 +305,7 @@ class CyclotomicNumber:
             raise ZeroDivisionError("cyclotomic division by zero")
         n = self._order
         a = _make(n, self._num, 1)
-        conj = CyclotomicNumber.from_rational(1, n)
-        for u in range(2, n):
-            if math.gcd(u, n) == 1:
-                conj = conj * a.galois(u)
+        conj = _nontrivial_conjugates(a)
         norm = (a * conj)._num[0]
         sign = 1 if norm > 0 else -1
         self._inverse = _make(n, [sign * self._den * c for c in conj._num], abs(norm))

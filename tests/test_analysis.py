@@ -1,6 +1,7 @@
 """Exact rank/kernel computations, certificates, recovery, and the
 ordinary-lattice membership decision."""
 
+import functools
 import math
 import random
 
@@ -158,11 +159,36 @@ def annihilates(matrix, vec):
     return True
 
 
+@functools.cache
+def all_rows_kernel(p, q):
+    """The reference kernel: elimination over Q(xi_p)(z) on every row, with
+    no image and no descent; computed once per (p, q) and shared."""
+    return tuple(analysis._proven_kernel(build_f_matrix(LensSpace(p, q)), range(p))[0])
+
+
+def over_q(matrix):
+    return all(c.is_rational() for row in matrix.entries for e in row for _, c in e.items())
+
+
+def refinements(monkeypatch):
+    """Record, per call of analysis._refined, whether it ran on rational rows."""
+    seen = []
+    refine = analysis._refined
+
+    def spy(matrix, selection):
+        seen.append(over_q(matrix))
+        return refine(matrix, selection)
+
+    monkeypatch.setattr(analysis, "_refined", spy)
+    return seen
+
+
 class TestCertifiedPivots:
     """rank, kernel and recover_skein eliminate only on the pivot rows of a
     mod-l image and prove the answer on every row; a row that an answer
-    fails joins the selection.  With every row selected they eliminate on
-    all rows."""
+    fails joins the selection.  The kernel is sought over Q(z) first, on
+    the descended rows, and over Q(xi_p)(z) when that answer is not proven.
+    With every row selected they eliminate on all rows."""
 
     @staticmethod
     def all_rows(monkeypatch, fn, *args):
@@ -172,13 +198,15 @@ class TestCertifiedPivots:
             return fn(*args)
 
     def test_rank_and_kernel_match_all_rows(self, monkeypatch):
+        seen = refinements(monkeypatch)
         for p in range(2, 17):
             for q in valid_qs(p):
                 space = LensSpace(p, q)
                 matrix = build_f_matrix(space)
-                expected = self.all_rows(monkeypatch, kernel, space)
+                expected = all_rows_kernel(p, q)
                 assert rank(matrix) == matrix.ncols - len(expected), (p, q)
-                assert kernel(space) == expected, (p, q)
+                assert tuple(kernel(space)) == expected, (p, q)
+        assert seen and all(seen)  # the descended rows answered every query
 
     def test_recover_matches_all_rows(self, monkeypatch):
         rng = random.Random(7)
@@ -218,13 +246,16 @@ class TestCertifiedPivots:
             wrong = drop_a_row(matrix)
             basis, refuting = analysis._proven_kernel(matrix, wrong)
             assert basis == [] and refuting is not None and refuting not in wrong
-            expected = self.all_rows(monkeypatch, kernel, space)
+            expected = all_rows_kernel(p, q)
             with monkeypatch.context() as m:
                 m.setattr(analysis, "_image_pivot_rows", drop_a_row)
                 calls.clear()
-                assert kernel(space) == expected
+                assert tuple(kernel(space)) == expected
                 assert rank(matrix) == matrix.ncols - len(expected)
-                assert len(calls) == 2  # one image per query
+                # two images per query: one of M, whose pivot rows bound the
+                # rank from below, and one of its descended rational rows
+                assert len(calls) == 4
+                assert sum(over_q(mat) for mat in calls) == 2
 
     def test_wrong_selection_rejected_in_recover(self, monkeypatch):
         space = LensSpace(5, 2)
@@ -242,7 +273,7 @@ class TestCertifiedPivots:
             for q in valid_qs(p):
                 space = LensSpace(p, q)
                 matrix = build_f_matrix(space)
-                expected = self.all_rows(monkeypatch, kernel, space)
+                expected = all_rows_kernel(p, q)
                 if expected:
                     polys = [LaurentPoly("z")] * p
                 else:
@@ -253,7 +284,7 @@ class TestCertifiedPivots:
                 for name, shorten in shortened.items():
                     with monkeypatch.context() as m:
                         m.setattr(analysis, "_image_pivot_rows", shorten)
-                        assert kernel(space) == expected, (name, p, q)
+                        assert tuple(kernel(space)) == expected, (name, p, q)
                         assert rank(matrix) == matrix.ncols - len(expected), (name, p, q)
                         if expected:
                             with pytest.raises(RankDeficient):
@@ -271,6 +302,61 @@ class TestCertifiedPivots:
             recover_skein(space, polys)
         with pytest.raises(Inconsistent):
             self.all_rows(monkeypatch, recover_skein, space, polys)
+
+    def test_refuted_rational_rows_join_the_selection(self, monkeypatch):
+        # a short selection on the descended rows only: refined over Q(z),
+        # the answer still meets the image bound of M, so no Q(xi_p) step
+        find = analysis._image_pivot_rows
+        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda m: find(m)[:-1] if over_q(m) else find(m))
+        proofs = []
+        prove = analysis._proven_kernel
+        monkeypatch.setattr(analysis, "_proven_kernel", lambda m, sel: proofs.append(over_q(m)) or prove(m, sel))
+        for p, q in ((9, 1), (9, 4), (15, 2), (16, 3), (18, 5)):
+            space = LensSpace(p, q)
+            expected = all_rows_kernel(p, q)
+            proofs.clear()
+            assert tuple(kernel(space)) == expected, (p, q)
+            assert len(proofs) >= 2 and all(proofs), (p, q)
+
+    def test_descended_answer_must_annihilate_every_row(self, monkeypatch):
+        # a stand-in matrix whose rows are not Galois images of each other:
+        # the descended rows (rows 1 and 0) miss the constraint of row 2, and
+        # a short image of M lets the counts agree, so only M v = 0 on every
+        # row rejects the rational answer
+        xi = root_of_unity(3)
+        matrix = LaurentMatrix(((z({}), z({})), (z({0: xi}), z({0: -xi})), (z({0: xi * xi}), z({}))))
+        find = analysis._image_pivot_rows
+        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda m: find(m) if over_q(m) else find(m)[:-1])
+        seen = refinements(monkeypatch)
+        assert rank(matrix) == 2
+        assert seen == [True, False]
+
+    def test_incompatible_right_hand_side_falls_back(self, monkeypatch):
+        # x_c = xi_p: b = M x is not Galois-compatible and the solution is
+        # not rational, so the descended rows cannot prove it and the
+        # elimination over Q(xi_p)(z) must
+        for p, q in ((7, 3), (11, 2)):
+            space = LensSpace(p, q)
+            matrix = build_f_matrix(space)
+            x = z({0: root_of_unity(p)})
+            polys = [sum((entry * x for entry in row), z({})) for row in matrix.entries]
+            with monkeypatch.context() as m:
+                seen = refinements(m)
+                fast = recover_skein(space, polys)
+            assert seen and not seen[-1], (p, q)
+            slow = self.all_rows(monkeypatch, recover_skein, space, polys)
+            assert fast.z_components == slow.z_components, (p, q)
+            assert fast.z_components == (RationalFunction(x),) * matrix.ncols
+            assert fast.a_form is None
+
+    def test_order_49_rank(self):
+        # over Q(xi_49)(z) this rank did not finish in 180 s
+        matrix = build_f_matrix(LensSpace(49, 3))
+        assert rank(matrix) == 22
+        basis = kernel(LensSpace(49, 3))
+        assert len(basis) == matrix.ncols - 22
+        for vec in basis:
+            assert annihilates(matrix, vec)
 
     def test_order_25_kernel(self):
         # eliminating on all 25 rows did not finish in ten minutes

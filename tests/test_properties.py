@@ -2,13 +2,16 @@
 
 import json
 import math
+import random
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lenswrt.codec import coeff_from_json, coeff_to_json, poly_from_json, poly_to_json
-from lenswrt.cyclotomic import CyclotomicNumber
+from lenswrt.cyclotomic import CyclotomicNumber, _nontrivial_conjugates
 from lenswrt.laurent import LaurentPoly
 from lenswrt.skein import SkeinElement
 
@@ -54,6 +57,22 @@ def test_inverse(x):
     assume(not x.is_zero())
     assert x * x.inverse() == 1
     assert x.inverse().inverse() == x
+
+
+@pytest.mark.parametrize("order", ORDERS + (97,))
+def test_conjugates_by_doubling_equal_the_plain_product(order):
+    # the inverse's product of the nontrivial Galois conjugates, built along
+    # the unit group's orbits (not cyclic at 8, 12, 15 and 105), against one
+    # conjugate at a time
+    rng = random.Random(order)
+    x = CyclotomicNumber(order, [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(order)])
+    assert not x.is_zero()
+    plain = CyclotomicNumber.from_rational(1, order)
+    for u in range(2, order):
+        if math.gcd(u, order) == 1:
+            plain = plain * x.galois(u)
+    assert _nontrivial_conjugates(x) == plain
+    assert x * x.inverse() == 1
 
 
 @PROPERTY
