@@ -9,6 +9,7 @@ digits so doubles round-trip.  Exit codes: 0 success, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -21,7 +22,7 @@ from .errors import ComputationError
 from .gauss import GaussSumSpec, gauss_sum
 from .laurent import LaurentPoly
 from .numtheory import classify_order, dedekind_sum, rademacher_phi
-from .selftest import CRITERIA, run_selftest
+from .selftest import CRITERIA, criterion_records, run_selftest
 from .skein import SkeinElement
 from .wrt import FPolynomial, LensSpace, eval_z_combination, f_poly, jeffrey_oracle
 
@@ -269,7 +270,20 @@ def cmd_selftest(args, out: _Output):
             only = set()
         if not only or not only <= numbers:
             raise ValueError(f"--only takes criterion numbers {min(numbers)}..{max(numbers)}, got {args.only!r}")
-    return run_selftest(only=only, writeln=out.writeln)
+    if args.format == "text":
+        return run_selftest(only=only, writeln=out.writeln)
+    records = list(criterion_records(only))
+    if args.format == "json":
+        out.writeln(json.dumps({"criteria": records}))
+    else:  # details contain commas, so cells are quoted as the csv module does
+        import csv  # here, not at the top: no other command pays for the import
+
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(records[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)
+        out.writeln(buf.getvalue().rstrip("\n"))
+    return 0 if all(record["passed"] for record in records) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

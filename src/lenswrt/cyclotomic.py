@@ -10,11 +10,13 @@ with the numerator reduced modulo the N-th cyclotomic polynomial, so
 equality of values is equality of (numerators, denominator) after
 lifting to a common order.  Products are integer convolutions, folded by
 xi^N = 1 and then divided by the monic Phi_N, whose remainder is the
-canonical form; an inverse is the product of the nontrivial Galois
-conjugates over the integer norm, built by doubling along the orbits of
-the unit group (about 2 log2 phi(N) products) and kept on the number.
-int and Fraction values enter through the constructor and leave through
-`.coeffs`.
+canonical form; at N = 2m with m odd the division runs at order m on the
+sign-flipped vector, since Phi_2m(x) = Phi_m(-x).  An inverse is the
+product of the nontrivial Galois conjugates over the integer norm, built
+by doubling along the orbits of the unit group (about 2 log2 phi(N)
+products) and kept on the number.  int and Fraction values enter through
+the constructor and leave through `.coeffs`; embed_complex reads the
+complex power basis from a table cached per (N, precision).
 """
 
 from __future__ import annotations
@@ -67,12 +69,24 @@ def _order_data(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
 
 
 def _reduce(order: int, vec: list[int]) -> list[int]:
-    """phi(order) integers: vec, a polynomial in xi_order, reduced modulo Phi_order."""
-    phi, tail = _order_data(order)
-    deg = len(phi) - 1
+    """phi(order) integers: vec, a polynomial in xi_order, reduced modulo Phi_order.
+
+    For order = 2m with m odd and m > 1, Phi_order(x) = Phi_m(-x): if
+    v(-x) = Q(x) Phi_m(x) + r(x) then v(x) = Q(-x) Phi_order(x) + r(-x),
+    so the remainder is found at order m with the odd coefficients negated
+    on the way in and out (at a prime m that is O(m), not a dense division).
+    """
     for k in range(len(vec) - 1, order - 1, -1):  # xi^order = 1
         if vec[k]:
             vec[k - order] += vec[k]
+    if order % 4 == 2 and order > 2:
+        del vec[order:]
+        vec[1::2] = [-c for c in vec[1::2]]
+        vec = _reduce(order // 2, vec)
+        vec[1::2] = [-c for c in vec[1::2]]
+        return vec
+    phi, tail = _order_data(order)
+    deg = len(phi) - 1
     for j in range(min(len(vec), order) - 1, deg - 1, -1):  # subtract c x^(j-deg) Phi_order
         c = vec[j]
         if c:
@@ -394,6 +408,13 @@ def root_of_unity(order: int, exponent: int = 1) -> CyclotomicNumber:
     return _make(order, _reduce(order, vec), 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _roots(n: int, precision: int) -> tuple[mpmath.mpc, ...]:
+    """xi_n^j = expjpi(2j/n) at `precision` bits for the power basis 0 <= j < phi(n)."""
+    with mpmath.workprec(precision):
+        return tuple(mpmath.expjpi(mpmath.mpf(2 * j) / n) for j in range(len(_order_data(n)[0]) - 1))
+
+
 def embed_complex(x: CyclotomicNumber, precision: int = 53) -> mpmath.mpc:
     """Complex value of a CyclotomicNumber at `precision` bits."""
     if precision < 53:
@@ -403,9 +424,9 @@ def embed_complex(x: CyclotomicNumber, precision: int = 53) -> mpmath.mpc:
         if x.is_rational():
             return mpmath.mpc(mpmath.mpf(num[0]) if den == 1 else mpmath.mpf(num[0]) / den)
         total = mpmath.mpc(0)
-        n = x.order
+        roots = _roots(x.order, precision)
         for j, c in enumerate(num):
             if c:
                 cf = mpmath.mpf(c) if den == 1 else mpmath.mpf(c) / den
-                total += cf * mpmath.expjpi(mpmath.mpf(2 * j) / n)
+                total += cf * roots[j]
         return total

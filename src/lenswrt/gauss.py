@@ -4,15 +4,17 @@ gauss_sum sums xi_p^(a n^2 + b n) directly; gauss_closed_form evaluates
 the same sums through Jacobi-symbol formulas in the cases where such
 formulas exist (a multiple of p; p an odd prime; p twice an odd prime),
 expressed entirely inside Z[xi_p] by writing eps(p) sqrt(p) as the
-quadratic sum gauss_sum(p, 1, 0).
+quadratic sum gauss_sum(p, 1, 0), summed directly once per odd prime p
+and cached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import CyclotomicNumber, root_of_unity
+from .cyclotomic import CyclotomicNumber, _make, _reduce, root_of_unity
 from .errors import UnsupportedCase
 from .numtheory import is_prime, jacobi_symbol, mod_inverse
 
@@ -38,7 +40,7 @@ def gauss_sum(spec: GaussSumSpec) -> CyclotomicNumber:
     counts = [0] * p_
     for n in range(p_):
         counts[(a_ * n * n + b_ * n) % p_] += 1
-    return CyclotomicNumber(p_, counts)
+    return _make(p_, _reduce(p_, counts), 1)
 
 
 def g_pm(p: int, q: int, c: int, k: int, sign: int) -> CyclotomicNumber:
@@ -89,4 +91,10 @@ def _odd_prime_closed_form(p: int, a: int, b: int) -> CyclotomicNumber:
         return CyclotomicNumber.zero(p)
     quarter = mod_inverse(4 * a, p)
     phase = root_of_unity(p, -b * b * quarter)
-    return jacobi_symbol(a, p) * phase * gauss_sum(GaussSumSpec(p, 1, 0))
+    return jacobi_symbol(a, p) * phase * _quadratic_sum(p)
+
+
+@functools.lru_cache(maxsize=None)
+def _quadratic_sum(p: int) -> CyclotomicNumber:
+    """gauss_sum(p, 1, 0) = eps(p) sqrt(p), by direct summation."""
+    return gauss_sum(GaussSumSpec(p, 1, 0))

@@ -3,6 +3,10 @@
 Modular inverses, Jacobi symbols, Dedekind sums, squares-mod-p counting,
 deterministic primality, factorization of SL(2,Z) matrices into T^m S
 letters, and the Rademacher phi function obtained from such a factorization.
+
+The Dedekind sum is its defining sum over n = 1..p-1, added in integers
+and divided once by 4p^2; it never uses reciprocity, so the reciprocity
+law stays an independent check of it.
 """
 
 from __future__ import annotations
@@ -46,22 +50,27 @@ def jacobi_symbol(a: int, b: int) -> int:
 
 
 def sawtooth(x: Fraction) -> Fraction:
-    """((x)): x - floor(x) - 1/2 for non-integer x, and 0 on integers."""
+    """((x)): x - floor(x) - 1/2 for non-integer x, and 0 on integers.
+
+    dedekind_sum does not call it; perfbench/tracing.py wraps it by name."""
     if x.denominator == 1:
         return Fraction(0)
     return x - (x.numerator // x.denominator) - Fraction(1, 2)
 
 
 def dedekind_sum(q: int, p: int) -> Fraction:
-    """Dedekind sum s(q, p) = sum_{n=1}^{p-1} ((n/p)) ((qn/p)), gcd(q, p) = 1."""
+    """Dedekind sum s(q, p) = sum_{n=1}^{p-1} ((n/p)) ((qn/p)), gcd(q, p) = 1.
+
+    With m = qn mod p, which is never 0 here, ((n/p)) ((qn/p)) is
+    (2n - p)(2m - p) / 4p^2: the defining sum in integers over one
+    denominator.
+    """
     if p < 1:
         raise ValueError(f"denominator must be >= 1, got {p}")
     if math.gcd(q, p) != 1:
         raise ValueError(f"dedekind_sum requires coprime arguments, got ({q}, {p})")
-    total = Fraction(0)
-    for n in range(1, p):
-        total += sawtooth(Fraction(n, p)) * sawtooth(Fraction(q * n, p))
-    return total
+    total = sum((2 * n - p) * (2 * (q * n % p) - p) for n in range(1, p))
+    return Fraction(total, 4 * p * p)
 
 
 def count_squares_mod(p: int) -> int:

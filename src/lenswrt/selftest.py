@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 from .analysis import (
@@ -250,19 +251,24 @@ CRITERIA = (
 )
 
 
-def run_selftest(only=None, writeln=print) -> int:
-    """Run the acceptance checks, print one line per criterion, return exit code."""
-    import time
-
-    failures = 0
+def criterion_records(only=None):
+    """Run the acceptance checks in CRITERIA order (all, or the numbers in
+    `only`), yielding one record per criterion: number, title, passed,
+    detail and the check's wall time in seconds."""
     for number, title, fn in CRITERIA:
         if only and number not in only:
             continue
         start = time.monotonic()
         ok, detail = fn()
-        elapsed = time.monotonic() - start
-        status = "PASS" if ok else "FAIL"
-        writeln(f"[{status}] {number:2d} {title}: {detail} ({elapsed:.2f}s)")
-        if not ok:
-            failures += 1
+        yield {"number": number, "title": title, "passed": bool(ok), "detail": detail,
+               "seconds": time.monotonic() - start}
+
+
+def run_selftest(only=None, writeln=print) -> int:
+    """Run the acceptance checks, print one line per criterion, return exit code."""
+    failures = 0
+    for record in criterion_records(only):
+        status = "PASS" if record["passed"] else "FAIL"
+        writeln(f"[{status}] {record['number']:2d} {record['title']}: {record['detail']} ({record['seconds']:.2f}s)")
+        failures += not record["passed"]
     return 0 if failures == 0 else 1

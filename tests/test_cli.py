@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes, file formats."""
 
+import csv
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lenswrt import selftest
 from lenswrt.cli import main, poly_from_json, poly_to_json
 from lenswrt.laurent import LaurentPoly
 from lenswrt.skein import SkeinElement
@@ -178,6 +180,35 @@ class TestSelftestCommand:
         code, out, _ = run_cli(capsys, "selftest", "--only", "7,9")
         assert code == 0
         assert out.count("[PASS]") == 2
+
+    def test_json_records(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "json", "selftest", "--only", "1,7")
+        assert code == 0
+        records = json.loads(out)["criteria"]
+        assert [list(record) for record in records] == [["number", "title", "passed", "detail", "seconds"]] * 2
+        assert [(r["number"], r["passed"], r["detail"]) for r in records] == [
+            (1, True, "G_2(1,1) = 2"), (7, True, "rank L(9,1) = 4, rank L(9,4) = 4")]
+        assert all(record["seconds"] >= 0 for record in records)
+
+    def test_csv_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "selftest", "--format", "csv", "--only", "1,7")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["number", "title", "passed", "detail", "seconds"]
+        assert [row[:4] for row in rows[1:]] == [
+            ["1", "Gauss-sum base case G_2(1,1) = 2", "True", "G_2(1,1) = 2"],
+            ["7", "rank four at order nine", "True", "rank L(9,1) = 4, rank L(9,4) = 4"]]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failure_exit_code_in_every_format(self, capsys, monkeypatch, fmt):
+        # the records are read from selftest.CRITERIA at call time
+        monkeypatch.setattr(selftest, "CRITERIA", ((1, "stand-in", lambda: (False, "a, b")),))
+        code, out, _ = run_cli(capsys, "--format", fmt, "selftest", "--only", "1")
+        assert code == 1
+        if fmt == "json":
+            assert json.loads(out)["criteria"][0]["passed"] is False
+        else:
+            assert list(csv.reader(io.StringIO(out)))[1][2:4] == ["False", "a, b"]
 
     @pytest.mark.parametrize("only", ["", "0", "13", "99", "1,13", "1,x"])
     def test_invalid_selection(self, capsys, only):

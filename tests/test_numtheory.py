@@ -115,6 +115,15 @@ class TestDedekindSum:
                 rhs = Fraction(-1, 4) + (Fraction(p, q) + Fraction(q, p) + Fraction(1, q * p)) / 12
                 assert lhs == rhs
 
+    def test_matches_the_defining_sum(self):
+        # brute_dedekind(q, p) depends on q mod p only (((x)) has period 1),
+        # so it is evaluated once per residue class
+        for p in range(1, 81):
+            reference = {r: brute_dedekind(r, p) for r in range(p) if math.gcd(r, p) == 1}
+            for q in range(-2 * p, 2 * p + 1):
+                if math.gcd(q, p) == 1:
+                    assert dedekind_sum(q, p) == reference[q % p], (q, p)
+
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
             dedekind_sum(3, 9)

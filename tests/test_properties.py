@@ -5,13 +5,22 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lenswrt.codec import coeff_from_json, coeff_to_json, poly_from_json, poly_to_json
-from lenswrt.cyclotomic import CyclotomicNumber, _nontrivial_conjugates
+from lenswrt.cyclotomic import (
+    CyclotomicNumber,
+    _nontrivial_conjugates,
+    _poly_divmod_int,
+    _reduce,
+    cyclotomic_polynomial,
+    embed_complex,
+)
+from lenswrt.gauss import GaussSumSpec, gauss_sum
 from lenswrt.laurent import LaurentPoly
 from lenswrt.skein import SkeinElement
 
@@ -125,3 +134,52 @@ def test_fraction_input_is_kept_exact():
     x = CyclotomicNumber(6, [Fraction(1, 2), Fraction(1, 3)])
     assert x.coeffs[:2] == (Fraction(1, 2), Fraction(1, 3))
     assert x * 6 == CyclotomicNumber(6, [3, 2])
+
+
+def test_reduce_equals_the_remainder_of_dividing_by_phi():
+    # at N = 2 mod 4 the reduction runs at order N/2 on the sign-flipped
+    # vector; the reference is the plain division by Phi_N
+    rng = random.Random(130)
+    for n in range(1, 131):
+        phi = cyclotomic_polynomial(n)
+        for length in (0, 1, n, 2 * n + 1, 3 * n + 1):
+            vec = [rng.randint(-2**40, 2**40) for _ in range(length)]
+            folded = [sum(vec[i::n]) for i in range(n)]
+            _, rem = _poly_divmod_int(folded, list(phi))
+            expected = rem + [0] * (len(phi) - 1 - len(rem))
+            assert _reduce(n, list(vec)) == expected, (n, length)
+
+
+def test_gauss_sum_equals_the_validated_construction():
+    for p in range(2, 41):
+        for a in range(p):
+            for b in range(p):
+                counts = [0] * p
+                for n in range(p):
+                    counts[(a * n * n + b * n) % p] += 1
+                assert gauss_sum(GaussSumSpec(p, a, b)) == CyclotomicNumber(p, counts), (p, a, b)
+
+
+def _plain_embed(x, precision):
+    # embed_complex without the root table: one expjpi per coefficient
+    with mpmath.workprec(precision):
+        total = mpmath.mpc(0)
+        for j, c in enumerate(x._num):
+            if c:
+                cf = mpmath.mpf(c) if x._den == 1 else mpmath.mpf(c) / x._den
+                total += cf * mpmath.expjpi(mpmath.mpf(2 * j) / x.order)
+        return total
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_embedding_equals_the_uncached_sum(order):
+    rng = random.Random(order)
+    values = [
+        CyclotomicNumber(order, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(order)]),
+        CyclotomicNumber(order, [rng.randint(-9, 9) for _ in range(order)]),
+        gauss_sum(GaussSumSpec(order, 1, 1)),
+    ]
+    for precision in (53, 64, 256):
+        for x in values:
+            if not x.is_rational():
+                assert embed_complex(x, precision) == _plain_embed(x, precision)
