@@ -2,27 +2,29 @@
 
 Builds the p x ([p/2]+1) matrix of f-polynomial bodies and computes its
 rank and kernel, and recovers skein coefficients from a full set of link
-polynomials.  A zero column c (an odd color when p = 0 mod 4) gives the
-kernel vector e_c and is dropped first.  Then:
+polynomials:
 
-- pivot selection mod l: the matrix is mapped to F_l (l = 1 mod p prime,
+- one image test mod l: the matrix is mapped to F_l (l = 1 mod p prime,
   xi_p -> an element of exact order p, z -> a fixed point t), and the
   pivot rows of that image, whose nonzero minor proves them independent,
-  bound the rank from below; full column rank ends the computation;
+  bound the rank from below; when they number ncols less the zero
+  columns (an odd color c when p = 0 mod 4), the unit vectors e_c of
+  those columns are the kernel basis and the computation ends;
 - descent to Q(z): xi -> xi^u maps row k to row k/u and fixes z, so the
   kernel has a basis over Q(z).  The power-basis coordinates of one row
   per divisor d of p (row d mod p) are at most tau(p) phi(p) rows over
-  Q[z, 1/z], whose kernel is found by the two steps below.  It is the
+  Q[z, 1/z], whose kernel the refinement loop below finds.  It is the
   answer when it meets both bounds: every vector annihilates all p rows
   exactly (rank <= ncols - #basis) and the image pivot rows of the matrix
-  number ncols - #basis.  Otherwise the two steps run over Q(xi_p)(z), on
-  the matrix's own image pivot rows;
-- fraction-free (Bareiss) elimination on the selected rows, then
-  fraction-free back-substitution: with D the last pivot, each kernel
-  vector has D at its free column;
-- an exact proof on all rows: M v = 0 for every kernel vector, which
-  bounds the rank from above.  A row that a vector fails is independent
-  of the selection; it joins the selection, which is eliminated again.
+  number ncols - #basis.  Otherwise the loop runs over Q(xi_p)(z), on the
+  matrix's own image pivot rows;
+- one refinement loop: fraction-free (Bareiss) elimination on the
+  selected rows, then fraction-free back-substitution: with D the last
+  pivot, each kernel vector has D at its free column (a zero column has
+  no pivot, so its vector normalizes to e_c); then an exact proof on all
+  rows: M v = 0 for every vector, which bounds the rank from above.  A
+  row that a vector fails is independent of the selection; it joins the
+  selection, which is eliminated again.
 
 A solution of M x = b is the proven kernel vector (v, d) of [M | -b],
 x = v / d; an empty kernel proves there is none.
@@ -253,45 +255,39 @@ def _image_pivot_rows(matrix: LaurentMatrix) -> list[int]:
     return sorted(chosen)
 
 
-def _proven_kernel(matrix: LaurentMatrix, selection) -> tuple[list[RationalFunctionVector], int | None]:
-    """(normalized kernel basis of the selected rows, None), or ([], k) when
-    a vector fails M v = 0 exactly on row k of the whole matrix.
-
-    Each free column f gets the vector with v_f = D, the last pivot, and 0
-    at the other free columns; its support is the pivots < f and f.
-    """
-    ncols = matrix.ncols
-    rows = [_strip_row(list(matrix.entries[k])) for k in selection]
-    pivots, _ = _bareiss_echelon(rows)
-    det = rows[pivots[-1][0]][pivots[-1][1]] if pivots else LaurentPoly.one("z")
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for f in range(ncols):
-        if f in pivot_cols:
-            continue
-        x = [LaurentPoly("z")] * ncols
-        x[f] = det
-        vec = _normalize_kernel_vector(_back_substitute(rows, pivots, x))
-        refuting = _refuting_row(matrix, vec)
-        if refuting is not None:
-            return [], refuting
-        basis.append(vec)
-    return basis, None
-
-
 def _refuting_row(matrix: LaurentMatrix, vec: RationalFunctionVector) -> int | None:
     """The first row k with M[k] v != 0, exactly; None when M v = 0."""
     return next((k for k, row in enumerate(matrix.entries) if _row_times(row, vec.components)), None)
 
 
 def _refined(matrix: LaurentMatrix, selection) -> list[RationalFunctionVector]:
-    """The kernel basis of the selected rows, proven on every row: a row that
-    a vector fails is not in the selection's span and joins it."""
+    """The normalized kernel basis of the selected rows, proven on every row.
+
+    Each free column f gets the vector with v_f = D, the last pivot, and 0
+    at the other free columns; its support is the pivots < f and f.  A row
+    that a vector fails exactly is not in the selection's span: it joins
+    the selection, which is eliminated again.
+    """
+    ncols = matrix.ncols
     while True:
-        basis, refuting = _proven_kernel(matrix, selection)
-        if refuting is None:
+        rows = [_strip_row(list(matrix.entries[k])) for k in selection]
+        pivots, _ = _bareiss_echelon(rows)
+        det = rows[pivots[-1][0]][pivots[-1][1]] if pivots else LaurentPoly.one("z")
+        pivot_cols = {c for _, c in pivots}
+        basis = []
+        for f in range(ncols):
+            if f in pivot_cols:
+                continue
+            x = [LaurentPoly("z")] * ncols
+            x[f] = det
+            vec = _normalize_kernel_vector(_back_substitute(rows, pivots, x))
+            refuting = _refuting_row(matrix, vec)
+            if refuting is not None:
+                selection = sorted([*selection, refuting])
+                break
+            basis.append(vec)
+        else:
             return basis
-        selection = sorted(selection + [refuting])
 
 
 def _descended(matrix: LaurentMatrix) -> LaurentMatrix:
@@ -317,26 +313,21 @@ def _descended(matrix: LaurentMatrix) -> LaurentMatrix:
 def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     """The normalized kernel basis, proven: the rank is ncols - len(basis).
 
-    A zero column c contributes e_c and is dropped.  Image pivot rows of
-    full column rank need no further proof.  Otherwise the kernel is first
-    sought over Q(z), on the descended rows: their proven kernel basis is
-    the answer when every vector annihilates all rows of the matrix exactly
-    (rank <= ncols - len(basis)) and the image pivot rows of the matrix
-    itself meet that bound (rank >= their number).  When the bounds
-    disagree (a right-hand side that is not Galois-compatible, or a weak
-    image) the matrix's own image pivot rows are refined over Q(xi_p)(z).
+    The image pivot rows bound the rank from below; when they number ncols
+    less the zero columns, the unit vectors e_c of the zero columns are the
+    basis.  Otherwise the descended rows are refined over Q(z): their basis
+    is the answer when every vector annihilates all rows of the matrix
+    exactly and the image pivot rows meet the bound ncols - len(basis).
+    When the bounds disagree (a right-hand side that is not
+    Galois-compatible, or a weak image) the matrix's own image pivot rows
+    are refined over Q(xi_p)(z).
     """
     ncols = matrix.ncols
     zero = [c for c in range(ncols) if not any(row[c] for row in matrix.entries)]
-    if zero:
-        kept = [c for c in range(ncols) if c not in zero]
-        inner = _certified(LaurentMatrix(tuple(tuple(row[c] for c in kept) for row in matrix.entries)))
-        basis = [_widened(vec, kept, ncols) for vec in inner]
-        basis += [_widened(RationalFunctionVector((LaurentPoly.one("z"),)), [c], ncols) for c in zero]
-        return sorted(basis, key=_free_column)
     selection = _image_pivot_rows(matrix)
-    if len(selection) == ncols:
-        return []
+    if len(selection) == ncols - len(zero):
+        one, nil = LaurentPoly.one("z"), LaurentPoly("z")
+        return [RationalFunctionVector(tuple(one if j == c else nil for j in range(ncols))) for c in zero]
     rational = _descended(matrix)
     basis = _refined(rational, _image_pivot_rows(rational))
     if len(basis) == ncols - len(selection) and all(_refuting_row(matrix, vec) is None for vec in basis):
@@ -344,23 +335,8 @@ def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     return _refined(matrix, selection)
 
 
-def _widened(vec: RationalFunctionVector, cols: list[int], ncols: int) -> RationalFunctionVector:
-    """vec placed at the columns cols of a vector of length ncols, zero elsewhere."""
-    components = [LaurentPoly("z")] * ncols
-    for c, w in zip(cols, vec.components):
-        components[c] = w
-    return RationalFunctionVector(components=tuple(components))
-
-
-def _free_column(vec: RationalFunctionVector) -> int:
-    """The free column of a normalized basis vector: its last nonzero component."""
-    return max(i for i, w in enumerate(vec.components) if w)
-
-
 def rank(matrix: LaurentMatrix) -> int:
     """Exact rank over the rational-function field."""
-    if not matrix.entries:
-        return 0
     return matrix.ncols - len(_certified(matrix))
 
 
@@ -371,8 +347,6 @@ def kernel(space: LensSpace) -> list[RationalFunctionVector]:
 
 def _normalize_kernel_vector(polys: list[LaurentPoly]) -> RationalFunctionVector:
     nonzero = [w for w in polys if w]
-    if not nonzero:
-        return RationalFunctionVector(components=tuple(polys))
     content = nonzero[0]
     for w in nonzero[1:]:
         if content.is_constant() and content.coeff(0) == 1:
@@ -527,13 +501,12 @@ def lambda_membership(vector, p: int) -> bool:
     Decided exactly: it holds iff every componentwise ratio v_c / v_ref is
     a rational function of z^p with rational coefficients.
     """
-    comps = [c.as_polynomial() if isinstance(c, RationalFunction) else c for c in vector]
-    nonzero = [c for c in comps if c]
+    nonzero = [c if isinstance(c, RationalFunction) else RationalFunction(c) for c in vector if c]
     if not nonzero:
         return True
     ref = nonzero[-1]
     for comp in nonzero:
-        ratio = RationalFunction(comp, ref)
+        ratio = comp / ref
         for poly in (ratio.num, ratio.den):
             if any(e % p != 0 or not c.is_rational() for e, c in poly.items()):
                 return False

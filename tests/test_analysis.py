@@ -31,7 +31,7 @@ from lenswrt.errors import (
 )
 from lenswrt.gauss import GaussSumSpec, g_pm, gauss_sum
 from lenswrt.laurent import LaurentPoly, RationalFunction
-from lenswrt.numtheory import count_squares_mod, mod_inverse
+from lenswrt.numtheory import count_squares_mod, is_prime, mod_inverse
 from lenswrt.skein import SkeinElement
 from lenswrt.wrt import LensSpace, eval_z_combination, f_link, f_poly, jeffrey_oracle
 
@@ -91,6 +91,9 @@ class TestRank:
     def test_order_nine(self):
         assert rank(build_f_matrix(LensSpace(9, 1))) == 4
         assert rank(build_f_matrix(LensSpace(9, 4))) == 4
+
+    def test_empty_matrix(self):
+        assert rank(LaurentMatrix(())) == 0
 
     def test_rank_tracks_classification_extended(self):
         from lenswrt.numtheory import OrderClass, classify_order
@@ -159,15 +162,24 @@ def annihilates(matrix, vec):
     return True
 
 
+# bound at import, so that the refinements spy does not count reference calls
+refined = analysis._refined
+
+
 @functools.cache
 def all_rows_kernel(p, q):
     """The reference kernel: elimination over Q(xi_p)(z) on every row, with
-    no image and no descent; computed once per (p, q) and shared."""
-    return tuple(analysis._proven_kernel(build_f_matrix(LensSpace(p, q)), range(p))[0])
+    no image and no descent; computed once per (p, q) and shared.  With
+    every row selected, no row can refute it."""
+    return tuple(refined(build_f_matrix(LensSpace(p, q)), range(p)))
+
+
+def rational(rows):
+    return all(c.is_rational() for row in rows for e in row for _, c in e.items())
 
 
 def over_q(matrix):
-    return all(c.is_rational() for row in matrix.entries for e in row for _, c in e.items())
+    return rational(matrix.entries)
 
 
 def refinements(monkeypatch):
@@ -194,7 +206,7 @@ class TestCertifiedPivots:
     def all_rows(monkeypatch, fn, *args):
         # eliminate on every row: no image, so no full-column-rank shortcut
         with monkeypatch.context() as m:
-            m.setattr(analysis, "_certified", lambda mat: analysis._proven_kernel(mat, range(mat.nrows))[0])
+            m.setattr(analysis, "_certified", lambda mat: refined(mat, range(mat.nrows)))
             return fn(*args)
 
     def test_rank_and_kernel_match_all_rows(self, monkeypatch):
@@ -207,6 +219,31 @@ class TestCertifiedPivots:
                 assert rank(matrix) == matrix.ncols - len(expected), (p, q)
                 assert tuple(kernel(space)) == expected, (p, q)
         assert seen and all(seen)  # the descended rows answered every query
+
+    def test_zero_columns_ride_the_image_bound(self, monkeypatch):
+        # p = 0 mod 4: every odd color is a zero column; when the image pivot
+        # rows account for every other column, the unit vectors e_c are
+        # proven by the image alone, with no descent and no refinement
+        def forbidden(*args):
+            raise AssertionError("the image bound alone proves this kernel")
+
+        monkeypatch.setattr(analysis, "_descended", forbidden)
+        monkeypatch.setattr(analysis, "_refined", forbidden)
+        for p, q in ((12, 5), (20, 13), (68, 3)):
+            ncols = p // 2 + 1
+            units = [tuple(z({0: 1} if j == c else {}) for j in range(ncols)) for c in range(1, ncols, 2)]
+            assert [vec.components for vec in kernel(LensSpace(p, q))] == units, (p, q)
+
+    def test_modulus_is_a_ring_map_target(self):
+        # xi_n -> omega is a ring map Z[xi_n] -> F_l only when omega has
+        # exact order n in F_l, which needs l prime and l = 1 (mod n)
+        for n in range(1, 101):
+            ell, omega, t = analysis._modulus(n)
+            assert is_prime(ell) and (ell - 1) % n == 0 and ell > 2**62, n
+            assert pow(omega, n, ell) == 1, n
+            primes = [f for f in range(2, n + 1) if n % f == 0 and is_prime(f)]
+            assert all(pow(omega, n // f, ell) != 1 for f in primes), n
+            assert 0 < t < ell, n
 
     def test_recover_matches_all_rows(self, monkeypatch):
         rng = random.Random(7)
@@ -240,13 +277,18 @@ class TestCertifiedPivots:
             calls.append(matrix)
             return find(matrix)[:-1]
 
+        check = analysis._refuting_row
         for p, q in ((9, 1), (7, 2)):
             space = LensSpace(p, q)
             matrix = build_f_matrix(space)
             wrong = drop_a_row(matrix)
-            basis, refuting = analysis._proven_kernel(matrix, wrong)
-            assert basis == [] and refuting is not None and refuting not in wrong
             expected = all_rows_kernel(p, q)
+            verdicts = []
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "_refuting_row", lambda mat, vec: verdicts.append(check(mat, vec)) or verdicts[-1])
+                assert tuple(refined(matrix, wrong)) == expected
+            refuting = next((k for k in verdicts if k is not None), None)
+            assert refuting is not None and refuting not in wrong
             with monkeypatch.context() as m:
                 m.setattr(analysis, "_image_pivot_rows", drop_a_row)
                 calls.clear()
@@ -308,15 +350,15 @@ class TestCertifiedPivots:
         # the answer still meets the image bound of M, so no Q(xi_p) step
         find = analysis._image_pivot_rows
         monkeypatch.setattr(analysis, "_image_pivot_rows", lambda m: find(m)[:-1] if over_q(m) else find(m))
-        proofs = []
-        prove = analysis._proven_kernel
-        monkeypatch.setattr(analysis, "_proven_kernel", lambda m, sel: proofs.append(over_q(m)) or prove(m, sel))
+        eliminations = []
+        eliminate = analysis._bareiss_echelon
+        monkeypatch.setattr(analysis, "_bareiss_echelon", lambda rows: eliminations.append(rational(rows)) or eliminate(rows))
         for p, q in ((9, 1), (9, 4), (15, 2), (16, 3), (18, 5)):
             space = LensSpace(p, q)
             expected = all_rows_kernel(p, q)
-            proofs.clear()
+            eliminations.clear()
             assert tuple(kernel(space)) == expected, (p, q)
-            assert len(proofs) >= 2 and all(proofs), (p, q)
+            assert len(eliminations) >= 2 and all(eliminations), (p, q)
 
     def test_descended_answer_must_annihilate_every_row(self, monkeypatch):
         # a stand-in matrix whose rows are not Galois images of each other:
@@ -513,6 +555,17 @@ class TestLambdaMembership:
         a = z({0: 1, 9: 1})
         b = z({0: 1, 9: -1})
         assert lambda_membership((a * a, a * b), 9) is True
+
+    def test_rational_function_components(self):
+        # (1/(1+z), z^9/(1+z)): the ratio z^9 is a unit of the lattice
+        d = z({0: 1, 1: 1})
+        vec = (RationalFunction(z({0: 1}), d), RationalFunction(z({9: 1}), d))
+        assert lambda_membership(vec, 9) is True
+
+    def test_rational_function_components_rejected(self):
+        # (1/(1+z), 1/(1+z^9)): the ratio (1+z^9)/(1+z) = 1 - z + ... + z^8
+        vec = (RationalFunction(z({0: 1}), z({0: 1, 1: 1})), RationalFunction(z({0: 1}), z({0: 1, 9: 1})))
+        assert lambda_membership(vec, 9) is False
 
     def test_irrational_coefficient_ratio_rejected(self):
         xi = root_of_unity(9, 1)
