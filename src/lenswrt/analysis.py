@@ -123,26 +123,15 @@ def build_f_matrix(space: LensSpace) -> LaurentMatrix:
 # --- fraction-free elimination ------------------------------------------------
 
 
-def _strip_row(row: list[LaurentPoly]) -> list[LaurentPoly]:
-    """Divide a row by its common monomial z^v (a unit; rank/kernel safe)."""
-    vals = [e.valuation() for e in row if e]
-    if not vals:
-        return row
-    v = min(vals)
-    if v == 0:
-        return row
-    return [e.shift(-v) if e else e for e in row]
-
-
 def _bareiss_echelon(rows: list[list[LaurentPoly]]):
     """In-place fraction-free row echelon; returns the (row, col) pivots and
     whether the row swaps made an odd permutation.
 
-    Rows are rescaled by monomial units to keep exponents small; constant rows
-    are left as they are, so on a square constant matrix with a full set
-    of pivots the last pivot is the determinant up to the swap sign.  Each
-    step divides exactly by the previous pivot, whose leading coefficient
-    keeps its inverse, so it is inverted once.
+    No row is rescaled: each pivot is the minor of the rows and pivot
+    columns chosen so far, so on a square matrix with a full set of pivots
+    the last pivot is the determinant up to the swap sign.  Each step
+    divides exactly by the previous pivot, whose leading coefficient keeps
+    its inverse, so it is inverted once.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -165,7 +154,6 @@ def _bareiss_echelon(rows: list[list[LaurentPoly]]):
                 num = pivot_entry * row_i[j] - factor * rows[r][j]
                 row_i[j] = num.divexact(prev) if prev is not None and num else num
             row_i[col] = LaurentPoly(row_i[col].var)
-            rows[i] = _strip_row(row_i)
         pivots.append((r, col))
         prev = pivot_entry
         r += 1
@@ -230,16 +218,25 @@ def _coefficient_order(matrix: LaurentMatrix) -> int:
 
 
 def _image_pivot_rows(matrix: LaurentMatrix) -> list[int]:
-    """Indices of the pivot rows of the matrix's image in F_l."""
+    """Indices of the pivot rows of the matrix's image in F_l.
+
+    Each row is mapped after multiplying it by the lcm of its coefficient
+    denominators: an integer multiple of a row keeps its pivot status, and
+    its image needs no denominator to be invertible mod l.
+    """
     n = _coefficient_order(matrix)
     ell, omega, t = _modulus(n)
 
-    def image(entry: LaurentPoly) -> int:
-        return sum(
-            c.image_mod(ell, pow(omega, n // c.order, ell)) * pow(t, e, ell) for e, c in entry.items()
-        ) % ell
+    def image(row) -> list[int]:
+        scale = math.lcm(*(c.denominator for entry in row for _, c in entry.items()))
+        if scale != 1:
+            row = [entry.scale(scale) for entry in row]
+        return [
+            sum(c.image_mod(ell, pow(omega, n // c.order, ell)) * pow(t, e, ell) for e, c in entry.items()) % ell
+            for entry in row
+        ]
 
-    remaining = {k: [image(e) for e in row] for k, row in enumerate(matrix.entries)}
+    remaining = {k: image(row) for k, row in enumerate(matrix.entries)}
     chosen = []
     for col in range(matrix.ncols):
         piv = next((k for k in remaining if remaining[k][col]), None)
@@ -270,7 +267,7 @@ def _refined(matrix: LaurentMatrix, selection) -> list[RationalFunctionVector]:
     """
     ncols = matrix.ncols
     while True:
-        rows = [_strip_row(list(matrix.entries[k])) for k in selection]
+        rows = [list(matrix.entries[k]) for k in selection]
         pivots, _ = _bareiss_echelon(rows)
         det = rows[pivots[-1][0]][pivots[-1][1]] if pivots else LaurentPoly.one("z")
         pivot_cols = {c for _, c in pivots}
@@ -533,22 +530,16 @@ class NumericPoly:
 _INTERPOLATION_TOL = 1e-6  # relative bound on the coefficient drift and the residual
 
 
-def interpolate_f(
-    space: LensSpace,
-    samples,
-    k: int,
-    window: tuple[int, int] | None = None,
-    precision: int = 53,
-):
+def interpolate_f(space: LensSpace, samples, k: int, precision: int = 53):
     """Recover the Laurent polynomial behind sqrt(r) w_r samples on one
     congruence class.
 
     samples: iterable of (r, complex value of sqrt(r) * w_r); all r must be
     congruent to k mod p and the values may be ordinary complex numbers or
-    mpmath.mpc at any precision.  The exponent window defaults to the
-    support bound of the f-polynomials: with e = 12 p s(q,p) and m = [p/2],
-    the body of color c contributes e + q(c^2+2c) +- 2(c+1), so the window
-    is [e - 2, e + q m(m+2) + 2(m+1)].
+    mpmath.mpc at any precision.  The exponent window is the support bound
+    of the f-polynomials: with e = 12 p s(q,p) and m = [p/2], the body of
+    color c contributes e + q(c^2+2c) +- 2(c+1), so the window is
+    [e - 2, e + q m(m+2) + 2(m+1)].
 
     The evaluation points cluster near 1, so the square system (smallest
     levels) is solved at elevated working precision and the solution is
@@ -564,12 +555,9 @@ def interpolate_f(
             raise ValueError(f"level parameter r must be >= 2, got {r}")
     if len({r for r, _ in pts}) != len(pts):
         raise ValueError("duplicate sample levels")
-    if window is None:
-        e_mid = int(12 * p * space.dedekind)
-        m = p // 2
-        window = (e_mid - 2, e_mid + space.q * m * (m + 2) + 2 * (m + 1))
-    lo, hi = window
-    exponents = list(range(lo, hi + 1))
+    e_mid = int(12 * p * space.dedekind)
+    m = p // 2
+    exponents = list(range(e_mid - 2, e_mid + space.q * m * (m + 2) + 2 * (m + 1) + 1))
     width = len(exponents)
     if len(pts) < width:
         raise UnderDetermined(f"{len(pts)} samples cannot determine {width} coefficients")

@@ -4,10 +4,10 @@ A rational coefficient is [num, den].  Any other element of Q(xi_N) is
 {"order": N, "coeffs": [[j, num, den], ...]}, listing its nonzero
 power-basis values.  A polynomial is a sorted list of [exponent, num, den]
 and [exponent, {cyclotomic}] entries.  The decoders check every shape and
-raise ValueError, never KeyError or TypeError, on malformed input.  A
-document for order p holds only elements of Q(xi_p), so a decoder is
-given p and rejects any order N that does not divide it before Phi_N is
-built.
+raise ValueError, never KeyError or TypeError, on malformed input, such as
+a power or an exponent listed twice.  A document for order p holds only
+elements of Q(xi_p), so a decoder is given p and rejects any order N that
+does not divide it before Phi_N is built.
 """
 
 from __future__ import annotations
@@ -78,13 +78,15 @@ def coeff_from_json(data, p: int) -> CyclotomicNumber:
     order = field(data, "order", int)
     if not 0 < order <= p or p % order:
         raise ValueError(f"coefficient order {order} does not divide {p}")
-    vec = [0] * order
+    values = {}
     for term in field(data, "coeffs", list):
         j, num, den = _entry(term, 3, "a cyclotomic term [j, num, den]")
         if not 0 <= _checked(j, int, "a power") < order:
             raise ValueError(f"power {j} outside 0..{order - 1}")
-        vec[j] = _rational(num, den)
-    return CyclotomicNumber(order, vec)
+        if j in values:
+            raise ValueError(f"power {j} listed twice")
+        values[j] = _rational(num, den)
+    return CyclotomicNumber(order, [values.get(j, 0) for j in range(order)])
 
 
 def poly_from_json(var: str, data, p: int) -> LaurentPoly:
@@ -97,7 +99,10 @@ def poly_from_json(var: str, data, p: int) -> LaurentPoly:
             c = coeff_from_json(entry[1], p)
         else:
             raise ValueError(f"a polynomial term is [e, num, den] or [e, {{...}}], got {_show(entry)}")
-        terms[_checked(entry[0], int, "an exponent")] = c
+        e = _checked(entry[0], int, "an exponent")
+        if e in terms:
+            raise ValueError(f"exponent {e} listed twice")
+        terms[e] = c
     return LaurentPoly(var, terms)
 
 

@@ -229,6 +229,11 @@ class CyclotomicNumber:
         return self._order
 
     @property
+    def denominator(self) -> int:
+        """The least positive integer d with d * self in Z[xi_N]."""
+        return self._den
+
+    @property
     def coeffs(self) -> tuple[int | Fraction, ...]:
         """Power-basis values as int or Fraction, indexed by exponent 0..order-1."""
         d = self._den

@@ -1,7 +1,9 @@
 """The acceptance checks behind the `selftest` subcommand.
 
-Each criterion is a function returning (passed, detail).  Tolerances are
-fixed here and mirrored by the test suite.
+Each criterion is a function returning (passed, detail), and
+criterion_records runs them in order; the `selftest` subcommand formats
+those records as text, JSON or CSV.  Tolerances are fixed here and
+mirrored by the test suite.
 """
 
 from __future__ import annotations
@@ -263,12 +265,3 @@ def criterion_records(only=None):
         yield {"number": number, "title": title, "passed": bool(ok), "detail": detail,
                "seconds": time.monotonic() - start}
 
-
-def run_selftest(only=None, writeln=print) -> int:
-    """Run the acceptance checks, print one line per criterion, return exit code."""
-    failures = 0
-    for record in criterion_records(only):
-        status = "PASS" if record["passed"] else "FAIL"
-        writeln(f"[{status}] {record['number']:2d} {record['title']}: {record['detail']} ({record['seconds']:.2f}s)")
-        failures += not record["passed"]
-    return 0 if failures == 0 else 1

@@ -14,32 +14,30 @@ floating point, for cross-validation.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import mpmath
 
 from .gauss import g_pm
 from .laurent import LaurentPoly
-from .numtheory import dedekind_sum, mod_inverse, rademacher_phi, _validate_pq
+from .numtheory import dedekind_sum, lens_matrix, rademacher_phi
 from .skein import SkeinElement
 
 
 class LensSpace:
     """Validated surgery data (p, q) with the derived quantities used throughout.
 
-    d = q* mod p, b = (qd - 1)/p (so qd - bp = 1), dedekind = s(q, p), and
+    b and d are read off the gluing matrix ((q, b), (p, d)) of lens_matrix:
+    d = q* mod p, b = (qd - 1)/p (so qd - bp = 1); dedekind = s(q, p), and
     phi is the framing-correction integer of the gluing matrix.
     """
 
     __slots__ = ("p", "q", "d", "b", "dedekind", "phi")
 
     def __init__(self, p: int, q: int):
-        _validate_pq(p, q)
+        (_, self.b), (_, self.d) = lens_matrix(p, q)
         self.p = p
         self.q = q
-        self.d = mod_inverse(q, p)
-        self.b = (q * self.d - 1) // p
         self.dedekind = dedekind_sum(q, p)
         self.phi = rademacher_phi(p, q)
         if (6 * p * self.dedekind).denominator != 1:
@@ -86,13 +84,13 @@ class FPolynomial:
 
 
 _F_CACHE: dict[tuple[int, int, int, int], FPolynomial] = {}
-_F_LOCK = threading.Lock()
 
 
 def f_poly(space: LensSpace, c: int, k: int) -> FPolynomial:
     """The Laurent polynomial attached to (L(p,q), mu_c) on the class r = k mod p.
 
-    Cached by (p, q, c, k); repeated calls return the same object.
+    Cached by (p, q, c, k); repeated calls return the same object, from any
+    thread: dict.setdefault keeps the first insertion of a key.
     """
     p, q = space.p, space.q
     if not 0 <= k < p:
@@ -101,18 +99,14 @@ def f_poly(space: LensSpace, c: int, k: int) -> FPolynomial:
     cached = _F_CACHE.get(key)
     if cached is not None:
         return cached
-    base = 12 * p * space.dedekind + q * (c * c + 2 * c)
-    if base.denominator != 1:
-        raise AssertionError(f"non-integer exponent 12 p s + q(c^2+2c) at {key}")
-    e0 = int(base)
+    e0 = int(12 * p * space.dedekind) + q * (c * c + 2 * c)
     gp = g_pm(p, q, c, k, +1)
     gm = g_pm(p, q, c, k, -1)
     off = 2 * (c + 1)
     body = LaurentPoly("z", {e0 + off: gp}) - LaurentPoly("z", {e0 - off: gm})
     sign = -1 if c % 2 == 0 else 1  # (-1)^(c+1)
     result = FPolynomial(p=p, prefactor_sign=sign, body=body)
-    with _F_LOCK:
-        return _F_CACHE.setdefault(key, result)
+    return _F_CACHE.setdefault(key, result)
 
 
 def f_link(space: LensSpace, element: SkeinElement, k: int) -> FPolynomial:

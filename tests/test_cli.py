@@ -5,12 +5,13 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenswrt import selftest
+from lenswrt import analysis, selftest
 from lenswrt.cli import main, poly_from_json, poly_to_json
 from lenswrt.laurent import LaurentPoly
 from lenswrt.skein import SkeinElement
@@ -162,6 +163,17 @@ class TestRecoverCommand:
         doc = json.loads(out)
         assert SkeinElement.from_json(doc["a_form"]) == element
 
+    def test_denominator_divisible_by_the_image_prime(self, capsys, tmp_path):
+        # C_0 = 1/l, l the prime of the pivot-row image: a valid file
+        space = LensSpace(5, 2)
+        ell = analysis._modulus(5)[0]
+        fpolys = [poly_to_json(f_poly(space, 0, k).signed_body.scale(Fraction(1, ell))) for k in range(5)]
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps({"p": 5, "q": 2, "fpolys": fpolys}))
+        code, out, _ = run_cli(capsys, "--format", "json", "recover", "5", "2", str(path))
+        assert code == 0
+        assert json.loads(out)["z_components"] == [[[0, 1, ell]], [], []]
+
     def test_rank_deficient_exit_code(self, capsys, tmp_path):
         path = tmp_path / "samples.json"
         path.write_text(json.dumps({"p": 9, "q": 1, "fpolys": [[] for _ in range(9)]}))
@@ -305,6 +317,18 @@ class TestInvalidInput:
         path.write_text(json.dumps({"p": 5, "coeffs": coeffs}))
         code, _, err = run_cli(capsys, "wrt", "5", "2", "--skein-file", str(path))
         self.assert_input_error(code, err)
+
+    def test_repeated_exponent(self, capsys, tmp_path):
+        fpolys = [[[1, 1, 1], [1, 2, 1]]] + [[] for _ in range(4)]
+        code, _, err = self.recover(capsys, tmp_path, {"p": 5, "q": 2, "fpolys": fpolys})
+        self.assert_input_error(code, err)
+        assert "exponent 1 listed twice" in err
+
+    def test_repeated_power(self, capsys, tmp_path):
+        fpolys = [[[0, {"order": 5, "coeffs": [[1, 1, 1], [1, 2, 1]]}]]] + [[] for _ in range(4)]
+        code, _, err = self.recover(capsys, tmp_path, {"p": 5, "q": 2, "fpolys": fpolys})
+        self.assert_input_error(code, err)
+        assert "power 1 listed twice" in err
 
     def test_unwritable_output(self, capsys, tmp_path):
         target = tmp_path / "absent" / "out.txt"

@@ -1,0 +1,41 @@
+"""Every callable that the benchmark's traced run wraps exists in lenswrt.
+
+perfbench/tracing.py names its targets as "module:function" or
+"module:Class.method" and looks each one up when it installs its spans; a
+name deleted from lenswrt would fail only there.  The file is read, not
+imported: its LAYERS literal is evaluated on its own.
+"""
+
+import ast
+import importlib
+import pathlib
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def traced_targets():
+    tree = ast.parse(TRACING.read_text())
+    node = next(
+        stmt.value for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and [t.id for t in stmt.targets if isinstance(t, ast.Name)] == ["LAYERS"]
+    )
+    layers = eval(compile(ast.Expression(node), str(TRACING), "eval"), {"__builtins__": {}})
+    return [target for targets in layers.values() for target in targets]
+
+
+def test_every_traced_name_resolves():
+    targets = traced_targets()
+    assert targets
+    missing = []
+    for target in targets:
+        module_name, attr = target.split(":")
+        module = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            cls = getattr(module, cls_name, None)
+            found = isinstance(cls, type) and meth in cls.__dict__
+        else:
+            found = callable(getattr(module, attr, None))
+        if not found:
+            missing.append(target)
+    assert not missing, missing
