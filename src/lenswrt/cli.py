@@ -3,13 +3,14 @@
 Every subcommand is deterministic and machine-readable: --format json
 emits documents with fixed key order, --format csv uses 17 significant
 digits so doubles round-trip.  Exit codes: 0 success, 2 invalid input,
-3 computation error (rank deficiency, unsupported case, ...).
+3 computation error (rank deficiency, unsupported case, ...).  Each
+command appends its output lines to a list, and main writes that list
+once, to stdout or to --output.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
@@ -22,69 +23,31 @@ from .errors import ComputationError
 from .gauss import GaussSumSpec, gauss_sum
 from .laurent import LaurentPoly
 from .numtheory import classify_order, dedekind_sum, rademacher_phi
-from .selftest import CRITERIA, criterion_records
 from .skein import SkeinElement
-from .wrt import FPolynomial, LensSpace, eval_z_combination, f_poly, jeffrey_oracle
-
-
-# --- serialization helpers (the coefficient and polynomial codec is lenswrt.codec) ---
-
-
-def fpoly_to_json(fp: FPolynomial, p: int, q: int, c: int, k: int) -> dict:
-    return {
-        "p": p,
-        "q": q,
-        "c": c,
-        "k": k,
-        "prefactor_sign": fp.prefactor_sign,
-        "scale": "i/sqrt(2p)",
-        "body": poly_to_json(fp.body),
-    }
+from .wrt import LensSpace, eval_z_combination, f_poly, jeffrey_oracle
 
 
 def _fmt17(x) -> str:
     return f"{float(x):.16e}"  # 17 significant digits: doubles round-trip
 
 
-class _Output:
-    def __init__(self, path: str | None):
-        self.path = path
-        self.lines: list[str] = []
-
-    def writeln(self, text: str = ""):
-        self.lines.append(text)
-
-    def flush(self):
-        text = "\n".join(self.lines) + ("\n" if self.lines else "")
-        if self.path:
-            try:
-                with open(self.path, "w") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                raise ValueError(f"cannot write {self.path}: {exc.strerror}") from None
-        else:
-            sys.stdout.write(text)
-
-
-def _emit(out: _Output, fmt: str, document: dict, text_lines, csv_rows=None, csv_header=None):
+def _emit(out: list, fmt: str, document: dict, text_lines, csv_rows=None, csv_header=None):
     if fmt == "json":
-        out.writeln(json.dumps(document))
+        out.append(json.dumps(document))
     elif fmt == "csv":
         if csv_rows is None:
             csv_rows = [[document.get(k) for k in document]]
             csv_header = list(document)
-        out.writeln(",".join(csv_header))
-        for row in csv_rows:
-            out.writeln(",".join(str(v) for v in row))
+        out.append(",".join(csv_header))
+        out.extend(",".join(str(v) for v in row) for row in csv_rows)
     else:
-        for line in text_lines:
-            out.writeln(line)
+        out.extend(text_lines)
 
 
 # --- subcommands --------------------------------------------------------------------
 
 
-def cmd_gauss(args, out: _Output):
+def cmd_gauss(args, out: list):
     spec = GaussSumSpec(args.p, args.a, args.b)
     value = gauss_sum(spec)
     num = embed_complex(value, args.precision)
@@ -106,22 +69,30 @@ def cmd_gauss(args, out: _Output):
     )
 
 
-def cmd_dedekind(args, out: _Output):
+def cmd_dedekind(args, out: list):
     value = dedekind_sum(args.q, args.p)
     doc = {"q": args.q, "p": args.p, "numerator": value.numerator, "denominator": value.denominator}
     _emit(out, args.format, doc, [f"s({args.q},{args.p}) = {value}"])
 
 
-def cmd_phi(args, out: _Output):
+def cmd_phi(args, out: list):
     value = rademacher_phi(args.p, args.q)
     doc = {"p": args.p, "q": args.q, "phi": value}
     _emit(out, args.format, doc, [f"phi({args.p},{args.q}) = {value}"])
 
 
-def cmd_fpoly(args, out: _Output):
+def cmd_fpoly(args, out: list):
     space = LensSpace(args.p, args.q)
     fp = f_poly(space, args.c, args.k)
-    doc = fpoly_to_json(fp, args.p, args.q, args.c, args.k)
+    doc = {
+        "p": args.p,
+        "q": args.q,
+        "c": args.c,
+        "k": args.k,
+        "prefactor_sign": fp.prefactor_sign,
+        "scale": "i/sqrt(2p)",
+        "body": poly_to_json(fp.body),
+    }
     _emit(
         out,
         args.format,
@@ -150,7 +121,7 @@ def _load_skein_file(path: str, p: int) -> dict:
     return dict(enumerate(comps))
 
 
-def cmd_wrt(args, out: _Output):
+def cmd_wrt(args, out: list):
     space = LensSpace(args.p, args.q)
     prec = args.precision
     if (args.color is None) == (args.skein_file is None):
@@ -200,7 +171,7 @@ def cmd_wrt(args, out: _Output):
     )
 
 
-def cmd_rank(args, out: _Output):
+def cmd_rank(args, out: list):
     space = LensSpace(args.p, args.q)
     value = rank(build_f_matrix(space))
     doc = {"p": args.p, "q": args.q, "rank": value, "columns": args.p // 2 + 1,
@@ -209,7 +180,7 @@ def cmd_rank(args, out: _Output):
           csv_rows=[[args.p, args.q, value]], csv_header=["p", "q", "rank"])
 
 
-def cmd_kernel(args, out: _Output):
+def cmd_kernel(args, out: list):
     space = LensSpace(args.p, args.q)
     basis = kernel(space)
     doc = {
@@ -226,13 +197,13 @@ def cmd_kernel(args, out: _Output):
     _emit(out, args.format, doc, lines)
 
 
-def cmd_classify(args, out: _Output):
+def cmd_classify(args, out: list):
     result = classify_order(args.p).value
     doc = {"p": args.p, "classification": result}
     _emit(out, args.format, doc, [f"{result}"])
 
 
-def cmd_recover(args, out: _Output):
+def cmd_recover(args, out: list):
     data = load_json(args.samples_file)
     p, q = field(data, "p", int), field(data, "q", int)
     if (p, q) != (args.p, args.q):
@@ -260,7 +231,10 @@ def cmd_recover(args, out: _Output):
     _emit(out, args.format, doc, lines)
 
 
-def cmd_selftest(args, out: _Output):
+def cmd_selftest(args, out: list):
+    # here, not at the top: no other command pays for loading the acceptance suite
+    from .selftest import CRITERIA, criterion_records
+
     only = None
     if args.only is not None:
         numbers = {number for number, _, _ in CRITERIA}
@@ -272,21 +246,37 @@ def cmd_selftest(args, out: _Output):
             raise ValueError(f"--only takes criterion numbers {min(numbers)}..{max(numbers)}, got {args.only!r}")
     records = list(criterion_records(only))
     if args.format == "json":
-        out.writeln(json.dumps({"criteria": records}))
+        out.append(json.dumps({"criteria": records}))
     elif args.format == "csv":  # details contain commas, so cells are quoted as the csv module does
-        import csv  # here, not at the top: no other command pays for the import
+        import csv
+        import io
 
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(records[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(records)
-        out.writeln(buf.getvalue().rstrip("\n"))
+        out.append(buf.getvalue().rstrip("\n"))
     else:
         for record in records:
             status = "PASS" if record["passed"] else "FAIL"
-            out.writeln(f"[{status}] {record['number']:2d} {record['title']}: {record['detail']} "
-                        f"({record['seconds']:.2f}s)")
+            out.append(f"[{status}] {record['number']:2d} {record['title']}: {record['detail']} "
+                       f"({record['seconds']:.2f}s)")
     return 0 if all(record["passed"] for record in records) else 1
+
+
+# name, handler, help, integer positionals; wrt, recover and selftest add more in build_parser
+COMMANDS = (
+    ("gauss", cmd_gauss, "generalized Gauss sum", ("p", "a", "b")),
+    ("dedekind", cmd_dedekind, "Dedekind sum s(q, p)", ("q", "p")),
+    ("phi", cmd_phi, "framing-correction integer of L(p,q)", ("p", "q")),
+    ("fpoly", cmd_fpoly, "the invariant polynomial for one (c, k)", ("p", "q", "c", "k")),
+    ("wrt", cmd_wrt, "invariant values over a range of levels", ("p", "q")),
+    ("rank", cmd_rank, "rank of the f-matrix", ("p", "q")),
+    ("kernel", cmd_kernel, "kernel basis of the f-matrix", ("p", "q")),
+    ("classify", cmd_classify, "whether skein classes are determined by invariants", ("p",)),
+    ("recover", cmd_recover, "solve for skein coefficients from polynomials", ("p", "q")),
+    ("selftest", cmd_selftest, "run the acceptance checks", ()),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,63 +294,19 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--precision", type=int, default=argparse.SUPPRESS)
     common.add_argument("--output", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("gauss", parents=[common], help="generalized Gauss sum")
-    s.add_argument("p", type=int)
-    s.add_argument("a", type=int)
-    s.add_argument("b", type=int)
-    s.set_defaults(func=cmd_gauss)
-
-    s = sub.add_parser("dedekind", parents=[common], help="Dedekind sum s(q, p)")
-    s.add_argument("q", type=int)
-    s.add_argument("p", type=int)
-    s.set_defaults(func=cmd_dedekind)
-
-    s = sub.add_parser("phi", parents=[common], help="framing-correction integer of L(p,q)")
-    s.add_argument("p", type=int)
-    s.add_argument("q", type=int)
-    s.set_defaults(func=cmd_phi)
-
-    s = sub.add_parser("fpoly", parents=[common], help="the invariant polynomial for one (c, k)")
-    s.add_argument("p", type=int)
-    s.add_argument("q", type=int)
-    s.add_argument("c", type=int)
-    s.add_argument("k", type=int)
-    s.set_defaults(func=cmd_fpoly)
-
-    s = sub.add_parser("wrt", parents=[common], help="invariant values over a range of levels")
-    s.add_argument("p", type=int)
-    s.add_argument("q", type=int)
+    subparsers = {}
+    for name, func, help_text, positionals in COMMANDS:
+        s = subparsers[name] = sub.add_parser(name, parents=[common], help=help_text)
+        for positional in positionals:
+            s.add_argument(positional, type=int)
+        s.set_defaults(func=func)
+    s = subparsers["wrt"]
     s.add_argument("--color", type=int, default=None, help="meridian color c")
     s.add_argument("--skein-file", default=None, help="JSON skein element")
     s.add_argument("--rmin", type=int, default=2)
     s.add_argument("--rmax", type=int, default=40)
-    s.set_defaults(func=cmd_wrt)
-
-    s = sub.add_parser("rank", parents=[common], help="rank of the f-matrix")
-    s.add_argument("p", type=int)
-    s.add_argument("q", type=int)
-    s.set_defaults(func=cmd_rank)
-
-    s = sub.add_parser("kernel", parents=[common], help="kernel basis of the f-matrix")
-    s.add_argument("p", type=int)
-    s.add_argument("q", type=int)
-    s.set_defaults(func=cmd_kernel)
-
-    s = sub.add_parser("classify", parents=[common], help="whether skein classes are determined by invariants")
-    s.add_argument("p", type=int)
-    s.set_defaults(func=cmd_classify)
-
-    s = sub.add_parser("recover", parents=[common], help="solve for skein coefficients from polynomials")
-    s.add_argument("p", type=int)
-    s.add_argument("q", type=int)
-    s.add_argument("samples_file")
-    s.set_defaults(func=cmd_recover)
-
-    s = sub.add_parser("selftest", parents=[common], help="run the acceptance checks")
-    s.add_argument("--only", default=None, help="comma-separated criterion numbers")
-    s.set_defaults(func=cmd_selftest)
-
+    subparsers["recover"].add_argument("samples_file")
+    subparsers["selftest"].add_argument("--only", default=None, help="comma-separated criterion numbers")
     return parser
 
 
@@ -369,10 +315,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.precision < 53:
         parser.error("--precision must be at least 53 bits")
-    out = _Output(args.output)
+    lines: list[str] = []
     try:
-        code = args.func(args, out)
-        out.flush()
+        code = args.func(args, lines)
+        text = "\n".join(lines) + ("\n" if lines else "")
+        if not args.output:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.output, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.output}: {exc.strerror}") from None
     except ValueError as exc:
         _report_error(args.format, "ValueError", str(exc))
         return 2

@@ -9,6 +9,8 @@ computations.
 
 from __future__ import annotations
 
+import operator
+
 import mpmath
 
 from .cyclotomic import CyclotomicNumber, as_cyclotomic, embed_complex
@@ -33,9 +35,10 @@ class LaurentPoly:
         clean: dict[int, CyclotomicNumber] = {}
         if terms:
             for e, c in terms.items():
+                e = operator.index(e)  # a float or str exponent is a TypeError, not truncated or parsed
                 x = _exact(c)
                 if x:
-                    clean[int(e)] = x
+                    clean[e] = x
         self._terms = clean
 
     @staticmethod

@@ -668,6 +668,23 @@ class TestInterpolation:
             for e in set(poly.terms) | set(target):
                 assert abs(complex(poly.coeff(e)) - target.get(e, 0)) < 1e-6, e
 
+    @pytest.mark.parametrize("index, bad", [(0, mpmath.nan), (-1, mpmath.nan), (3, mpmath.inf)],
+                             ids=["nan-in-square-part", "nan-in-leftover", "inf"])
+    def test_non_finite_sample_rejected(self, index, bad):
+        # each position defeats a different check: a NaN in the square solve
+        # makes every coefficient NaN with residual 0, a leftover level's NaN
+        # never compares greater than the tolerance, and an inf makes the
+        # tolerance, which scales with the largest sample, infinite
+        space = LensSpace(5, 2)
+        c, k, prec = 0, 1, 300
+        levels = [r for r in range(2, 200) if r % 5 == k][:32]
+        with mpmath.workprec(prec):
+            samples = [(r, jeffrey_oracle(space, c, r, prec) * mpmath.sqrt(r)) for r in levels]
+        r = levels[index]
+        samples[index] = (r, mpmath.mpc(bad, 0))
+        with pytest.raises(ValueError, match=f"sample at r={r} is not finite"):
+            interpolate_f(space, samples, k, precision=prec)
+
 
 class TestColumnCollisions:
     def test_distinct_g_columns_bounded_by_squares(self):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -251,6 +252,46 @@ class TestDeterminismAndValidation:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["rank"] == 3
+
+
+OUTPUT_COMMANDS = (
+    ("gauss", "5", "1", "0"),
+    ("dedekind", "4", "9"),
+    ("phi", "9", "4"),
+    ("fpoly", "5", "2", "1", "2"),
+    ("wrt", "5", "2", "--color", "0", "--rmax", "8"),
+    ("rank", "5", "2"),
+    ("kernel", "9", "4"),
+    ("classify", "14"),
+    ("recover", "5", "2", "<samples>"),
+    ("selftest", "--only", "1"),
+)
+# the selftest's own timings: "(0.00s)" in text, the seconds value in json, the last cell in csv
+SELFTEST_SECONDS = re.compile(r"\(\d+\.\d+s\)$|(?<=\"seconds\": )[\d.e-]+|(?<=,)[\d.e-]+$", re.M)
+
+
+class TestOutputFile:
+    """--output gets exactly the bytes that stdout would, and stdout gets none."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("command", OUTPUT_COMMANDS, ids=lambda command: command[0])
+    def test_file_bytes_equal_stdout(self, capsys, tmp_path, command, fmt):
+        argv = ["--format", fmt, *command]
+        if command[0] == "recover":
+            element = SkeinElement(5, [LaurentPoly("A", {0: 1, 2: -3}), 2, LaurentPoly("A", {-1: 1})])
+            fpolys = [poly_to_json(f_link(LensSpace(5, 2), element, k).signed_body) for k in range(5)]
+            argv[-1] = str(tmp_path / "samples.json")
+            (tmp_path / "samples.json").write_text(json.dumps({"p": 5, "q": 2, "fpolys": fpolys}))
+        code, printed, _ = run_cli(capsys, *argv)
+        target = tmp_path / "out"
+        file_code, out, _ = run_cli(capsys, "--output", str(target), *argv)
+        written = target.read_bytes().decode()
+        assert (file_code, out) == (code, "") and code == 0
+        if fmt == "json":
+            json.loads(written)
+        if command[0] == "selftest":
+            written, printed = (SELFTEST_SECONDS.sub("<t>", text) for text in (written, printed))
+        assert written == printed
 
 
 class TestInvalidInput:

@@ -43,6 +43,12 @@ class TestBasics:
         assert z_form == LaurentPoly("z", {0: 1, 5: -2, 10: -1})
         assert poly.shift(3).valuation() == 3
 
+    @pytest.mark.parametrize("exponent", [1.5, "2", 2.0, Fraction(4, 2)],
+                             ids=["float", "str", "whole-float", "fraction"])
+    def test_non_integer_exponent_rejected(self, exponent):
+        with pytest.raises(TypeError):
+            LaurentPoly("z", {exponent: 3})
+
     def test_fraction_coefficients_normalize(self):
         poly = LaurentPoly("z", {0: Fraction(4, 2)})
         assert poly.coeff(0) == 2
