@@ -19,12 +19,15 @@ polynomials:
   number ncols - #basis.  Otherwise the loop runs over Q(xi_p)(z), on the
   matrix's own image pivot rows;
 - one refinement loop: fraction-free (Bareiss) elimination on the
-  selected rows, then fraction-free back-substitution: with D the last
-  pivot, each kernel vector has D at its free column (a zero column has
-  no pivot, so its vector normalizes to e_c); then an exact proof on all
-  rows: M v = 0 for every vector, which bounds the rank from above.  A
-  row that a vector fails is independent of the selection; it joins the
-  selection, which is eliminated again.
+  selected rows, then fraction-free back-substitution, both on plain term
+  dicts (exponent -> coefficient): int coefficients on the descended
+  rows, each cleared of its denominators, CyclotomicNumber ones over
+  Q(xi_p), with one exact division (laurent.terms_divmod) for both.  With
+  D the last pivot, each kernel vector has D at its free column (a zero
+  column has no pivot, so its vector normalizes to e_c); then an exact
+  proof on all rows: M v = 0 for every vector, which bounds the rank from
+  above.  A row that a vector fails is independent of the selection; it
+  joins the selection, which is eliminated again.
 
 A solution of M x = b is the proven kernel vector (v, d) of [M | -b],
 x = v / d; an empty kernel proves there is none.
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import mpmath
@@ -55,7 +59,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .gauss import GaussSumSpec, gauss_sum
-from .laurent import LaurentPoly, RationalFunction, laurent_gcd
+from .laurent import LaurentPoly, RationalFunction, laurent_gcd, terms_divexact, terms_mul
 from .numtheory import is_prime, mod_inverse
 from .skein import SkeinElement
 from .wrt import LensSpace, f_poly
@@ -123,21 +127,23 @@ def build_f_matrix(space: LensSpace) -> LaurentMatrix:
 # --- fraction-free elimination ------------------------------------------------
 
 
-def _bareiss_echelon(rows: list[list[LaurentPoly]]):
-    """In-place fraction-free row echelon; returns the (row, col) pivots and
-    whether the row swaps made an odd permutation.
+def _bareiss_echelon(rows: list[list[dict]]):
+    """In-place fraction-free row echelon of rows of term dicts (exponent ->
+    coefficient, all int or all CyclotomicNumber); returns the (row, col)
+    pivots and whether the row swaps made an odd permutation.
 
     No row is rescaled: each pivot is the minor of the rows and pivot
     columns chosen so far, so on a square matrix with a full set of pivots
     the last pivot is the determinant up to the swap sign.  Each step
-    divides exactly by the previous pivot, whose leading coefficient keeps
-    its inverse, so it is inverted once.
+    divides exactly by the previous pivot: every quotient is a minor, so
+    an int coefficient divides without remainder (one that does not raises
+    ArithmeticError), and a CyclotomicNumber divisor is inverted once.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[tuple[int, int]] = []
     odd = False
-    prev: LaurentPoly | None = None
+    prev = None
     r = 0
     for col in range(ncols):
         piv = next((i for i in range(r, nrows) if rows[i][col]), None)
@@ -149,11 +155,11 @@ def _bareiss_echelon(rows: list[list[LaurentPoly]]):
         pivot_entry = rows[r][col]
         for i in range(r + 1, nrows):
             row_i = rows[i]
-            factor = row_i[col]
+            minus_factor = {e: -c for e, c in row_i[col].items()}
             for j in range(col + 1, ncols):
-                num = pivot_entry * row_i[j] - factor * rows[r][j]
-                row_i[j] = num.divexact(prev) if prev is not None and num else num
-            row_i[col] = LaurentPoly(row_i[col].var)
+                num = terms_mul(pivot_entry, row_i[j], terms_mul(minus_factor, rows[r][j]))
+                row_i[j] = num if prev is None else terms_divexact(num, prev)
+            row_i[col] = {}
         pivots.append((r, col))
         prev = pivot_entry
         r += 1
@@ -162,26 +168,42 @@ def _bareiss_echelon(rows: list[list[LaurentPoly]]):
     return pivots, odd
 
 
-def _back_substitute(rows, pivots, x: list[LaurentPoly]) -> list[LaurentPoly]:
-    """Fill the pivot entries of x, in place and last pivot first, so that
-    every echelon row annihilates x: x[col] = -(sum_(j > col) a_rj x_j) / a_r,col.
+def _back_substitute(rows, pivots, x: list[dict]) -> list[dict]:
+    """Fill the pivot entries of x, term dicts like the echelon rows, in place
+    and last pivot first, so that every echelon row annihilates x:
+    x[col] = -(sum_(j > col) a_rj x_j) / a_r,col.
 
     x arrives with the last pivot D at one free column and 0 at the others,
-    which makes every quotient exact by Cramer's rule.
+    which makes every quotient exact by Cramer's rule, under the division
+    rule of the elimination.
     """
     for row_idx, col in reversed(pivots):
         row = rows[row_idx]
-        x[col] = -_row_times(row[col + 1:], x[col + 1:]).divexact(row[col])
+        total = _row_times(row[col + 1:], x[col + 1:])
+        x[col] = terms_divexact({e: -c for e, c in total.items()}, row[col])
     return x
 
 
-def _row_times(row, x) -> LaurentPoly:
-    """sum_c row[c] x[c], exactly."""
-    total = LaurentPoly("z")
+def _row_times(row, x) -> dict:
+    """sum_c row[c] x[c] on term dicts, exactly."""
+    total: dict = {}
     for a, v in zip(row, x):
         if a and v:
-            total = total + a * v
+            terms_mul(a, v, total)
     return total
+
+
+def _term_rows(rows) -> list[list[dict]]:
+    """Rows of LaurentPoly as rows of term dicts: int coefficients when every
+    coefficient is rational, each row times the lcm of its denominators (an
+    integer multiple of a row spans the same line); CyclotomicNumber
+    coefficients otherwise."""
+    rows = [[entry.terms for entry in row] for row in rows]
+    if all(c.is_rational() for row in rows for t in row for c in t.values()):
+        for row in rows:
+            scale = math.lcm(*(c.denominator for t in row for c in t.values()))
+            row[:] = [{e: int(c.coeffs[0] * scale) for e, c in t.items()} for t in row]
+    return rows
 
 
 # --- certified modular pivots ----------------------------------------------------
@@ -254,7 +276,8 @@ def _image_pivot_rows(matrix: LaurentMatrix) -> list[int]:
 
 def _refuting_row(matrix: LaurentMatrix, vec: RationalFunctionVector) -> int | None:
     """The first row k with M[k] v != 0, exactly; None when M v = 0."""
-    return next((k for k, row in enumerate(matrix.entries) if _row_times(row, vec.components)), None)
+    x = [v.terms for v in vec.components]
+    return next((k for k, row in enumerate(matrix.entries) if _row_times([e.terms for e in row], x)), None)
 
 
 def _refined(matrix: LaurentMatrix, selection) -> list[RationalFunctionVector]:
@@ -267,17 +290,17 @@ def _refined(matrix: LaurentMatrix, selection) -> list[RationalFunctionVector]:
     """
     ncols = matrix.ncols
     while True:
-        rows = [list(matrix.entries[k]) for k in selection]
+        rows = _term_rows(matrix.entries[k] for k in selection)
         pivots, _ = _bareiss_echelon(rows)
-        det = rows[pivots[-1][0]][pivots[-1][1]] if pivots else LaurentPoly.one("z")
+        det = rows[pivots[-1][0]][pivots[-1][1]] if pivots else {0: 1}
         pivot_cols = {c for _, c in pivots}
         basis = []
         for f in range(ncols):
             if f in pivot_cols:
                 continue
-            x = [LaurentPoly("z")] * ncols
+            x = [{}] * ncols
             x[f] = det
-            vec = _normalize_kernel_vector(_back_substitute(rows, pivots, x))
+            vec = _normalize_kernel_vector([LaurentPoly("z", t) for t in _back_substitute(rows, pivots, x)])
             refuting = _refuting_row(matrix, vec)
             if refuting is not None:
                 selection = sorted([*selection, refuting])
@@ -417,9 +440,9 @@ def fullrank_submatrix(space: LensSpace) -> SubmatrixCertificate:
         tuple(gauss_sum(GaussSumSpec(p, q * k, q * c + q + 1)) for c in gammas)
         for k in deltas
     )
-    rows = [[LaurentPoly("z", {0: e}) for e in row] for row in entries]
+    rows = [[{0: e} if e else {} for e in row] for row in entries]
     pivots, odd = _bareiss_echelon(rows)
-    det = rows[-1][-1].coeff(0) if len(pivots) == len(rows) else CyclotomicNumber.zero(p)
+    det = rows[-1][-1][0] if len(pivots) == len(rows) else CyclotomicNumber.zero(p)
     return SubmatrixCertificate(
         row_selection=tuple(deltas),
         col_selection=tuple(gammas),
@@ -554,7 +577,7 @@ def interpolate_f(space: LensSpace, samples, k: int, precision: int = 53):
     1.3e-46 and wrong coefficients.
     """
     p = space.p
-    pts = sorted(((int(r), v) for r, v in samples), key=lambda rv: rv[0])
+    pts = sorted(((operator.index(r), v) for r, v in samples), key=lambda rv: rv[0])
     for r, v in pts:
         if r % p != k % p:
             raise ValueError(f"sample at r={r} is not in the class {k} mod {p}")

@@ -5,6 +5,11 @@ one denominator.  int and Fraction coefficients are converted once, when
 a polynomial is constructed.  No zero coefficient is ever stored.
 RationalFunction provides the fraction field needed for kernel
 computations.
+
+The arithmetic runs on plain term dicts (exponent -> coefficient):
+terms_mul and terms_divmod are the one product and the one division,
+shared by LaurentPoly and by the fraction-free elimination in analysis,
+which runs them on int coefficients as well as CyclotomicNumber ones.
 """
 
 from __future__ import annotations
@@ -142,12 +147,7 @@ class LaurentPoly:
             c = as_cyclotomic(other)
             return NotImplemented if c is None else self.scale(c)
         self._check_var(other)
-        out: dict[int, CyclotomicNumber] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-        return LaurentPoly._make(self._var, {e: c for e, c in out.items() if c})
+        return LaurentPoly._make(self._var, terms_mul(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -179,15 +179,8 @@ class LaurentPoly:
         The inverse of other's leading coefficient is kept on that coefficient,
         so dividing many polynomials by one divisor inverts it once.
         """
-        if other.is_zero():
-            raise ZeroDivisionError("Laurent division by zero")
-        if self.is_zero():
-            return LaurentPoly(self._var)
         self._check_var(other)
-        quot, rem = _poly_divmod(self, other)
-        if not rem.is_zero():
-            raise ArithmeticError("division is not exact")
-        return quot
+        return LaurentPoly._make(self._var, terms_divexact(self._terms, other._terms))
 
     def eval_at_unit_root(self, denominator: int, precision: int = 53):
         """Value at e^(2 pi i / denominator), exponents reduced first."""
@@ -227,34 +220,64 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-def _poly_divmod(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Division of num by den allowing monomial units: num = quot * den + rem."""
-    var = num.var
-    if num.is_zero():
-        return LaurentPoly(var), LaurentPoly(var)
-    nshift = num.valuation()
-    dshift = den.valuation()
-    n = {e - nshift: c for e, c in num._terms.items()}
-    d = {e - dshift: c for e, c in den._terms.items()}
-    ddeg = max(d)
-    dlead_inv = d[ddeg].inverse()
-    quot: dict[int, CyclotomicNumber] = {}
-    while n:
-        ndeg = max(n)
-        if ndeg < ddeg:
-            break
-        c = n[ndeg] * dlead_inv
-        quot[ndeg - ddeg] = c
-        for e, dc in d.items():
-            tgt = ndeg - ddeg + e
-            s = n[tgt] - c * dc if tgt in n else -(c * dc)
+def terms_mul(a: dict, b: dict, into: dict | None = None) -> dict:
+    """into + a * b on term dicts (a fresh dict when into is None), zero terms
+    dropped; into is updated in place and returned."""
+    out = {} if into is None else into
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+    for e in [e for e, c in out.items() if not c]:
+        del out[e]
+    return out
+
+
+def terms_divmod(num: dict, den: dict) -> tuple[dict, dict]:
+    """(quot, rem) with num = quot * den + rem on term dicts, den nonzero,
+    monomials being units: rem has terms only below den's degree span above
+    num's valuation.
+
+    Each quotient coefficient is a leading coefficient of the running
+    remainder divided by den's leading coefficient d: an int by divmod, where
+    a nonzero remainder raises ArithmeticError, a CyclotomicNumber times the
+    inverse that d keeps, so one divisor is inverted once.
+    """
+    if not den:
+        raise ZeroDivisionError("Laurent division by zero")
+    if not num:
+        return {}, {}
+    nshift, dshift = min(num), min(den)
+    n = {e - nshift: c for e, c in num.items()}
+    d = sorted((e - dshift, c) for e, c in den.items())
+    ddeg, lead = d.pop()
+    inv = None if isinstance(lead, int) else lead.inverse()
+    quot = {}
+    while n and (k := max(n) - ddeg) >= 0:
+        c = n.pop(k + ddeg)
+        if inv is None:
+            c, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("integer coefficient division is not exact")
+        else:
+            c = c * inv
+        quot[k + nshift - dshift] = c
+        for e, dc in d:
+            t = k + e
+            s = n[t] - c * dc if t in n else -(c * dc)
             if s:
-                n[tgt] = s
+                n[t] = s
             else:
-                del n[tgt]
-    q = LaurentPoly._make(var, quot).shift(nshift - dshift)
-    r = LaurentPoly._make(var, n).shift(nshift)
-    return q, r
+                del n[t]
+    return quot, {e + nshift: c for e, c in n.items()}
+
+
+def terms_divexact(num: dict, den: dict) -> dict:
+    """num / den on term dicts; raises ArithmeticError if a remainder is left."""
+    quot, rem = terms_divmod(num, den)
+    if rem:
+        raise ArithmeticError("division is not exact")
+    return quot
 
 
 def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -264,8 +287,7 @@ def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     var = a.var if a else b.var
     r0, r1 = a, b
     while not r1.is_zero():
-        _, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
+        r0, r1 = r1, LaurentPoly._make(var, terms_divmod(r0._terms, r1._terms)[1])
     r0 = r0.shift(-r0.valuation())
     return r0.scale(r0.leading_coeff().inverse())
 

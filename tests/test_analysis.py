@@ -175,12 +175,14 @@ def all_rows_kernel(p, q):
     return tuple(refined(build_f_matrix(LensSpace(p, q)), range(p)))
 
 
-def rational(rows):
-    return all(c.is_rational() for row in rows for e in row for _, c in e.items())
-
-
 def over_q(matrix):
-    return rational(matrix.entries)
+    return all(c.is_rational() for row in matrix.entries for e in row for _, c in e.items())
+
+
+def integral(rows):
+    """Whether every coefficient of rows of term dicts, as _bareiss_echelon
+    eliminates them, is an int."""
+    return all(type(c) is int for row in rows for entry in row for c in entry.values())
 
 
 def refinements(monkeypatch):
@@ -351,15 +353,20 @@ class TestCertifiedPivots:
         # the answer still meets the image bound of M, so no Q(xi_p) step
         find = analysis._image_pivot_rows
         monkeypatch.setattr(analysis, "_image_pivot_rows", lambda m: find(m)[:-1] if over_q(m) else find(m))
+        # every elimination ran on the descended rows, cleared to int
+        # coefficients; M's own rows, CyclotomicNumber terms, fail the spy
         eliminations = []
         eliminate = analysis._bareiss_echelon
-        monkeypatch.setattr(analysis, "_bareiss_echelon", lambda rows: eliminations.append(rational(rows)) or eliminate(rows))
+        monkeypatch.setattr(analysis, "_bareiss_echelon", lambda rows: eliminations.append(integral(rows)) or eliminate(rows))
         for p, q in ((9, 1), (9, 4), (15, 2), (16, 3), (18, 5)):
             space = LensSpace(p, q)
             expected = all_rows_kernel(p, q)
             eliminations.clear()
             assert tuple(kernel(space)) == expected, (p, q)
             assert len(eliminations) >= 2 and all(eliminations), (p, q)
+            eliminations.clear()
+            analysis._bareiss_echelon([[e.terms for e in row] for row in build_f_matrix(space).entries])
+            assert eliminations == [False], (p, q)
 
     def test_descended_answer_must_annihilate_every_row(self, monkeypatch):
         # a stand-in matrix whose rows are not Galois images of each other:
@@ -410,6 +417,14 @@ class TestCertifiedPivots:
         basis = kernel(LensSpace(49, 3))
         assert len(basis) == matrix.ncols - 22
         for vec in basis:
+            assert annihilates(matrix, vec)
+
+    def test_order_57_rank(self):
+        # a Bareiss step on LaurentPoly rows took 2.9 s for this rank
+        space = LensSpace(57, 2)
+        matrix = build_f_matrix(space)
+        assert rank(matrix) == count_squares_mod(57)
+        for vec in kernel(space):
             assert annihilates(matrix, vec)
 
     def test_order_25_kernel(self):
@@ -623,6 +638,13 @@ class TestInterpolation:
         samples = [(r, 0j) for r in range(2, 160) if r % 5 == 2]
         poly, residual = interpolate_f(space, samples, 2)
         assert poly.is_zero() and residual == 0
+
+    def test_non_integer_level_rejected(self):
+        # a level of 7.9 was read as 7: the zero samples fitted the zero polynomial
+        space = LensSpace(5, 2)
+        samples = [(7.9 if r == 7 else r, 0j) for r in range(2, 160) if r % 5 == 2]
+        with pytest.raises(TypeError):
+            interpolate_f(space, samples, 2)
 
     def test_underdetermined(self):
         space = LensSpace(5, 2)

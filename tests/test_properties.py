@@ -1,4 +1,5 @@
-"""Property tests of the exact coefficient domain and its JSON codec."""
+"""Property tests of the exact coefficient domain, its JSON codec and the
+fraction-free elimination."""
 
 import json
 import math
@@ -21,7 +22,8 @@ from lenswrt.cyclotomic import (
     embed_complex,
 )
 from lenswrt.gauss import GaussSumSpec, gauss_sum
-from lenswrt.laurent import LaurentPoly
+from lenswrt.analysis import _bareiss_echelon
+from lenswrt.laurent import LaurentPoly, terms_divexact, terms_divmod, terms_mul
 from lenswrt.skein import SkeinElement
 
 PROPERTY = settings(deadline=None, max_examples=30, derandomize=True, database=None)
@@ -107,6 +109,74 @@ def test_divexact_inverts_multiplication(ab):
     a, b = ab
     assume(not b.is_zero())
     assert (a * b).divexact(b) == a
+
+
+int_terms = st.dictionaries(st.integers(-3, 3), st.integers(-5, 5).filter(bool), max_size=3)
+
+
+def square_matrices(entries):
+    return st.integers(2, 4).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def cofactor_determinant(rows):
+    """Expansion along the first row, in LaurentPoly arithmetic."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = LaurentPoly("z")
+    for j, entry in enumerate(rows[0]):
+        if entry:
+            term = entry * cofactor_determinant([row[:j] + row[j + 1:] for row in rows[1:]])
+            total = total - term if j % 2 else total + term
+    return total
+
+
+@PROPERTY
+@given(st.one_of(
+    square_matrices(int_terms),
+    st.sampled_from((5, 7)).flatmap(lambda n: square_matrices(elements(n).map(lambda c: {0: c} if c else {}))),
+))
+def test_last_pivot_is_the_determinant(rows):
+    # integer Laurent polynomials and Q(xi_5), Q(xi_7) constants: the last
+    # Bareiss pivot times the swap sign is the determinant
+    expected = cofactor_determinant([[LaurentPoly("z", entry) for entry in row] for row in rows])
+    pivots, odd = _bareiss_echelon(rows)
+    if len(pivots) < len(rows):
+        assert expected.is_zero()
+    else:
+        last = LaurentPoly("z", rows[-1][-1])
+        assert (-last if odd else last) == expected
+
+
+@PROPERTY
+@given(int_terms.filter(bool), int_terms.filter(bool), st.sampled_from((-3, -2, 2, 5)))
+def test_inexact_integer_division_raises(g, h, lead):
+    h[max(h)] = lead
+    product = terms_mul(g, h)
+    assert terms_divexact(product, h) == g
+    product[max(product)] += 1  # lead no longer divides the leading coefficient
+    with pytest.raises(ArithmeticError):
+        terms_divmod(product, h)
+
+
+@PROPERTY
+@given(st.one_of(
+    st.tuples(int_terms, st.dictionaries(st.integers(-3, 3), st.integers(-5, 5).filter(bool), min_size=2, max_size=3)),
+    st.sampled_from((5, 7)).flatmap(lambda n: st.tuples(
+        polys(n).map(lambda a: a.terms), polys(n).map(lambda a: a.terms).filter(lambda t: len(t) >= 2))),
+), st.integers(-6, 6))
+def test_division_with_a_remainder_raises(gh, m):
+    # h has two terms or more, so it divides no monomial: g h + z^m leaves a
+    # remainder, and an int h has leading coefficient 1, so only the remainder
+    # can raise
+    g, h = gh
+    if all(type(c) is int for c in h.values()):
+        h[max(h)] = 1
+    num = terms_mul(g, h, {m: 1})
+    with pytest.raises(ArithmeticError):
+        terms_divexact(num, h)
+    with pytest.raises(ArithmeticError):
+        LaurentPoly("z", num).divexact(LaurentPoly("z", h))
 
 
 @PROPERTY
