@@ -45,9 +45,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
-
-import mpmath
 
 from .codec import coeff_terms_to_json
 from .cyclotomic import CyclotomicNumber
@@ -61,11 +58,12 @@ from .errors import (
 from .gauss import GaussSumSpec, gauss_sum
 from .laurent import LaurentPoly, RationalFunction, laurent_gcd, terms_divexact, terms_mul
 from .numtheory import is_prime, mod_inverse
+from .record import record
 from .skein import SkeinElement
 from .wrt import LensSpace, f_poly
 
 
-@dataclass(frozen=True)
+@record
 class LaurentMatrix:
     """Entries indexed by congruence class k (rows) and color c (columns)."""
 
@@ -80,7 +78,7 @@ class LaurentMatrix:
         return len(self.entries[0]) if self.entries else 0
 
 
-@dataclass(frozen=True)
+@record
 class RationalFunctionVector:
     """A kernel direction, normalized to Laurent-polynomial components.
 
@@ -390,7 +388,7 @@ def hat_c(p: int, q: int, c: int) -> int:
     return (qstar * (c - 1) - 1) % p
 
 
-@dataclass(frozen=True)
+@record
 class SubmatrixCertificate:
     """Row/column selections with an exact nonzero-determinant witness."""
 
@@ -454,7 +452,7 @@ def fullrank_submatrix(space: LensSpace) -> SubmatrixCertificate:
 # --- solving the link system ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RecoveredSkein:
     """Solution of the link system: coordinates C_c(-z^p), plus the A-form
     when every coordinate is an integer-exponent-in-p Laurent polynomial
@@ -536,7 +534,7 @@ def lambda_membership(vector, p: int) -> bool:
 # --- numeric interpolation of an f-polynomial from samples -------------------------
 
 
-@dataclass(frozen=True)
+@record
 class NumericPoly:
     """A Laurent polynomial with complex coefficients, as interpolate_f recovers it."""
 
@@ -576,6 +574,7 @@ def interpolate_f(space: LensSpace, samples, k: int, precision: int = 53):
     L(5,2) (32 levels, 300 bits) fit inside the window with residual
     1.3e-46 and wrong coefficients.
     """
+    import mpmath
     p = space.p
     pts = sorted(((operator.index(r), v) for r, v in samples), key=lambda rv: rv[0])
     for r, v in pts:

@@ -14,8 +14,6 @@ import argparse
 import json
 import sys
 
-import mpmath
-
 from .analysis import build_f_matrix, kernel, rank, recover_skein
 from .codec import coeff_to_json, field, load_json, poly_from_json, poly_to_json
 from .cyclotomic import embed_complex
@@ -48,6 +46,7 @@ def _emit(out: list, fmt: str, document: dict, text_lines, csv_rows=None, csv_he
 
 
 def cmd_gauss(args, out: list):
+    import mpmath
     spec = GaussSumSpec(args.p, args.a, args.b)
     value = gauss_sum(spec)
     num = embed_complex(value, args.precision)
@@ -122,6 +121,7 @@ def _load_skein_file(path: str, p: int) -> dict:
 
 
 def cmd_wrt(args, out: list):
+    import mpmath
     space = LensSpace(args.p, args.q)
     prec = args.precision
     if (args.color is None) == (args.skein_file is None):

@@ -5,7 +5,7 @@ A rational coefficient is [num, den].  Any other element of Q(xi_N) is
 power-basis values.  A polynomial is a sorted list of [exponent, num, den]
 and [exponent, {cyclotomic}] entries.  The decoders check every shape and
 raise ValueError, never KeyError or TypeError, on malformed input, such as
-a power or an exponent listed twice.  A document for order p holds only
+a key, a power or an exponent listed twice.  A document for order p holds only
 elements of Q(xi_p), so a decoder is given p and rejects any order N that
 does not divide it before Phi_N is built.
 """
@@ -107,9 +107,18 @@ def poly_from_json(var: str, data, p: int) -> LaurentPoly:
 
 
 def load_json(path: str):
-    """The JSON document in a file; ValueError when it cannot be read or parsed."""
+    """The JSON document in a file; ValueError when it cannot be read or parsed, or repeats a key."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+
+
+def _unique_keys(pairs) -> dict:
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"key {key!r} listed twice")
+        data[key] = value
+    return data

@@ -15,8 +15,8 @@ sign-flipped vector, since Phi_2m(x) = Phi_m(-x).  An inverse is the
 product of the nontrivial Galois conjugates over the integer norm, built
 by doubling along the orbits of the unit group (about 2 log2 phi(N)
 products) and kept on the number.  int and Fraction values enter through
-the constructor and leave through `.coeffs`; embed_complex reads the
-complex power basis from a table cached per (N, precision).
+the constructor and leave through `.coeffs`; embed_complex imports mpmath
+and reads the complex power basis from a table cached per (N, precision).
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ import functools
 import math
 from fractions import Fraction
 from operator import add
-
-import mpmath
 
 
 def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -416,6 +414,7 @@ def root_of_unity(order: int, exponent: int = 1) -> CyclotomicNumber:
 @functools.lru_cache(maxsize=None)
 def _roots(n: int, precision: int) -> tuple[mpmath.mpc, ...]:
     """xi_n^j = expjpi(2j/n) at `precision` bits for the power basis 0 <= j < phi(n)."""
+    import mpmath
     with mpmath.workprec(precision):
         return tuple(mpmath.expjpi(mpmath.mpf(2 * j) / n) for j in range(len(_order_data(n)[0]) - 1))
 
@@ -424,6 +423,7 @@ def embed_complex(x: CyclotomicNumber, precision: int = 53) -> mpmath.mpc:
     """Complex value of a CyclotomicNumber at `precision` bits."""
     if precision < 53:
         raise ValueError(f"precision must be >= 53 bits, got {precision}")
+    import mpmath
     num, den = x._num, x._den
     with mpmath.workprec(precision):
         if x.is_rational():

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from .cyclotomic import CyclotomicNumber, _make, _reduce, root_of_unity
 from .errors import UnsupportedCase
 from .numtheory import is_prime, jacobi_symbol, mod_inverse
+from .record import record
 
 
-@dataclass(frozen=True)
+@record
 class GaussSumSpec:
     """Parameters (p, a, b) of sum_{n=0}^{p-1} xi_p^(a n^2 + b n), reduced mod p."""
 

@@ -4,7 +4,7 @@ Every coefficient is a CyclotomicNumber: phi(N) integer numerators over
 one denominator.  int and Fraction coefficients are converted once, when
 a polynomial is constructed.  No zero coefficient is ever stored.
 RationalFunction provides the fraction field needed for kernel
-computations.
+computations; mpmath is imported inside eval_at_unit_root only.
 
 The arithmetic runs on plain term dicts (exponent -> coefficient):
 terms_mul and terms_divmod are the one product and the one division,
@@ -15,8 +15,6 @@ which runs them on int coefficients as well as CyclotomicNumber ones.
 from __future__ import annotations
 
 import operator
-
-import mpmath
 
 from .cyclotomic import CyclotomicNumber, as_cyclotomic, embed_complex
 
@@ -184,6 +182,7 @@ class LaurentPoly:
 
     def eval_at_unit_root(self, denominator: int, precision: int = 53):
         """Value at e^(2 pi i / denominator), exponents reduced first."""
+        import mpmath
         with mpmath.workprec(precision):
             total = mpmath.mpc(0)
             for e, c in self._terms.items():
@@ -338,6 +337,7 @@ class RationalFunction:
 
     def eval_at_unit_root(self, denominator: int, precision: int = 53):
         """Value at e^(2 pi i / denominator); no division when den is 1."""
+        import mpmath
         with mpmath.workprec(precision):
             value = self.num.eval_at_unit_root(denominator, precision)
             if not self.is_polynomial():

@@ -12,9 +12,10 @@ law stays an independent check of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+
+from .record import record
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -151,7 +152,7 @@ def _nearest_quotient(a: int, c: int) -> int:
     return m if abs(a - m * c) <= abs(a - (m + 1) * c) else m + 1
 
 
-@dataclass(frozen=True)
+@record
 class SL2Word:
     """A factorization U = J(m_t) ... J(m_1) with m_t = 0 and t > 1.
 

@@ -9,18 +9,15 @@ f(p,q,c,k) evaluated at e^(2 pi i / 4pr), where f has the shape
 with sign = (-1)^(c+1) and G_+- generalized Gauss sums in Z[xi_p].
 jeffrey_oracle evaluates the same invariant along an independent route
 (a direct double sum with the framing correction phi), deliberately in
-floating point, for cross-validation.
+floating point, for cross-validation; each evaluator imports mpmath.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import mpmath
-
 from .gauss import g_pm
 from .laurent import LaurentPoly
 from .numtheory import dedekind_sum, lens_matrix, rademacher_phi
+from .record import record
 from .skein import SkeinElement
 
 
@@ -53,7 +50,7 @@ class LensSpace:
         return hash((self.p, self.q))
 
 
-@dataclass(frozen=True)
+@record
 class FPolynomial:
     """prefactor_sign * (i / sqrt(2p)) * body(z), body over Q(xi_p).
 
@@ -126,6 +123,7 @@ def eval_meridian(space: LensSpace, c: int, r: int, precision: int = 53) -> mpma
     """w_r(L(p,q), mu_c): the f-polynomial at z = e^(2 pi i / 4pr), divided by sqrt(r)."""
     if r < 2:
         raise ValueError(f"level parameter r must be >= 2, got {r}")
+    import mpmath
     fp = f_poly(space, c, r % space.p)
     with mpmath.workprec(precision):
         value = fp.body.eval_at_unit_root(4 * space.p * r, precision)
@@ -152,6 +150,7 @@ def eval_z_combination(space: LensSpace, components, r: int, precision: int = 53
     """
     if r < 2:
         raise ValueError(f"level parameter r must be >= 2, got {r}")
+    import mpmath
     items = components.items() if isinstance(components, dict) else enumerate(components)
     with mpmath.workprec(precision):
         total = mpmath.mpc(0)
@@ -173,6 +172,7 @@ def jeffrey_oracle(space: LensSpace, c: int, r: int, precision: int = 53) -> mpm
     """
     if r < 2:
         raise ValueError(f"level parameter r must be >= 2, got {r}")
+    import mpmath
     p, q, b, phi = space.p, space.q, space.b, space.phi
     l = c + 1
     with mpmath.workprec(precision):

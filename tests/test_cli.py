@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lenswrt
 from lenswrt import analysis, selftest
 from lenswrt.cli import main, poly_from_json, poly_to_json
 from lenswrt.laurent import LaurentPoly
@@ -371,6 +375,22 @@ class TestInvalidInput:
         self.assert_input_error(code, err)
         assert "power 1 listed twice" in err
 
+    def test_repeated_key_in_recover_file(self, capsys, tmp_path):
+        space = LensSpace(5, 2)
+        fpolys = [poly_to_json(f_poly(space, 0, k).signed_body) for k in range(5)]
+        path = tmp_path / "samples.json"
+        path.write_text('{"p": 7, ' + json.dumps({"p": 5, "q": 2, "fpolys": fpolys})[1:])
+        code, _, err = run_cli(capsys, "recover", "5", "2", str(path))
+        self.assert_input_error(code, err)
+        assert "key 'p' listed twice" in err
+
+    def test_repeated_key_in_skein_file(self, capsys, tmp_path):
+        path = tmp_path / "element.json"
+        path.write_text('{"p": 7, ' + json.dumps(SkeinElement(5, [1, 0, 2]).to_json())[1:])
+        code, _, err = run_cli(capsys, "wrt", "5", "2", "--skein-file", str(path), "--rmax", "4")
+        self.assert_input_error(code, err)
+        assert "key 'p' listed twice" in err
+
     def test_unwritable_output(self, capsys, tmp_path):
         target = tmp_path / "absent" / "out.txt"
         code, _, err = run_cli(capsys, "--output", str(target), "rank", "5", "2")
@@ -401,6 +421,36 @@ class TestSkeinFileForms:
         assert code == 0
         for line in out.strip().splitlines()[1:]:
             assert float(line.split(",")[-1]) < 1e-9
+
+
+# the child imports what a CLI process imports, then runs the commands in order
+# and records after each whether mpmath is loaded
+_STARTUP_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+import lenswrt.cli, lenswrt.selftest
+seen = {"import": sorted(m for m in ("mpmath", "dataclasses") if m in sys.modules)}
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        seen[argv[0]] = [lenswrt.cli.main(argv), "mpmath" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_exact_commands_do_not_load_mpmath(tmp_path):
+    fpolys = [poly_to_json(f_poly(LensSpace(5, 2), 0, k).signed_body) for k in range(5)]
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps({"p": 5, "q": 2, "fpolys": fpolys}))
+    commands = [["dedekind", "3", "7"], ["phi", "7", "3"], ["classify", "9"], ["fpoly", "7", "3", "2", "4"],
+                ["rank", "7", "3"], ["kernel", "9", "1"], ["recover", "5", "2", str(path)],
+                ["gauss", "5", "1", "0"]]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lenswrt.__file__)))
+    child = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, json.dumps(commands)],
+                           capture_output=True, text=True, env=env, timeout=120, check=True)
+    seen = json.loads(child.stdout)
+    assert seen.pop("import") == []
+    assert seen.pop("gauss") == [0, True]  # the probe sees the import where there is one
+    assert seen == {argv[0]: [0, False] for argv in commands[:-1]}
 
 
 # --- fuzzed command lines: exit 0, 2 or 3, never a traceback ------------------------
