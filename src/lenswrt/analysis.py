@@ -47,7 +47,7 @@ import math
 import operator
 
 from .codec import coeff_terms_to_json
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, check_precision
 from .errors import (
     BadConditioning,
     Inconsistent,
@@ -560,13 +560,20 @@ def interpolate_f(space: LensSpace, samples, k: int, precision: int = 53):
     mpmath.mpc at any precision.  The exponent window is the support bound
     of the f-polynomials: with e = 12 p s(q,p) and m = [p/2], the body of
     color c contributes e + q(c^2+2c) +- 2(c+1), so the window is
-    [e - 2, e + q m(m+2) + 2(m+1)].
+    [lo, hi] = [e - 2, e + q m(m+2) + 2(m+1)], width = hi - lo + 1.
 
-    The evaluation points cluster near 1, so the square system (smallest
-    levels) is solved at elevated working precision and the solution is
-    validated against every remaining sample.  Returns (NumericPoly,
-    residual); raises ValueError on a sample that is not finite, and
-    UnderDetermined or BadConditioning.
+    The `width` smallest levels give the square system, a Vandermonde
+    system shifted by z^lo.  Each of its samples is divided by z^lo, and
+    the plain Vandermonde system on those nodes is solved in Newton form
+    (Bjorck-Pereyra: divided differences, then the Newton form expanded
+    to monomial coefficients), in O(width^2) operations at
+    precision + 16 width bits, since the nodes cluster near 1.  The
+    coefficients are then checked twice: solved again with every sample
+    moved by one rounding, they must not drift, and z^lo times their
+    Horner value must match every sample, the leftover levels included.
+    Returns (NumericPoly, residual); raises ValueError on a precision
+    below 53 bits or a sample that is not finite, and UnderDetermined or
+    BadConditioning.
 
     Precondition: the samples come from a polynomial supported in the
     window.  Every level puts z within pi/(2p) of 1, and on that arc the
@@ -574,6 +581,7 @@ def interpolate_f(space: LensSpace, samples, k: int, precision: int = 53):
     L(5,2) (32 levels, 300 bits) fit inside the window with residual
     1.3e-46 and wrong coefficients.
     """
+    check_precision(precision)
     import mpmath
     p = space.p
     pts = sorted(((operator.index(r), v) for r, v in samples), key=lambda rv: rv[0])
@@ -588,44 +596,47 @@ def interpolate_f(space: LensSpace, samples, k: int, precision: int = 53):
         raise ValueError("duplicate sample levels")
     e_mid = int(12 * p * space.dedekind)
     m = p // 2
-    exponents = list(range(e_mid - 2, e_mid + space.q * m * (m + 2) + 2 * (m + 1) + 1))
-    width = len(exponents)
+    lo, hi = e_mid - 2, e_mid + space.q * m * (m + 2) + 2 * (m + 1)
+    width = hi - lo + 1
     if len(pts) < width:
         raise UnderDetermined(f"{len(pts)} samples cannot determine {width} coefficients")
     with mpmath.workprec(precision + 16 * width):
-        pts = [(r, mpmath.mpc(v)) for r, v in pts]
+        values = [mpmath.mpc(v) for _, v in pts]
+        nodes = [mpmath.expjpi(mpmath.mpf(2) / (4 * p * r)) for r, _ in pts]
+        shifts = [z ** lo for z in nodes]
 
-        def point(r: int) -> mpmath.mpc:
-            return mpmath.expjpi(mpmath.mpf(2) / (4 * p * r))
+        def solve(rhs) -> list:
+            # sum_j a_j z_i^j = rhs_i / z_i^lo on the square levels: divided
+            # differences, then the Newton form expanded to monomials
+            a = [v / shift for v, shift in zip(rhs, shifts)]
+            for step in range(1, width):
+                for i in range(width - 1, step - 1, -1):
+                    a[i] = (a[i] - a[i - 1]) / (nodes[i] - nodes[i - step])
+            for step in range(width - 2, -1, -1):
+                for i in range(step, width - 1):
+                    a[i] -= nodes[step] * a[i + 1]
+            return a
 
-        vmat = mpmath.matrix(width, width)
-        rhs = mpmath.matrix(width, 1)
-        for i in range(width):
-            z = point(pts[i][0])
-            rhs[i] = pts[i][1]
-            for j, e in enumerate(exponents):
-                vmat[i, j] = z ** e
-        lu, perm = mpmath.mp.LU_decomp(vmat)
-        coeffs = mpmath.mp.U_solve(lu, mpmath.mp.L_solve(lu, rhs, perm))
-        scale = max(mpmath.mpf(1), max(abs(v) for _, v in pts))
+        coeffs = solve(values[:width])
+        scale = max(mpmath.mpf(1), max(abs(v) for v in values))
         # a fit can be exact while the coefficients are not: re-solve with each
         # sample moved by one rounding, 2^-precision of the sample scale, in
         # alternating directions (an exact zero has no rounding and stays), and
         # see how far the coefficients follow
         eps = mpmath.ldexp(scale, -precision)
-        bumped = mpmath.matrix([rhs[i] + (-1) ** i * eps if rhs[i] else rhs[i] for i in range(width)])
-        moved = mpmath.mp.U_solve(lu, mpmath.mp.L_solve(lu, bumped, perm))
-        drift = max(abs(moved[j] - coeffs[j]) for j in range(width))
+        moved = solve([v + (-1) ** i * eps if v else v for i, v in enumerate(values[:width])])
+        drift = max(abs(b - a) for a, b in zip(coeffs, moved))
         if drift > _INTERPOLATION_TOL * scale:
             raise BadConditioning(
                 f"coefficients move by {mpmath.nstr(drift, 3)} under a 2^-{precision} change of the samples"
             )
         residual = mpmath.mpf(0)
-        for r, v in pts:
-            z = point(r)
-            fit = mpmath.fsum(coeffs[j] * z ** e for j, e in enumerate(exponents))
-            residual = max(residual, abs(fit - v))
+        for v, z, shift in zip(values, nodes, shifts):
+            fit = mpmath.mpc(0)
+            for a in reversed(coeffs):
+                fit = fit * z + a
+            residual = max(residual, abs(shift * fit - v))
         if residual > _INTERPOLATION_TOL * scale:
             raise BadConditioning(f"residual {mpmath.nstr(residual, 3)} exceeds tolerance")
-    poly = NumericPoly("z", {e: complex(coeffs[j]) for j, e in enumerate(exponents) if coeffs[j]})
+    poly = NumericPoly("z", {lo + j: complex(a) for j, a in enumerate(coeffs) if a})
     return poly, float(residual)

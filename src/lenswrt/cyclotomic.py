@@ -419,10 +419,15 @@ def _roots(n: int, precision: int) -> tuple[mpmath.mpc, ...]:
         return tuple(mpmath.expjpi(mpmath.mpf(2 * j) / n) for j in range(len(_order_data(n)[0]) - 1))
 
 
-def embed_complex(x: CyclotomicNumber, precision: int = 53) -> mpmath.mpc:
-    """Complex value of a CyclotomicNumber at `precision` bits."""
+def check_precision(precision: int) -> None:
+    """Refuse a working precision below double precision; every numeric evaluator calls this first."""
     if precision < 53:
         raise ValueError(f"precision must be >= 53 bits, got {precision}")
+
+
+def embed_complex(x: CyclotomicNumber, precision: int = 53) -> mpmath.mpc:
+    """Complex value of a CyclotomicNumber at `precision` bits."""
+    check_precision(precision)
     import mpmath
     num, den = x._num, x._den
     with mpmath.workprec(precision):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import operator
 
-from .cyclotomic import CyclotomicNumber, as_cyclotomic, embed_complex
+from .cyclotomic import CyclotomicNumber, as_cyclotomic, check_precision, embed_complex
 
 _ZERO = CyclotomicNumber.zero()
 
@@ -182,6 +182,7 @@ class LaurentPoly:
 
     def eval_at_unit_root(self, denominator: int, precision: int = 53):
         """Value at e^(2 pi i / denominator), exponents reduced first."""
+        check_precision(precision)
         import mpmath
         with mpmath.workprec(precision):
             total = mpmath.mpc(0)
@@ -337,6 +338,7 @@ class RationalFunction:
 
     def eval_at_unit_root(self, denominator: int, precision: int = 53):
         """Value at e^(2 pi i / denominator); no division when den is 1."""
+        check_precision(precision)
         import mpmath
         with mpmath.workprec(precision):
             value = self.num.eval_at_unit_root(denominator, precision)

@@ -14,6 +14,7 @@ floating point, for cross-validation; each evaluator imports mpmath.
 
 from __future__ import annotations
 
+from .cyclotomic import check_precision
 from .gauss import g_pm
 from .laurent import LaurentPoly
 from .numtheory import dedekind_sum, lens_matrix, rademacher_phi
@@ -121,6 +122,7 @@ def f_link(space: LensSpace, element: SkeinElement, k: int) -> FPolynomial:
 
 def eval_meridian(space: LensSpace, c: int, r: int, precision: int = 53) -> mpmath.mpc:
     """w_r(L(p,q), mu_c): the f-polynomial at z = e^(2 pi i / 4pr), divided by sqrt(r)."""
+    check_precision(precision)
     if r < 2:
         raise ValueError(f"level parameter r must be >= 2, got {r}")
     import mpmath
@@ -148,6 +150,7 @@ def eval_z_combination(space: LensSpace, components, r: int, precision: int = 53
     elements (eval_link), extended classes such as kernel vectors, and
     single meridians all evaluate here.
     """
+    check_precision(precision)
     if r < 2:
         raise ValueError(f"level parameter r must be >= 2, got {r}")
     import mpmath
@@ -170,6 +173,7 @@ def jeffrey_oracle(space: LensSpace, c: int, r: int, precision: int = 53) -> mpm
     underlying sum computes the invariant of (-1)^(l-1) mu_(l-1) with
     l = c + 1; the result is converted to plain mu_c.
     """
+    check_precision(precision)
     if r < 2:
         raise ValueError(f"level parameter r must be >= 2, got {r}")
     import mpmath

@@ -707,6 +707,71 @@ class TestInterpolation:
         with pytest.raises(ValueError, match=f"sample at r={r} is not finite"):
             interpolate_f(space, samples, k, precision=prec)
 
+    def test_newton_solve_matches_dense_lu(self):
+        # reference: the full shifted Vandermonde system z_i^(lo+j) on the
+        # width smallest levels, solved densely by LU at the working precision
+        space = LensSpace(5, 2)
+        c, k, prec, width = 1, 1, 300, 25
+        samples = _oracle_samples(space, c, k, prec, 32)
+        poly, _ = interpolate_f(space, samples, k, precision=prec)
+        lo = int(12 * space.p * space.dedekind) - 2
+        with mpmath.workprec(prec + 16 * width):
+            nodes = [mpmath.expjpi(mpmath.mpf(2) / (4 * space.p * r)) for r, _ in samples[:width]]
+            vmat = mpmath.matrix([[z ** (lo + j) for j in range(width)] for z in nodes])
+            ref = mpmath.lu_solve(vmat, mpmath.matrix([v for _, v in samples[:width]]))
+            scale = max(1, max(abs(v) for _, v in samples))
+        # interpolate_f rounds its coefficients to complex, so the reference is rounded too
+        for j in range(width):
+            assert abs(poly.coeff(lo + j) - complex(ref[j])) <= 1e-30 * scale, lo + j
+
+    @pytest.mark.parametrize("p, q, c, k, count", [
+        (3, 1, 1, 2, 16),  # width 10
+        (4, 1, 1, 3, 24),  # width 17; an odd color at p = 0 mod 4 is the zero polynomial
+        (6, 1, 2, 5, 32),  # width 26
+        (7, 1, 3, 4, 32),  # width 26
+    ])
+    def test_other_orders_recovered(self, p, q, c, k, count):
+        space = LensSpace(p, q)
+        poly, residual = interpolate_f(space, _oracle_samples(space, c, k, 300, count), k, precision=300)
+        assert residual < 1e-20
+        _assert_recovers_body(poly, space, c, k)
+
+    def test_width_41_needs_600_bits(self):
+        space = LensSpace(7, 2)
+        c, k = 1, 1
+        with pytest.raises(BadConditioning, match=r"^coefficients move by 3\.13e\+50 under a 2\^-300 change"):
+            interpolate_f(space, _oracle_samples(space, c, k, 300, 48), k, precision=300)
+        poly, _ = interpolate_f(space, _oracle_samples(space, c, k, 600, 48), k, precision=600)
+        _assert_recovers_body(poly, space, c, k)
+
+    def test_exact_width(self):
+        # 25 samples leave no level over: the residual covers the square system alone
+        space = LensSpace(5, 2)
+        c, k, prec = 1, 1, 300
+        samples = _oracle_samples(space, c, k, prec, 25)
+        poly, residual = interpolate_f(space, samples, k, precision=prec)
+        assert residual < 1e-60
+        _assert_recovers_body(poly, space, c, k)
+        with pytest.raises(UnderDetermined, match=r"^24 samples cannot determine 25 coefficients$"):
+            interpolate_f(space, samples[:24], k, precision=prec)
+
+
+def _oracle_samples(space, c, k, prec, count):
+    """sqrt(r) w_r(mu_c) by jeffrey_oracle on the count smallest levels r = k mod p."""
+    levels = [r for r in range(2, 2 + count * space.p) if r % space.p == k][:count]
+    with mpmath.workprec(prec):
+        return [(r, jeffrey_oracle(space, c, r, prec) * mpmath.sqrt(r)) for r in levels]
+
+
+def _assert_recovers_body(poly, space, c, k):
+    """poly is the f_poly body times sign i / sqrt(2p), to within 1e-6 per coefficient."""
+    fp = f_poly(space, c, k)
+    with mpmath.workprec(300):
+        scale = mpmath.mpc(0, fp.prefactor_sign) / mpmath.sqrt(2 * space.p)
+        target = {e: complex(scale * embed_complex(v, 300)) for e, v in fp.body.terms.items()}
+    for e in set(poly.terms) | set(target):
+        assert abs(poly.coeff(e) - target.get(e, 0)) < 1e-6, e
+
 
 class TestColumnCollisions:
     def test_distinct_g_columns_bounded_by_squares(self):

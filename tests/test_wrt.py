@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from lenswrt.analysis import interpolate_f
 from lenswrt.gauss import GaussSumSpec, gauss_sum
 from lenswrt.laurent import LaurentPoly, RationalFunction
 from lenswrt.skein import SkeinElement, power_to_colored
@@ -236,3 +237,22 @@ class TestZCombination:
             lhs = eval_z_combination(space, quotients, r, 64) * den.eval_at_unit_root(20 * r, 64)
             rhs = eval_z_combination(space, comps, r, 64)
             assert abs(lhs - rhs) < 1e-10
+
+
+class TestPrecisionFloor:
+    @pytest.mark.parametrize("call", [
+        # color 1 at p = 0 mod 4 has a zero body, which never reaches embed_complex
+        lambda prec: eval_meridian(LensSpace(4, 1), 1, 5, prec),
+        lambda prec: eval_meridian(LensSpace(4, 1), 0, 5, prec),
+        lambda prec: eval_z_combination(LensSpace(4, 1), [LaurentPoly("z")], 5, prec),
+        lambda prec: jeffrey_oracle(LensSpace(4, 1), 0, 5, prec),
+        lambda prec: LaurentPoly("z").eval_at_unit_root(20, prec),
+        lambda prec: RationalFunction(LaurentPoly("z"), LaurentPoly("z", {0: 1})).eval_at_unit_root(20, prec),
+        lambda prec: interpolate_f(LensSpace(5, 2), [(r, 0j) for r in range(2, 160) if r % 5 == 2], 2, prec),
+    ], ids=["eval_meridian-zero-body", "eval_meridian", "eval_z_combination", "jeffrey_oracle",
+            "LaurentPoly.eval_at_unit_root", "RationalFunction.eval_at_unit_root", "interpolate_f"])
+    def test_below_53_bits_rejected(self, call):
+        call(53)
+        for prec in (52, 0):
+            with pytest.raises(ValueError, match=f"^precision must be >= 53 bits, got {prec}$"):
+                call(prec)
