@@ -2,7 +2,9 @@
 
 Builds the p x ([p/2]+1) matrix of f-polynomial bodies and computes its
 rank and kernel, and recovers skein coefficients from a full set of link
-polynomials:
+polynomials.  The matrix is read once, as rows of plain term dicts
+(exponent -> coefficient, one dict per column), and every step below runs
+on such rows:
 
 - one image test mod l: the matrix is mapped to F_l (l = 1 mod p prime,
   xi_p -> an element of exact order p, z -> a fixed point t), and the
@@ -13,21 +15,21 @@ polynomials:
 - descent to Q(z): xi -> xi^u maps row k to row k/u and fixes z, so the
   kernel has a basis over Q(z).  The power-basis coordinates of one row
   per divisor d of p (row d mod p) are at most tau(p) phi(p) rows over
-  Q[z, 1/z], whose kernel the refinement loop below finds.  It is the
-  answer when it meets both bounds: every vector annihilates all p rows
-  exactly (rank <= ncols - #basis) and the image pivot rows of the matrix
-  number ncols - #basis.  Otherwise the loop runs over Q(xi_p)(z), on the
+  Q[z, 1/z], made as int rows, each cleared of its denominators; the
+  refinement loop below finds their kernel.  It is the answer when it
+  meets both bounds: every vector annihilates all p rows exactly
+  (rank <= ncols - #basis) and the image pivot rows of the matrix number
+  ncols - #basis.  Otherwise the loop runs over Q(xi_p)(z), on the
   matrix's own image pivot rows;
 - one refinement loop: fraction-free (Bareiss) elimination on the
-  selected rows, then fraction-free back-substitution, both on plain term
-  dicts (exponent -> coefficient): int coefficients on the descended
-  rows, each cleared of its denominators, CyclotomicNumber ones over
-  Q(xi_p), with one exact division (laurent.terms_divmod) for both.  With
-  D the last pivot, each kernel vector has D at its free column (a zero
-  column has no pivot, so its vector normalizes to e_c); then an exact
-  proof on all rows: M v = 0 for every vector, which bounds the rank from
-  above.  A row that a vector fails is independent of the selection; it
-  joins the selection, which is eliminated again.
+  selected rows, then fraction-free back-substitution: int coefficients
+  on the descended rows, CyclotomicNumber ones over Q(xi_p), with one
+  exact division (laurent.terms_divmod) for both.  With D the last pivot,
+  each kernel vector has D at its free column (a zero column has no
+  pivot, so its vector normalizes to e_c); then an exact proof on all
+  rows: M v = 0 for every vector, which bounds the rank from above.  A
+  row that a vector fails is independent of the selection; it joins the
+  selection, which is eliminated again.
 
 A solution of M x = b is the proven kernel vector (v, d) of [M | -b],
 x = v / d; an empty kernel proves there is none.
@@ -69,6 +71,16 @@ class LaurentMatrix:
 
     entries: tuple[tuple[LaurentPoly, ...], ...]
 
+    def __post_init__(self):
+        for row in self.entries:
+            if len(row) != len(self.entries[0]):
+                raise ValueError(f"matrix rows have lengths {len(self.entries[0])} and {len(row)}")
+            for entry in row:
+                if not isinstance(entry, LaurentPoly):
+                    raise ValueError(f"matrix entry {entry!r} is not a LaurentPoly")
+                if entry and entry.var != "z":
+                    raise ValueError(f"matrix entry {entry!r} is in {entry.var}, not z")
+
     @property
     def nrows(self) -> int:
         return len(self.entries)
@@ -96,9 +108,10 @@ class RationalFunctionVector:
         return iter(self.components)
 
     def same_line(self, other) -> bool:
-        """True iff the two vectors are proportional (equal as lines)."""
+        """True iff the two vectors are proportional (equal as lines); a zero
+        vector lies on no line with a nonzero one."""
         comps = tuple(other)
-        if len(comps) != len(self.components):
+        if len(comps) != len(self.components) or self.is_zero() != all(not c for c in comps):
             return False
         for i in range(len(comps)):
             for j in range(len(comps)):
@@ -191,19 +204,6 @@ def _row_times(row, x) -> dict:
     return total
 
 
-def _term_rows(rows) -> list[list[dict]]:
-    """Rows of LaurentPoly as rows of term dicts: int coefficients when every
-    coefficient is rational, each row times the lcm of its denominators (an
-    integer multiple of a row spans the same line); CyclotomicNumber
-    coefficients otherwise."""
-    rows = [[entry.terms for entry in row] for row in rows]
-    if all(c.is_rational() for row in rows for t in row for c in t.values()):
-        for row in rows:
-            scale = math.lcm(*(c.denominator for t in row for c in t.values()))
-            row[:] = [{e: int(c.coeffs[0] * scale) for e, c in t.items()} for t in row]
-    return rows
-
-
 # --- certified modular pivots ----------------------------------------------------
 #
 # The entries of the f-matrix lie in Z[xi_n][z, 1/z] with n = p.  For a prime
@@ -232,33 +232,29 @@ def _modulus(n: int) -> tuple[int, int, int]:
     return ell, omega, t
 
 
-def _coefficient_order(matrix: LaurentMatrix) -> int:
-    """The lcm of the orders of the matrix's coefficients."""
-    return math.lcm(*(c.order for row in matrix.entries for e in row for _, c in e.items()))
-
-
-def _image_pivot_rows(matrix: LaurentMatrix) -> list[int]:
-    """Indices of the pivot rows of the matrix's image in F_l.
+def _image_pivot_rows(rows, n: int) -> list[int]:
+    """Indices of the pivot rows of the image in F_l of rows of term dicts
+    whose coefficient orders divide n.
 
     Each row is mapped after multiplying it by the lcm of its coefficient
     denominators: an integer multiple of a row keeps its pivot status, and
     its image needs no denominator to be invertible mod l.
     """
-    n = _coefficient_order(matrix)
     ell, omega, t = _modulus(n)
 
+    def residue(c) -> int:
+        return c if isinstance(c, int) else c.image_mod(ell, pow(omega, n // c.order, ell))
+
     def image(row) -> list[int]:
-        scale = math.lcm(*(c.denominator for entry in row for _, c in entry.items()))
-        if scale != 1:
-            row = [entry.scale(scale) for entry in row]
+        scale = math.lcm(*(c.denominator for entry in row for c in entry.values()))
         return [
-            sum(c.image_mod(ell, pow(omega, n // c.order, ell)) * pow(t, e, ell) for e, c in entry.items()) % ell
+            sum(residue(c * scale if scale != 1 else c) * pow(t, e, ell) for e, c in entry.items()) % ell
             for entry in row
         ]
 
-    remaining = {k: image(row) for k, row in enumerate(matrix.entries)}
+    remaining = {k: image(row) for k, row in enumerate(rows)}
     chosen = []
-    for col in range(matrix.ncols):
+    for col in range(len(rows[0]) if rows else 0):
         piv = next((k for k in remaining if remaining[k][col]), None)
         if piv is None:
             continue
@@ -272,13 +268,13 @@ def _image_pivot_rows(matrix: LaurentMatrix) -> list[int]:
     return sorted(chosen)
 
 
-def _refuting_row(matrix: LaurentMatrix, vec: RationalFunctionVector) -> int | None:
+def _refuting_row(rows, vec: RationalFunctionVector) -> int | None:
     """The first row k with M[k] v != 0, exactly; None when M v = 0."""
     x = [v.terms for v in vec.components]
-    return next((k for k, row in enumerate(matrix.entries) if _row_times([e.terms for e in row], x)), None)
+    return next((k for k, row in enumerate(rows) if _row_times(row, x)), None)
 
 
-def _refined(matrix: LaurentMatrix, selection) -> list[RationalFunctionVector]:
+def _refined(rows, selection) -> list[RationalFunctionVector]:
     """The normalized kernel basis of the selected rows, proven on every row.
 
     Each free column f gets the vector with v_f = D, the last pivot, and 0
@@ -286,11 +282,11 @@ def _refined(matrix: LaurentMatrix, selection) -> list[RationalFunctionVector]:
     that a vector fails exactly is not in the selection's span: it joins
     the selection, which is eliminated again.
     """
-    ncols = matrix.ncols
+    ncols = len(rows[0]) if rows else 0
     while True:
-        rows = _term_rows(matrix.entries[k] for k in selection)
-        pivots, _ = _bareiss_echelon(rows)
-        det = rows[pivots[-1][0]][pivots[-1][1]] if pivots else {0: 1}
+        selected = [list(rows[k]) for k in selection]
+        pivots, _ = _bareiss_echelon(selected)
+        det = selected[pivots[-1][0]][pivots[-1][1]] if pivots else {0: 1}
         pivot_cols = {c for _, c in pivots}
         basis = []
         for f in range(ncols):
@@ -298,8 +294,8 @@ def _refined(matrix: LaurentMatrix, selection) -> list[RationalFunctionVector]:
                 continue
             x = [{}] * ncols
             x[f] = det
-            vec = _normalize_kernel_vector([LaurentPoly("z", t) for t in _back_substitute(rows, pivots, x)])
-            refuting = _refuting_row(matrix, vec)
+            vec = _normalize_kernel_vector([LaurentPoly("z", t) for t in _back_substitute(selected, pivots, x)])
+            refuting = _refuting_row(rows, vec)
             if refuting is not None:
                 selection = sorted([*selection, refuting])
                 break
@@ -308,49 +304,54 @@ def _refined(matrix: LaurentMatrix, selection) -> list[RationalFunctionVector]:
             return basis
 
 
-def _descended(matrix: LaurentMatrix) -> LaurentMatrix:
-    """The rational rows: the power-basis coordinates, Laurent polynomials
-    over Q, of row d mod p for each divisor d of p = nrows, entries lifted to
-    the lcm of their coefficient orders.  For the f-matrix, xi -> xi^u maps
-    row k to row k/u, so these rows annihilate the same rational vectors as
-    the whole matrix."""
-    p = matrix.nrows
-    n = _coefficient_order(matrix)
-    rows = []
+def _descended(rows, n: int) -> list[list[dict]]:
+    """The rational rows: the power-basis coordinates in Q(xi_n), Laurent
+    polynomials over Q, of row d mod p for each divisor d of p = len(rows),
+    each coordinate row times the lcm of its denominators, as int term
+    dicts.  For the f-matrix, xi -> xi^u maps row k to row k/u, so these
+    rows annihilate the same rational vectors as the whole matrix."""
+    p = len(rows)
+    rational = []
     for k in (d % p for d in range(1, p + 1) if p % d == 0):
-        coords = [[{} for _ in range(matrix.ncols)] for _ in range(n)]
-        for col, entry in enumerate(matrix.entries[k]):
+        coords = [[{} for _ in rows[k]] for _ in range(n)]
+        for col, entry in enumerate(rows[k]):
             for e, c in entry.items():
                 for j, v in enumerate(c.lift(n).coeffs):
                     if v:
                         coords[j][col][e] = v
-        rows += [tuple(LaurentPoly("z", t) for t in row) for row in coords if any(row)]
-    return LaurentMatrix(tuple(rows))
+        for row in coords:
+            if any(row):
+                scale = math.lcm(*(v.denominator for t in row for v in t.values()))
+                rational.append([{e: int(v * scale) for e, v in t.items()} for t in row])
+    return rational
 
 
 def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     """The normalized kernel basis, proven: the rank is ncols - len(basis).
 
-    The image pivot rows bound the rank from below; when they number ncols
-    less the zero columns, the unit vectors e_c of the zero columns are the
-    basis.  Otherwise the descended rows are refined over Q(z): their basis
-    is the answer when every vector annihilates all rows of the matrix
-    exactly and the image pivot rows meet the bound ncols - len(basis).
-    When the bounds disagree (a right-hand side that is not
-    Galois-compatible, or a weak image) the matrix's own image pivot rows
-    are refined over Q(xi_p)(z).
+    The matrix becomes rows of term dicts once, and n is the lcm of its
+    coefficient orders.  The image pivot rows bound the rank from below;
+    when they number ncols less the zero columns, the unit vectors e_c of
+    the zero columns are the basis.  Otherwise the descended rows are
+    refined over Q(z): their basis is the answer when every vector
+    annihilates all rows of the matrix exactly and the image pivot rows
+    meet the bound ncols - len(basis).  When the bounds disagree (a
+    right-hand side that is not Galois-compatible, or a weak image) the
+    matrix's own image pivot rows are refined over Q(xi_p)(z).
     """
+    rows = [[entry.terms for entry in row] for row in matrix.entries]
     ncols = matrix.ncols
-    zero = [c for c in range(ncols) if not any(row[c] for row in matrix.entries)]
-    selection = _image_pivot_rows(matrix)
+    n = math.lcm(*(c.order for row in rows for entry in row for c in entry.values()))
+    zero = [c for c in range(ncols) if not any(row[c] for row in rows)]
+    selection = _image_pivot_rows(rows, n)
     if len(selection) == ncols - len(zero):
         one, nil = LaurentPoly.one("z"), LaurentPoly("z")
         return [RationalFunctionVector(tuple(one if j == c else nil for j in range(ncols))) for c in zero]
-    rational = _descended(matrix)
-    basis = _refined(rational, _image_pivot_rows(rational))
-    if len(basis) == ncols - len(selection) and all(_refuting_row(matrix, vec) is None for vec in basis):
+    rational = _descended(rows, n)
+    basis = _refined(rational, _image_pivot_rows(rational, n))
+    if len(basis) == ncols - len(selection) and all(_refuting_row(rows, vec) is None for vec in basis):
         return basis
-    return _refined(matrix, selection)
+    return _refined(rows, selection)
 
 
 def rank(matrix: LaurentMatrix) -> int:

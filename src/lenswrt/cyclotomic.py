@@ -9,14 +9,14 @@ lowest terms:
 with the numerator reduced modulo the N-th cyclotomic polynomial, so
 equality of values is equality of (numerators, denominator) after
 lifting to a common order.  Products are integer convolutions, folded by
-xi^N = 1 and then divided by the monic Phi_N, whose remainder is the
-canonical form; at N = 2m with m odd the division runs at order m on the
-sign-flipped vector, since Phi_2m(x) = Phi_m(-x).  An inverse is the
-product of the nontrivial Galois conjugates over the integer norm, built
-by doubling along the orbits of the unit group (about 2 log2 phi(N)
-products) and kept on the number.  int and Fraction values enter through
-the constructor and leave through `.coeffs`; embed_complex imports mpmath
-and reads the complex power basis from a table cached per (N, precision).
+xi^(N/2) = -1 for an even N and by xi^N = 1 for an odd one, and then
+divided by the monic Phi_N, whose remainder is the canonical form.  An
+inverse is the product of the nontrivial Galois conjugates over the
+integer norm, built by doubling along the orbits of the unit group (about
+2 log2 phi(N) products) and kept on the number.  int and Fraction values
+enter through the constructor and leave through `.coeffs`; embed_complex
+imports mpmath and reads the complex power basis from a table cached per
+(N, precision).
 """
 
 from __future__ import annotations
@@ -69,23 +69,16 @@ def _order_data(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
 def _reduce(order: int, vec: list[int]) -> list[int]:
     """phi(order) integers: vec, a polynomial in xi_order, reduced modulo Phi_order.
 
-    For order = 2m with m odd and m > 1, Phi_order(x) = Phi_m(-x): if
-    v(-x) = Q(x) Phi_m(x) + r(x) then v(x) = Q(-x) Phi_order(x) + r(-x),
-    so the remainder is found at order m with the odd coefficients negated
-    on the way in and out (at a prime m that is O(m), not a dense division).
+    vec is first folded below xi^(order/2) = -1 for an even order and below
+    xi^order = 1 for an odd one, then divided by the monic Phi_order.
     """
-    for k in range(len(vec) - 1, order - 1, -1):  # xi^order = 1
+    period, sign = (order // 2, -1) if order % 2 == 0 else (order, 1)
+    for k in range(len(vec) - 1, period - 1, -1):
         if vec[k]:
-            vec[k - order] += vec[k]
-    if order % 4 == 2 and order > 2:
-        del vec[order:]
-        vec[1::2] = [-c for c in vec[1::2]]
-        vec = _reduce(order // 2, vec)
-        vec[1::2] = [-c for c in vec[1::2]]
-        return vec
+            vec[k - period] += sign * vec[k]
     phi, tail = _order_data(order)
     deg = len(phi) - 1
-    for j in range(min(len(vec), order) - 1, deg - 1, -1):  # subtract c x^(j-deg) Phi_order
+    for j in range(min(len(vec), period) - 1, deg - 1, -1):  # subtract c x^(j-deg) Phi_order
         c = vec[j]
         if c:
             for i, t in tail:

@@ -162,6 +162,8 @@ def check_kernel_vectors():
             return False, f"kernel of L(9,{q}) has dimension {len(basis)}"
         if not basis[0].same_line(target):
             return False, f"kernel generator of L(9,{q}) is not the expected line"
+        if basis[0].components != target:
+            return False, f"kernel generator of L(9,{q}) is not normalized as expected"
     return True, "both generators match (in fact literally)"
 
 

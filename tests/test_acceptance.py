@@ -4,6 +4,8 @@ prints one pass/fail line per criterion (pytest -s shows them live)."""
 import pytest
 
 from lenswrt import selftest
+from lenswrt.analysis import RationalFunctionVector
+from lenswrt.laurent import LaurentPoly
 
 
 # Each criterion's detail line, byte for byte: a criterion that checks less
@@ -64,6 +66,21 @@ def test_criterion_07_rank_four_at_nine():
 
 def test_criterion_08_kernel_generators():
     _run(8)
+
+
+def _kernel_returning(make_vector):
+    targets = {1: selftest.KERNEL_TARGET_9_1, 4: selftest.KERNEL_TARGET_9_4}
+    return lambda space: [RationalFunctionVector(make_vector(targets[space.q]))]
+
+
+@pytest.mark.parametrize("make_vector", [
+    lambda target: tuple(c.shift(1) for c in target),  # the generator times z: same line, not normalized
+    lambda target: (LaurentPoly("z"),) * len(target),  # the zero vector
+], ids=["times-z", "zero"])
+def test_criterion_08_rejects_other_generators(monkeypatch, make_vector):
+    monkeypatch.setattr(selftest, "kernel", _kernel_returning(make_vector))
+    ok, detail = selftest.check_kernel_vectors()
+    assert not ok, detail
 
 
 def test_criterion_09_lattice_obstruction():

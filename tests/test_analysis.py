@@ -77,6 +77,24 @@ class TestMatrixStructure:
                 rhs = matrix.entries[(5 - k) % 5][c].conj_coeffs()
                 assert lhs == rhs
 
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError, match="lengths 2 and 1"):
+            LaurentMatrix(((z({0: 1}), z({1: 1})), (z({0: 1}),)))
+
+    def test_entry_must_be_a_laurent_poly(self):
+        with pytest.raises(ValueError, match="not a LaurentPoly"):
+            LaurentMatrix(((z({0: 1}), 1),))
+
+    def test_entry_in_another_variable_rejected(self):
+        # the elimination runs on term dicts, which carry no variable
+        a_one = LaurentPoly("A", {0: 1})
+        with pytest.raises(ValueError, match="in A, not z"):
+            LaurentMatrix(((a_one, z({1: 1})),))
+        with pytest.raises(ValueError, match="in A, not z"):
+            recover_skein(LensSpace(3, 1), [a_one] * 3)
+        # a zero entry has no variable to mismatch
+        assert rank(LaurentMatrix(((LaurentPoly("A"), z({1: 1})),))) == 1
+
 
 class TestRank:
     def test_full_rank_samples(self):
@@ -139,6 +157,13 @@ class TestKernel:
         mu1 = (z({}), z({0: 1}), z({}))
         assert any(vec.same_line(mu1) for vec in basis)
 
+    def test_zero_vector_is_on_no_line(self):
+        nil = (z({}),) * 3
+        vec = RationalFunctionVector((z({}), z({0: 1}), z({2: 3})))
+        assert not vec.same_line(nil)
+        assert not RationalFunctionVector(nil).same_line(vec)
+        assert RationalFunctionVector(nil).same_line(nil)
+
     def test_higher_dimensional_kernels_annihilate_exactly(self):
         for p, q in ((8, 3), (12, 5), (16, 3)):
             space = LensSpace(p, q)
@@ -172,11 +197,12 @@ def all_rows_kernel(p, q):
     """The reference kernel: elimination over Q(xi_p)(z) on every row, with
     no image and no descent; computed once per (p, q) and shared.  With
     every row selected, no row can refute it."""
-    return tuple(refined(build_f_matrix(LensSpace(p, q)), range(p)))
+    return tuple(refined(term_rows(build_f_matrix(LensSpace(p, q))), range(p)))
 
 
-def over_q(matrix):
-    return all(c.is_rational() for row in matrix.entries for e in row for _, c in e.items())
+def term_rows(matrix):
+    """The matrix as rows of term dicts, as analysis._certified converts it."""
+    return [[entry.terms for entry in row] for row in matrix.entries]
 
 
 def integral(rows):
@@ -186,13 +212,14 @@ def integral(rows):
 
 
 def refinements(monkeypatch):
-    """Record, per call of analysis._refined, whether it ran on rational rows."""
+    """Record, per call of analysis._refined, whether it ran on the descended
+    int rows."""
     seen = []
     refine = analysis._refined
 
-    def spy(matrix, selection):
-        seen.append(over_q(matrix))
-        return refine(matrix, selection)
+    def spy(rows, selection):
+        seen.append(integral(rows))
+        return refine(rows, selection)
 
     monkeypatch.setattr(analysis, "_refined", spy)
     return seen
@@ -209,7 +236,7 @@ class TestCertifiedPivots:
     def all_rows(monkeypatch, fn, *args):
         # eliminate on every row: no image, so no full-column-rank shortcut
         with monkeypatch.context() as m:
-            m.setattr(analysis, "_certified", lambda mat: refined(mat, range(mat.nrows)))
+            m.setattr(analysis, "_certified", lambda mat: refined(term_rows(mat), range(mat.nrows)))
             return fn(*args)
 
     def test_rank_and_kernel_match_all_rows(self, monkeypatch):
@@ -276,20 +303,21 @@ class TestCertifiedPivots:
         calls = []
         find = analysis._image_pivot_rows
 
-        def drop_a_row(matrix):
-            calls.append(matrix)
-            return find(matrix)[:-1]
+        def drop_a_row(rows, n):
+            calls.append(rows)
+            return find(rows, n)[:-1]
 
         check = analysis._refuting_row
         for p, q in ((9, 1), (7, 2)):
             space = LensSpace(p, q)
             matrix = build_f_matrix(space)
-            wrong = drop_a_row(matrix)
+            rows = term_rows(matrix)
+            wrong = drop_a_row(rows, p)  # every coefficient of the f-matrix has order p
             expected = all_rows_kernel(p, q)
             verdicts = []
             with monkeypatch.context() as m:
                 m.setattr(analysis, "_refuting_row", lambda mat, vec: verdicts.append(check(mat, vec)) or verdicts[-1])
-                assert tuple(refined(matrix, wrong)) == expected
+                assert tuple(refined(rows, wrong)) == expected
             refuting = next((k for k in verdicts if k is not None), None)
             assert refuting is not None and refuting not in wrong
             with monkeypatch.context() as m:
@@ -300,19 +328,19 @@ class TestCertifiedPivots:
                 # two images per query: one of M, whose pivot rows bound the
                 # rank from below, and one of its descended rational rows
                 assert len(calls) == 4
-                assert sum(over_q(mat) for mat in calls) == 2
+                assert sum(integral(rows) for rows in calls) == 2
 
     def test_wrong_selection_rejected_in_recover(self, monkeypatch):
         space = LensSpace(5, 2)
         element = random_skein(5, random.Random(3))
         polys = [f_link(space, element, k).signed_body for k in range(5)]
         find = analysis._image_pivot_rows
-        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda m: find(m)[:-1])
+        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda rows, n: find(rows, n)[:-1])
         assert recover_skein(space, polys).a_form == element
 
     def test_refuted_rows_join_the_selection(self, monkeypatch):
         find = analysis._image_pivot_rows
-        shortened = {"empty": lambda m: [], "one short": lambda m: find(m)[:-1]}
+        shortened = {"empty": lambda rows, n: [], "one short": lambda rows, n: find(rows, n)[:-1]}
         rng = random.Random(11)
         for p in range(2, 13):
             for q in valid_qs(p):
@@ -352,7 +380,7 @@ class TestCertifiedPivots:
         # a short selection on the descended rows only: refined over Q(z),
         # the answer still meets the image bound of M, so no Q(xi_p) step
         find = analysis._image_pivot_rows
-        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda m: find(m)[:-1] if over_q(m) else find(m))
+        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda rows, n: find(rows, n)[:-1] if integral(rows) else find(rows, n))
         # every elimination ran on the descended rows, cleared to int
         # coefficients; M's own rows, CyclotomicNumber terms, fail the spy
         eliminations = []
@@ -365,7 +393,7 @@ class TestCertifiedPivots:
             assert tuple(kernel(space)) == expected, (p, q)
             assert len(eliminations) >= 2 and all(eliminations), (p, q)
             eliminations.clear()
-            analysis._bareiss_echelon([[e.terms for e in row] for row in build_f_matrix(space).entries])
+            analysis._bareiss_echelon(term_rows(build_f_matrix(space)))
             assert eliminations == [False], (p, q)
 
     def test_descended_answer_must_annihilate_every_row(self, monkeypatch):
@@ -376,7 +404,7 @@ class TestCertifiedPivots:
         xi = root_of_unity(3)
         matrix = LaurentMatrix(((z({}), z({})), (z({0: xi}), z({0: -xi})), (z({0: xi * xi}), z({}))))
         find = analysis._image_pivot_rows
-        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda m: find(m) if over_q(m) else find(m)[:-1])
+        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda rows, n: find(rows, n) if integral(rows) else find(rows, n)[:-1])
         seen = refinements(monkeypatch)
         assert rank(matrix) == 2
         assert seen == [True, False]

@@ -207,8 +207,8 @@ def test_fraction_input_is_kept_exact():
 
 
 def test_reduce_equals_the_remainder_of_dividing_by_phi():
-    # at N = 2 mod 4 the reduction runs at order N/2 on the sign-flipped
-    # vector; the reference is the plain division by Phi_N
+    # the reduction folds by xi^(N/2) = -1 at an even N before it divides;
+    # the reference folds by xi^N = 1 and divides plainly by Phi_N
     rng = random.Random(130)
     for n in range(1, 131):
         phi = cyclotomic_polynomial(n)
