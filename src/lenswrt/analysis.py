@@ -49,7 +49,7 @@ import math
 import operator
 
 from .codec import coeff_terms_to_json
-from .cyclotomic import CyclotomicNumber, check_precision
+from .cyclotomic import CyclotomicNumber, check_precision, unit_root
 from .errors import (
     BadConditioning,
     Inconsistent,
@@ -601,9 +601,10 @@ def interpolate_f(space: LensSpace, samples, k: int, precision: int = 53):
     width = hi - lo + 1
     if len(pts) < width:
         raise UnderDetermined(f"{len(pts)} samples cannot determine {width} coefficients")
-    with mpmath.workprec(precision + 16 * width):
+    work = precision + 16 * width
+    with mpmath.workprec(work):
         values = [mpmath.mpc(v) for _, v in pts]
-        nodes = [mpmath.expjpi(mpmath.mpf(2) / (4 * p * r)) for r, _ in pts]
+        nodes = [unit_root(1, 4 * p * r, work) for r, _ in pts]
         shifts = [z ** lo for z in nodes]
 
         def solve(rhs) -> list:

@@ -17,6 +17,12 @@ integer norm, built by doubling along the orbits of the unit group (about
 enter through the constructor and leave through `.coeffs`; embed_complex
 imports mpmath and reads the complex power basis from a table cached per
 (N, precision).
+
+unit_root is the package's one numeric root of unity: e^(2 pi i num/den)
+at a given precision, computed by mpmath.libmp's cos/sin of pi times the
+rounded argument, bit for bit the value of mpmath.expjpi.  The power-basis
+table, Laurent evaluation, the Jeffrey oracle and the interpolation nodes
+all take their roots from it.
 """
 
 from __future__ import annotations
@@ -404,12 +410,28 @@ def root_of_unity(order: int, exponent: int = 1) -> CyclotomicNumber:
     return _make(order, _reduce(order, vec), 1)
 
 
+def unit_root(num: int, den: int, precision: int) -> mpmath.mpc:
+    """e^(2 pi i num/den) at `precision` bits: the package's one root-of-unity evaluator.
+
+    The value is bit for bit what mpmath.expjpi(mpf(2 (num mod den)) / den)
+    returns under workprec(precision): the argument is rounded to nearest at
+    `precision` bits and cos/sin of pi times it are taken at that precision.
+    mpmath's own expjpi reaches the same libmp call only after a real-valued
+    attempt fails with ComplexResult, which costs more than the sine itself.
+    Raises ValueError for den < 1.
+    """
+    if den < 1:
+        raise ValueError(f"denominator must be >= 1, got {den}")
+    import mpmath
+    from mpmath.libmp import from_int, mpf_cos_sin_pi, mpf_div
+    arg = mpf_div(from_int(2 * (num % den), precision, "n"), from_int(den), precision, "n")
+    return mpmath.mp.make_mpc(mpf_cos_sin_pi(arg, precision, "n"))
+
+
 @functools.lru_cache(maxsize=None)
 def _roots(n: int, precision: int) -> tuple[mpmath.mpc, ...]:
-    """xi_n^j = expjpi(2j/n) at `precision` bits for the power basis 0 <= j < phi(n)."""
-    import mpmath
-    with mpmath.workprec(precision):
-        return tuple(mpmath.expjpi(mpmath.mpf(2 * j) / n) for j in range(len(_order_data(n)[0]) - 1))
+    """xi_n^j = unit_root(j, n) at `precision` bits for the power basis 0 <= j < phi(n)."""
+    return tuple(unit_root(j, n, precision) for j in range(len(_order_data(n)[0]) - 1))
 
 
 def check_precision(precision: int) -> None:

@@ -5,7 +5,8 @@ the same sums through Jacobi-symbol formulas in the cases where such
 formulas exist (a multiple of p; p an odd prime; p twice an odd prime),
 expressed entirely inside Z[xi_p] by writing eps(p) sqrt(p) as the
 quadratic sum gauss_sum(p, 1, 0), summed directly once per odd prime p
-and cached.
+and cached.  For an odd prime p the closed form (a/p) xi_p^e Q is that
+sum's numerator rotated by e places and signed, reduced once modulo Phi_p.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .cyclotomic import CyclotomicNumber, _make, _reduce, root_of_unity
+from .cyclotomic import CyclotomicNumber, _make, _reduce
 from .errors import UnsupportedCase
 from .numtheory import is_prime, jacobi_symbol, mod_inverse
 from .record import record
@@ -89,9 +90,14 @@ def _odd_prime_closed_form(p: int, a: int, b: int) -> CyclotomicNumber:
         if b == 0:
             return CyclotomicNumber.from_rational(p, p)
         return CyclotomicNumber.zero(p)
-    quarter = mod_inverse(4 * a, p)
-    phase = root_of_unity(p, -b * b * quarter)
-    return jacobi_symbol(a, p) * phase * _quadratic_sum(p)
+    # xi^shift times the quadratic sum is its numerator rotated by shift places
+    # in a length-p vector, reduced once modulo Phi_p
+    shift = -b * b * mod_inverse(4 * a, p)
+    sign = jacobi_symbol(a, p)
+    vec = [0] * p
+    for j, c in enumerate(_quadratic_sum(p)._num):
+        vec[(j + shift) % p] = sign * c
+    return _make(p, _reduce(p, vec), 1)
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import operator
 
-from .cyclotomic import CyclotomicNumber, as_cyclotomic, check_precision, embed_complex
+from .cyclotomic import CyclotomicNumber, as_cyclotomic, check_precision, embed_complex, unit_root
 
 _ZERO = CyclotomicNumber.zero()
 
@@ -181,15 +181,15 @@ class LaurentPoly:
         return LaurentPoly._make(self._var, terms_divexact(self._terms, other._terms))
 
     def eval_at_unit_root(self, denominator: int, precision: int = 53):
-        """Value at e^(2 pi i / denominator), exponents reduced first."""
+        """Value at e^(2 pi i / denominator), each var^e a unit_root; ValueError for denominator < 1."""
         check_precision(precision)
+        if denominator < 1:
+            raise ValueError(f"denominator must be >= 1, got {denominator}")
         import mpmath
         with mpmath.workprec(precision):
             total = mpmath.mpc(0)
             for e, c in self._terms.items():
-                cv = embed_complex(c, precision)
-                arg = e % denominator
-                total += cv * mpmath.expjpi(mpmath.mpf(2 * arg) / denominator)
+                total += embed_complex(c, precision) * unit_root(e, denominator, precision)
             return total
 
     # --- comparisons ------------------------------------------------------------

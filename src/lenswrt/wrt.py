@@ -9,12 +9,14 @@ f(p,q,c,k) evaluated at e^(2 pi i / 4pr), where f has the shape
 with sign = (-1)^(c+1) and G_+- generalized Gauss sums in Z[xi_p].
 jeffrey_oracle evaluates the same invariant along an independent route
 (a direct double sum with the framing correction phi), deliberately in
-floating point, for cross-validation; each evaluator imports mpmath.
+floating point, for cross-validation; it memoizes its roots of unity
+within one call and keeps nothing between calls.  Every root of unity is a
+cyclotomic.unit_root, and each evaluator imports mpmath.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import check_precision
+from .cyclotomic import check_precision, unit_root
 from .gauss import g_pm
 from .laurent import LaurentPoly
 from .numtheory import dedekind_sum, lens_matrix, rademacher_phi
@@ -168,28 +170,42 @@ def eval_z_combination(space: LensSpace, components, r: int, precision: int = 53
 def jeffrey_oracle(space: LensSpace, c: int, r: int, precision: int = 53) -> mpmath.mpc:
     """w_r(L(p,q), mu_c) by the direct double sum with framing correction.
 
-    Independent of the f-polynomial machinery: all roots of unity are
-    evaluated as complex exponentials at the requested precision.  The
-    underlying sum computes the invariant of (-1)^(l-1) mu_(l-1) with
-    l = c + 1; the result is converted to plain mu_c.
+    Independent of the f-polynomial machinery: every root of unity is a
+    cyclotomic.unit_root at the requested precision.  The underlying sum
+    computes the invariant of (-1)^(l-1) mu_(l-1) with l = c + 1; the result
+    is converted to plain mu_c.  The roots of order 4rpq are memoized by
+    residue for this call only (the residues (qg +- 1)^2 mod 4rpq repeat
+    within one sum), and the sum is accumulated on their raw real and
+    imaginary parts in the order of the complex sum, so the value is the same
+    to the bit as summing mpc values.
     """
     check_precision(precision)
     if r < 2:
         raise ValueError(f"level parameter r must be >= 2, got {r}")
     import mpmath
+    from mpmath.libmp import fzero, mpf_add, mpf_sub
     p, q, b, phi = space.p, space.q, space.b, space.phi
     l = c + 1
-    with mpmath.workprec(precision):
-        def unit(num: int, den: int) -> mpmath.mpc:
-            return mpmath.expjpi(mpmath.mpf(2 * (num % den)) / den)
+    big = 4 * r * p * q
+    memo: dict[int, tuple] = {}
 
-        total = mpmath.mpc(0)
-        big = 4 * r * p * q
-        for n in range(1, p + 1):
-            g = l + 2 * r * n
-            total += unit((q * g + 1) ** 2, big) - unit((q * g - 1) ** 2, big)
+    def unit(num: int) -> tuple:
+        key = num % big
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = unit_root(key, big, precision)._mpc_
+        return value
+
+    re = im = fzero
+    for n in range(1, p + 1):
+        g = l + 2 * r * n
+        (ar, ai), (br, bi) = unit((q * g + 1) ** 2), unit((q * g - 1) ** 2)
+        re = mpf_add(re, mpf_sub(ar, br, precision, "n"), precision, "n")
+        im = mpf_add(im, mpf_sub(ai, bi, precision, "n"), precision, "n")
+    with mpmath.workprec(precision):
+        total = mpmath.mp.make_mpc((re, im))
         value = mpmath.mpc(0, -1) / mpmath.sqrt(2 * r * p)
-        value *= unit(-phi, 4 * r) * unit(b, 4 * r * q) * total
+        value *= unit_root(-phi, 4 * r, precision) * unit_root(b, 4 * r * q, precision) * total
         if c % 2 == 1:
             value = -value
         return value

@@ -6,8 +6,16 @@ import pytest
 
 from lenswrt.cyclotomic import root_of_unity
 from lenswrt.errors import UnsupportedCase
-from lenswrt.gauss import GaussSumSpec, g_pm, gauss_closed_form, gauss_sum, vanishes_mod4
-from lenswrt.numtheory import is_prime, mod_inverse
+from lenswrt.gauss import (
+    GaussSumSpec,
+    _odd_prime_closed_form,
+    _quadratic_sum,
+    g_pm,
+    gauss_closed_form,
+    gauss_sum,
+    vanishes_mod4,
+)
+from lenswrt.numtheory import is_prime, jacobi_symbol, mod_inverse
 
 
 class TestDirectSum:
@@ -133,6 +141,20 @@ class TestClosedForm:
                     assert closed == gauss_sum(spec), (p, a, b)
                     checked += 1
         assert checked > 1000
+
+    def test_rotation_equals_the_phase_product(self):
+        # the closed form rotates the quadratic sum; the product it replaces is the reference
+        shifts = set()
+        for p in range(3, 62, 2):
+            if not is_prime(p):
+                continue
+            for a in range(1, p):
+                for b in range(p):
+                    shift = -b * b * mod_inverse(4 * a, p) % p
+                    shifts.add((p, shift))
+                    expected = jacobi_symbol(a, p) * root_of_unity(p, shift) * _quadratic_sum(p)
+                    assert _odd_prime_closed_form(p, a, b) == expected, (p, a, b)
+        assert (3, 0) in shifts
 
     def test_unsupported_case_signals(self):
         with pytest.raises(UnsupportedCase):

@@ -1,13 +1,17 @@
 """The f-polynomial family, numeric invariants, and the independent oracle."""
 
+import ast
 import math
+import pathlib
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+import lenswrt
 from lenswrt.analysis import interpolate_f
+from lenswrt.cyclotomic import unit_root
 from lenswrt.gauss import GaussSumSpec, gauss_sum
 from lenswrt.laurent import LaurentPoly, RationalFunction
 from lenswrt.skein import SkeinElement, power_to_colored
@@ -256,3 +260,98 @@ class TestPrecisionFloor:
         for prec in (52, 0):
             with pytest.raises(ValueError, match=f"^precision must be >= 53 bits, got {prec}$"):
                 call(prec)
+
+
+def _expjpi_unit(num, den):
+    return mpmath.expjpi(mpmath.mpf(2 * (num % den)) / den)
+
+
+def _expjpi_oracle(space, c, r, precision):
+    # jeffrey_oracle as it was written on mpmath.expjpi, with no memo
+    p, q, b, phi = space.p, space.q, space.b, space.phi
+    l = c + 1
+    with mpmath.workprec(precision):
+        total = mpmath.mpc(0)
+        big = 4 * r * p * q
+        for n in range(1, p + 1):
+            g = l + 2 * r * n
+            total += _expjpi_unit((q * g + 1) ** 2, big) - _expjpi_unit((q * g - 1) ** 2, big)
+        value = mpmath.mpc(0, -1) / mpmath.sqrt(2 * r * p)
+        value *= _expjpi_unit(-phi, 4 * r) * _expjpi_unit(b, 4 * r * q) * total
+        return -value if c % 2 == 1 else value
+
+
+def _expjpi_meridian(space, c, r, precision):
+    # eval_meridian with every power of z and of xi_p taken by mpmath.expjpi
+    fp = f_poly(space, c, r % space.p)
+    den = 4 * space.p * r
+    with mpmath.workprec(precision):
+        total = mpmath.mpc(0)
+        for e, x in fp.body.terms.items():
+            cv = mpmath.mpc(0)
+            for j, n in enumerate(x._num):
+                if n:
+                    cf = mpmath.mpf(n) if x._den == 1 else mpmath.mpf(n) / x._den
+                    cv += cf * _expjpi_unit(j, x.order)
+            total += cv * _expjpi_unit(e, den)
+        scale = mpmath.mpc(0, fp.prefactor_sign) / mpmath.sqrt(2 * fp.p)
+        return scale * total / mpmath.sqrt(r)
+
+
+def _same_bits(x, y):
+    return x.real == y.real and x.imag == y.imag
+
+
+class TestUnitRoot:
+    @pytest.mark.parametrize("precision", [53, 64, 256, 300])
+    def test_equals_expjpi_bit_for_bit(self, precision):
+        rng = random.Random(precision)
+        for den in (1, 2, 3, 4, 7, 8, 12, 20, 60, 97, 120, 360, 1001, 1439, 1440):
+            nums = {0, 1, -1, den - 1, den, den + 1, -den, -den - 1, 3 * den + 5, -7 * den + 2}
+            nums |= {rng.randint(-10 * den, 10 * den) for _ in range(8)}
+            for num in sorted(nums):
+                with mpmath.workprec(precision):
+                    expected = _expjpi_unit(num, den)
+                assert _same_bits(unit_root(num, den, precision), expected), (num, den, precision)
+
+    def test_denominator_below_one_rejected(self):
+        calls = [
+            lambda den: unit_root(1, den, 53),
+            lambda den: LaurentPoly("z", {1: 1}).eval_at_unit_root(den),
+            lambda den: LaurentPoly("z").eval_at_unit_root(den),
+            lambda den: RationalFunction(LaurentPoly("z", {1: 1}), LaurentPoly("z", {0: 2})).eval_at_unit_root(den),
+        ]
+        for call in calls:
+            call(1)
+            for den in (0, -1, -20):
+                with pytest.raises(ValueError, match=f"^denominator must be >= 1, got {den}$"):
+                    call(den)
+
+    def test_oracle_and_meridian_equal_the_expjpi_route(self):
+        # a sample of criterion 3's domain (p <= 10, r = 2..40, 64 bits), then high levels
+        rng = random.Random(3)
+        cases = []
+        for p in range(2, 11):
+            for q in valid_qs(p):
+                for c in range(p // 2 + 1):
+                    cases += [(p, q, c, r, 64) for r in rng.sample(range(2, 41), 2)]
+        for p, q in ((3, 1), (5, 2), (7, 3), (10, 3)):
+            for c in range(p // 2 + 1):
+                cases += [(p, q, c, r, prec) for r in (1000, 4321, 10000) for prec in (53, 256)]
+        for p, q, c, r, prec in cases:
+            space = LensSpace(p, q)
+            assert _same_bits(jeffrey_oracle(space, c, r, prec), _expjpi_oracle(space, c, r, prec)), (p, q, c, r, prec)
+            assert _same_bits(eval_meridian(space, c, r, prec), _expjpi_meridian(space, c, r, prec)), (p, q, c, r, prec)
+
+
+def test_expjpi_is_called_only_in_cyclotomic():
+    # one root-of-unity evaluator: cyclotomic.unit_root; no other module reaches mpmath.expjpi
+    users = set()
+    for path in pathlib.Path(lenswrt.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name == "expjpi":
+                users.add(path.name)
+    assert users <= {"cyclotomic.py"}, sorted(users)
