@@ -29,7 +29,9 @@ on such rows:
   pivot, so its vector normalizes to e_c); then an exact proof on all
   rows: M v = 0 for every vector, which bounds the rank from above.  A
   row that a vector fails is independent of the selection; it joins the
-  selection, which is eliminated again.
+  selection, which is eliminated again.  A row times a vector adds plain
+  ints on int rows; otherwise each exponent's products are summed by
+  cyclotomic.sum_of_products, reduced once.
 
 A solution of M x = b is the proven kernel vector (v, d) of [M | -b],
 x = v / d; an empty kernel proves there is none.
@@ -49,7 +51,7 @@ import math
 import operator
 
 from .codec import coeff_terms_to_json
-from .cyclotomic import CyclotomicNumber, check_precision, unit_root
+from .cyclotomic import CyclotomicNumber, check_precision, sum_of_products, unit_root
 from .errors import (
     BadConditioning,
     Inconsistent,
@@ -57,7 +59,7 @@ from .errors import (
     UnderDetermined,
     UnsupportedOrder,
 )
-from .gauss import GaussSumSpec, gauss_sum
+from .gauss import g_pm
 from .laurent import LaurentPoly, RationalFunction, laurent_gcd, terms_divexact, terms_mul
 from .numtheory import is_prime, mod_inverse
 from .record import record
@@ -196,11 +198,35 @@ def _back_substitute(rows, pivots, x: list[dict]) -> list[dict]:
 
 
 def _row_times(row, x) -> dict:
-    """sum_c row[c] x[c] on term dicts, exactly."""
-    total: dict = {}
-    for a, v in zip(row, x):
-        if a and v:
+    """sum_c row[c] x[c] on term dicts, exactly.
+
+    An int row times an int vector adds plain ints.  Otherwise the products
+    are grouped by exponent and each group is one
+    cyclotomic.sum_of_products: added unreduced, reduced once.
+    """
+    pairs = [(a, v) for a, v in zip(row, x) if a and v]
+    if not pairs:
+        return {}
+    a, v = pairs[0]
+    if isinstance(next(iter(a.values())), int) and isinstance(next(iter(v.values())), int):
+        total: dict = {}
+        for a, v in pairs:
             terms_mul(a, v, total)
+        return total
+    products: dict = {}
+    for a, v in pairs:
+        for e1, c1 in a.items():
+            for e2, c2 in v.items():
+                e = e1 + e2
+                if e in products:
+                    products[e].append((c1, c2))
+                else:
+                    products[e] = [(c1, c2)]
+    total = {}
+    for e, group in products.items():
+        value = sum_of_products(group)
+        if value:
+            total[e] = value
     return total
 
 
@@ -238,19 +264,25 @@ def _image_pivot_rows(rows, n: int) -> list[int]:
 
     Each row is mapped after multiplying it by the lcm of its coefficient
     denominators: an integer multiple of a row keeps its pivot status, and
-    its image needs no denominator to be invertible mod l.
+    its image needs no denominator to be invertible mod l.  The images of
+    xi_order (omega^(n/order)) and of z^e (t^e) are tabled for this call.
     """
     ell, omega, t = _modulus(n)
-
-    def residue(c) -> int:
-        return c if isinstance(c, int) else c.image_mod(ell, pow(omega, n // c.order, ell))
+    roots: dict[int, int] = {}  # order -> omega^(n/order)
+    powers: dict[int, int] = {}  # e -> t^e
 
     def image(row) -> list[int]:
         scale = math.lcm(*(c.denominator for entry in row for c in entry.values()))
-        return [
-            sum(residue(c * scale if scale != 1 else c) * pow(t, e, ell) for e, c in entry.items()) % ell
-            for entry in row
-        ]
+        values = []
+        for entry in row:
+            total = 0
+            for e, c in entry.items():
+                if not isinstance(c, int):
+                    root = roots.get(c.order) or roots.setdefault(c.order, pow(omega, n // c.order, ell))
+                    c = (c * scale if scale != 1 else c).image_mod(ell, root)
+                total += c * (powers.get(e) or powers.setdefault(e, pow(t, e, ell)))
+            values.append(total % ell)
+        return values
 
     remaining = {k: image(row) for k, row in enumerate(rows)}
     chosen = []
@@ -436,7 +468,7 @@ def fullrank_submatrix(space: LensSpace) -> SubmatrixCertificate:
     else:
         raise UnsupportedOrder(f"no selection construction for p = {p}")
     entries = tuple(
-        tuple(gauss_sum(GaussSumSpec(p, q * k, q * c + q + 1)) for c in gammas)
+        tuple(g_pm(p, q, c, k, 1) for c in gammas)
         for k in deltas
     )
     rows = [[{0: e} if e else {} for e in row] for row in entries]

@@ -13,7 +13,9 @@ xi^(N/2) = -1 for an even N and by xi^N = 1 for an odd one, and then
 divided by the monic Phi_N, whose remainder is the canonical form.  An
 inverse is the product of the nontrivial Galois conjugates over the
 integer norm, built by doubling along the orbits of the unit group (about
-2 log2 phi(N) products) and kept on the number.  int and Fraction values
+2 log2 phi(N) products) and kept on the number.  sum_of_products adds
+many products at once: their numerators go unreduced into one integer
+vector, which is reduced once.  int and Fraction values
 enter through the constructor and leave through `.coeffs`; embed_complex
 imports mpmath and reads the complex power basis from a table cached per
 (N, precision).
@@ -249,11 +251,11 @@ class CyclotomicNumber:
     def image_mod(self, prime: int, root: int) -> int:
         """The image in F_prime under xi_N -> root, for root a zero of Phi_N
         mod prime (an element of exact order N): a ring map wherever the
-        denominator is invertible."""
+        denominator is invertible.  The Horner value is reduced once, at the end."""
         value = 0
         for c in reversed(self._num):
-            value = (value * root + c) % prime
-        return value * pow(self._den, -1, prime) % prime
+            value = value * root + c
+        return (value if self._den == 1 else value * pow(self._den, -1, prime)) % prime
 
     # --- order management -------------------------------------------------
 
@@ -399,6 +401,58 @@ class CyclotomicNumber:
                 else:
                     terms.append(f"{c}*{unit}")
         return " + ".join(terms).replace("+ -", "- ")
+
+
+def sum_of_products(pairs) -> CyclotomicNumber:
+    """sum a * b over a list of pairs, a a CyclotomicNumber or an int and b a
+    CyclotomicNumber, exactly, in the order N that adding the products
+    gives: the lcm of all the factors' orders, an int's being 1.
+
+    One pair is one product.  Otherwise every product's numerator goes,
+    unreduced, into one integer vector in xi_N over the lcm of the
+    products' denominators, and the vector is reduced modulo Phi_N once,
+    and only when its degree reaches phi(N).  A rational factor only scales
+    the other numerator, which is already reduced when the other factor is
+    of order N; only two irrational factors are convolved.
+    """
+    if len(pairs) == 1:
+        a, b = pairs[0]
+        return a * b
+    order = den = 1
+    for a, b in pairs:
+        if a.__class__ is int:
+            order, den = math.lcm(order, b._order), math.lcm(den, b._den)
+        else:
+            order, den = math.lcm(order, a._order, b._order), math.lcm(den, a._den * b._den)
+    deg = len(_order_data(order)[0]) - 1
+    acc = [0] * deg
+
+    def add(na, sa: int, nb, sb: int) -> None:
+        """acc += (sum_i na[i] xi_N^(i sa)) (sum_j nb[j] xi_N^(j sb)), unreduced."""
+        width = (len(nb) - 1) * sb + 1
+        if len(acc) < (len(na) - 1) * sa + width:
+            acc.extend([0] * ((len(na) - 1) * sa + width - len(acc)))
+        for i, c in enumerate(na):
+            if c:
+                at = slice(i * sa, i * sa + width, sb)
+                acc[at] = [s + c * v for s, v in zip(acc[at], nb)]
+
+    for a, b in pairs:
+        if a.__class__ is int:
+            r, x = a * (den // b._den), b
+        elif not any(b._num[1:]):
+            r, x = b._num[0] * (den // (a._den * b._den)), a
+        elif not any(a._num[1:]):
+            r, x = a._num[0] * (den // (a._den * b._den)), b
+        else:
+            scale = den // (a._den * b._den)
+            add([scale * c for c in a._num], order // a._order, b._num, order // b._order)
+            continue
+        if x._order == order and len(acc) == deg:  # r times x needs no spreading
+            acc[:] = [s + r * c for s, c in zip(acc, x._num)]
+        else:
+            add((r,), 0, x._num, order // x._order)
+    return _make(order, acc if len(acc) == deg else _reduce(order, acc), den)
 
 
 def root_of_unity(order: int, exponent: int = 1) -> CyclotomicNumber:

@@ -1,6 +1,8 @@
 """Generalized Gauss sums over Z/p, exactly, in Q(xi_p).
 
-gauss_sum sums xi_p^(a n^2 + b n) directly; gauss_closed_form evaluates
+gauss_sum sums xi_p^(a n^2 + b n) directly, by counting the exponents mod
+p; g_pm, which the f-polynomials call once per sum, shares that counter
+and builds no GaussSumSpec.  gauss_closed_form evaluates
 the same sums through Jacobi-symbol formulas in the cases where such
 formulas exist (a multiple of p; p an odd prime; p twice an odd prime),
 expressed entirely inside Z[xi_p] by writing eps(p) sqrt(p) as the
@@ -37,20 +39,26 @@ class GaussSumSpec:
 
 def gauss_sum(spec: GaussSumSpec) -> CyclotomicNumber:
     """Direct summation of sum_{n=0}^{p-1} xi_p^(a n^2 + b n)."""
-    p_, a_, b_ = spec.p, spec.a, spec.b
-    counts = [0] * p_
-    for n in range(p_):
-        counts[(a_ * n * n + b_ * n) % p_] += 1
-    return _make(p_, _reduce(p_, counts), 1)
+    return _counted_sum(spec.p, spec.a, spec.b)
+
+
+def _counted_sum(p: int, a: int, b: int) -> CyclotomicNumber:
+    """sum_{n=0}^{p-1} xi_p^(a n^2 + b n) for p >= 2: the exponents counted mod p, reduced once."""
+    counts = [0] * p
+    for n in range(p):
+        counts[n * (a * n + b) % p] += 1
+    return _make(p, _reduce(p, counts), 1)
 
 
 def g_pm(p: int, q: int, c: int, k: int, sign: int) -> CyclotomicNumber:
     """G_sign(p, q, c, k) = gauss_sum(p, qk, qc + q + sign), sign in {+1, -1}."""
+    if p < 2:
+        raise ValueError(f"modulus must be >= 2, got {p}")
     if math.gcd(q, p) != 1:
         raise ValueError(f"(q, p) must be coprime, got ({q}, {p})")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return gauss_sum(GaussSumSpec(p, q * k, q * c + q + sign))
+    return _counted_sum(p, q * k, q * c + q + sign)
 
 
 def vanishes_mod4(p: int, c: int) -> bool:
@@ -103,4 +111,4 @@ def _odd_prime_closed_form(p: int, a: int, b: int) -> CyclotomicNumber:
 @functools.lru_cache(maxsize=None)
 def _quadratic_sum(p: int) -> CyclotomicNumber:
     """gauss_sum(p, 1, 0) = eps(p) sqrt(p), by direct summation."""
-    return gauss_sum(GaussSumSpec(p, 1, 0))
+    return _counted_sum(p, 1, 0)

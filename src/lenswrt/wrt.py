@@ -99,11 +99,14 @@ def f_poly(space: LensSpace, c: int, k: int) -> FPolynomial:
     cached = _F_CACHE.get(key)
     if cached is not None:
         return cached
-    e0 = int(12 * p * space.dedekind) + q * (c * c + 2 * c)
+    s = space.dedekind  # 12 p s is an integer, so the floor division is exact
+    e0 = 12 * p * s.numerator // s.denominator + q * (c * c + 2 * c)
     gp = g_pm(p, q, c, k, +1)
     gm = g_pm(p, q, c, k, -1)
     off = 2 * (c + 1)
-    body = LaurentPoly("z", {e0 + off: gp}) - LaurentPoly("z", {e0 - off: gm})
+    # G_+ z^(e0+off) - G_- z^(e0-off); the exponents meet only at c = -1
+    terms = {e0 + off: gp, e0 - off: -gm} if off else {e0: gp - gm}
+    body = LaurentPoly._make("z", {e: g for e, g in terms.items() if g})
     sign = -1 if c % 2 == 0 else 1  # (-1)^(c+1)
     result = FPolynomial(p=p, prefactor_sign=sign, body=body)
     return _F_CACHE.setdefault(key, result)

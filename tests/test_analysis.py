@@ -2,6 +2,7 @@
 ordinary-lattice membership decision."""
 
 import functools
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -225,6 +226,42 @@ def refinements(monkeypatch):
     return seen
 
 
+def untabled_image_pivot_rows(rows, n):
+    """The pivot rows of the image in F_l with a pow per root and per term
+    and a Horner value reduced at every step."""
+    ell, omega, t = analysis._modulus(n)
+
+    def residue(c) -> int:
+        if isinstance(c, int):
+            return c
+        root, value = pow(omega, n // c.order, ell), 0
+        for v in reversed(c.coeffs):  # integral: the row is scaled
+            value = (value * root + v) % ell
+        return value
+
+    def image(row) -> list[int]:
+        scale = math.lcm(*(c.denominator for entry in row for c in entry.values()))
+        return [
+            sum(residue(c * scale if scale != 1 else c) * pow(t, e, ell) for e, c in entry.items()) % ell
+            for entry in row
+        ]
+
+    remaining = {k: image(row) for k, row in enumerate(rows)}
+    chosen = []
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((k for k in remaining if remaining[k][col]), None)
+        if piv is None:
+            continue
+        pivot_row = remaining.pop(piv)
+        chosen.append(piv)
+        inv = pow(pivot_row[col], -1, ell)
+        for k, row in remaining.items():
+            f = row[col] * inv % ell
+            if f:
+                remaining[k] = [(a - f * b) % ell for a, b in zip(row, pivot_row)]
+    return sorted(chosen)
+
+
 class TestCertifiedPivots:
     """rank, kernel and recover_skein eliminate only on the pivot rows of a
     mod-l image and prove the answer on every row; a row that an answer
@@ -274,6 +311,23 @@ class TestCertifiedPivots:
             primes = [f for f in range(2, n + 1) if n % f == 0 and is_prime(f)]
             assert all(pow(omega, n // f, ell) != 1 for f in primes), n
             assert 0 < t < ell, n
+
+    def test_image_pivot_rows_equal_the_untabled_image(self):
+        # the image tables omega^(n/order) and t^e and reduces each Horner
+        # value once; it must select what a pow per root and per term and a
+        # reduction at every Horner step select, on the f-matrix, on its
+        # descended int rows, and on rows with rational factors and orders
+        # p and 2p mixed
+        rng = random.Random(31)
+        for p in range(2, 31):
+            for q in valid_qs(p)[:2]:
+                rows = term_rows(build_f_matrix(LensSpace(p, q)))
+                scaled = [[{e: c * Fraction(rng.randint(1, 6), rng.randint(1, 6)) for e, c in entry.items()}
+                           for entry in row] for row in rows]
+                mixed = [[{e: c.lift(2 * p) if (k + e) % 2 else c for e, c in entry.items()} for entry in row]
+                         for k, row in enumerate(scaled)]
+                for case, n in ((rows, p), (analysis._descended(rows, p), p), (scaled, p), (mixed, 2 * p)):
+                    assert analysis._image_pivot_rows(case, n) == untabled_image_pivot_rows(case, n), (p, q, n)
 
     def test_recover_matches_all_rows(self, monkeypatch):
         rng = random.Random(7)
@@ -821,3 +875,24 @@ class TestColumnCollisions:
                         if not any(col == seen for seen in distinct):
                             distinct.append(col)
                     assert len(distinct) <= bound, (p, q, sign)
+
+
+# SHA-256 over rank(build_f_matrix), the kernel basis and the certificate
+# determinant (or "-" where there is no certificate) of every L(p,q) with
+# 2 <= p <= 30 and q among its first three units: a faster exact path must
+# give these answers byte for byte
+EXACT_ANSWERS_SHA256 = "ba47637ca12d63997c71e26d5238293ad8c5bb01a197ac6259950b768929c64d"
+
+
+def test_exact_answers_keep_their_digest():
+    digest = hashlib.sha256()
+    for p in range(2, 31):
+        for q in valid_qs(p)[:3]:
+            space = LensSpace(p, q)
+            digest.update(f"{p},{q}:{rank(build_f_matrix(space))};".encode())
+            digest.update(repr([vec.components for vec in kernel(space)]).encode())
+            try:
+                digest.update(repr(fullrank_submatrix(space).determinant).encode())
+            except UnsupportedOrder:
+                digest.update(b"-")
+    assert digest.hexdigest() == EXACT_ANSWERS_SHA256

@@ -58,6 +58,22 @@ class TestGPlusMinus:
         with pytest.raises(ValueError):
             g_pm(6, 2, 1, 1, 1)
 
+    def test_rejects_a_modulus_below_two(self):
+        with pytest.raises(ValueError):
+            g_pm(1, 1, 0, 0, 1)
+
+    def test_equals_the_gauss_sum_of_its_spec(self):
+        # g_pm counts the exponents itself, without a GaussSumSpec; colors
+        # below 0 and above p/2 and every k included
+        for p in range(2, 17):
+            for q in (q for q in range(1, p) if math.gcd(p, q) == 1):
+                for c in range(-1, p):
+                    for k in range(p):
+                        for sign in (1, -1):
+                            expected = gauss_sum(GaussSumSpec(p, q * k, q * c + q + sign))
+                            got = g_pm(p, q, c, k, sign)
+                            assert got == expected and got.order == p, (p, q, c, k, sign)
+
 
 class TestVanishesMod4:
     def test_flags(self):

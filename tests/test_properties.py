@@ -1,5 +1,5 @@
-"""Property tests of the exact coefficient domain, its JSON codec and the
-fraction-free elimination."""
+"""Property tests of the exact coefficient domain, its JSON codec, the
+fraction-free elimination and the row products of its proof."""
 
 import json
 import math
@@ -22,7 +22,7 @@ from lenswrt.cyclotomic import (
     embed_complex,
 )
 from lenswrt.gauss import GaussSumSpec, gauss_sum
-from lenswrt.analysis import _bareiss_echelon
+from lenswrt.analysis import RationalFunctionVector, _bareiss_echelon, _refuting_row, _row_times
 from lenswrt.laurent import LaurentPoly, terms_divexact, terms_divmod, terms_mul
 from lenswrt.skein import SkeinElement
 
@@ -253,3 +253,112 @@ def test_embedding_equals_the_uncached_sum(order):
         for x in values:
             if not x.is_rational():
                 assert embed_complex(x, precision) == _plain_embed(x, precision)
+
+
+# --- row products -----------------------------------------------------------------
+
+
+def reference_row_times(row, x) -> dict:
+    """sum_c row[c] x[c] with one product and one sum per pair of terms."""
+    total = {}
+    for a, v in zip(row, x):
+        for e1, c1 in a.items():
+            for e2, c2 in v.items():
+                e = e1 + e2
+                total[e] = total[e] + c1 * c2 if e in total else c1 * c2
+    return {e: c for e, c in total.items() if c}
+
+
+def same_terms(got: dict, want: dict) -> bool:
+    """Equal term dicts, each value of the same type and, for a
+    CyclotomicNumber, written in the same order."""
+    return set(got) == set(want) and all(
+        type(got[e]) is type(c) and got[e] == c and getattr(got[e], "order", 0) == getattr(c, "order", 0)
+        for e, c in want.items()
+    )
+
+
+def coefficients(kind: str, n: int):
+    """Nonzero coefficients of one kind: int, rational (denominators up to 5),
+    or cyclotomic of any order d > 2 dividing n."""
+    if kind == "int":
+        return st.integers(-6, 6).filter(bool)
+    orders = (1,) if kind == "rational" else tuple(d for d in range(3, n + 1) if n % d == 0)
+    # a nonzero constant term keeps most draws nonzero
+    return st.sampled_from(orders).flatmap(
+        lambda order: st.tuples(rationals.filter(bool), st.lists(rationals, max_size=order - 1)).map(
+            lambda parts: CyclotomicNumber(order, [parts[0], *parts[1]])
+        )
+    ).filter(bool)
+
+
+def term_rows(kind: str, n: int, ncols: int):
+    # few exponents, so that several products meet at one exponent
+    entry = st.dictionaries(st.integers(-1, 1), coefficients(kind, n), max_size=2)
+    return st.lists(entry, min_size=ncols, max_size=ncols)
+
+
+@st.composite
+def row_products(draw):
+    """(row kind, vector kind, n, rows, x): rows are int, or cyclotomic of
+    mixed orders dividing n with denominators; x is int (with int rows
+    only), rational or cyclotomic."""
+    n = draw(st.sampled_from((4, 6, 9, 12, 15)))
+    row_kind = draw(st.sampled_from(("int", "cyclotomic")))
+    vec_kinds = ("int", "rational", "cyclotomic") if row_kind == "int" else ("rational", "cyclotomic")
+    vec_kind = draw(st.sampled_from(vec_kinds))
+    ncols = draw(st.integers(1, 3))
+    rows = draw(st.lists(term_rows(row_kind, n, ncols), min_size=1, max_size=3))
+    x = draw(term_rows(vec_kind, n, ncols))
+    return row_kind, vec_kind, n, rows, x
+
+
+ROW_PRODUCTS = settings(deadline=None, max_examples=40, derandomize=True, database=None)
+
+
+@ROW_PRODUCTS
+@given(row_products())
+def test_row_times_equals_the_product_per_term(case):
+    _, _, _, rows, x = case
+    for row in rows:
+        assert same_terms(_row_times(row, x), reference_row_times(row, x))
+
+
+def negated(terms: dict) -> dict:
+    return {e: -c for e, c in terms.items()}
+
+
+@ROW_PRODUCTS
+@given(row_products(), st.data())
+def test_refuting_row_is_the_first_row_with_a_nonzero_product(case, data):
+    # one more column makes the first row annihilate the vector: a
+    # cyclotomic row gets -(row . x) against a component 1, an int row 1
+    # against a component -(row . x), so a rational x stays rational; the
+    # other rows are int multiples of it (annihilating) or drawn ones
+    # (refuting, mostly), in a drawn order
+    row_kind, vec_kind, n, rows, x = case
+    assume(vec_kind != "int")
+    first = rows[0]
+    s = reference_row_times(first, x)
+    if row_kind == "int":
+        x = x + [negated(s)]
+        first = first + [{0: 1}]
+    else:
+        x = x + [{0: CyclotomicNumber.from_rational(1)}]
+        first = first + [negated(s)]
+    assert not reference_row_times(first, x)
+    checked = [first]
+    for multiple in data.draw(st.lists(st.booleans(), min_size=1, max_size=3)):
+        if multiple:
+            m = data.draw(st.integers(-3, 3).filter(bool))
+            checked.append([{e: m * c for e, c in entry.items()} for entry in first])
+        else:
+            checked.append(data.draw(term_rows(row_kind, n, len(first))))
+    order = data.draw(st.permutations(range(len(checked))))
+    checked = [checked[i] for i in order]
+    vec = RationalFunctionVector(tuple(LaurentPoly("z", terms) for terms in x))
+    terms = [v.terms for v in vec.components]
+    expected = next((k for k, row in enumerate(checked) if reference_row_times(row, terms)), None)
+    assert _refuting_row(checked, vec) == expected
+    for row in checked:
+        assert same_terms(_row_times(row, terms), reference_row_times(row, terms))

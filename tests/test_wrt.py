@@ -10,9 +10,10 @@ import mpmath
 import pytest
 
 import lenswrt
+from lenswrt import wrt
 from lenswrt.analysis import interpolate_f
 from lenswrt.cyclotomic import unit_root
-from lenswrt.gauss import GaussSumSpec, gauss_sum
+from lenswrt.gauss import GaussSumSpec, g_pm, gauss_sum
 from lenswrt.laurent import LaurentPoly, RationalFunction
 from lenswrt.skein import SkeinElement, power_to_colored
 from lenswrt.wrt import (
@@ -83,6 +84,31 @@ class TestFPolynomial:
                 for k in range(p):
                     body = f_poly(space, c, k).body
                     assert all(isinstance(e, int) for e in body.terms)
+
+    def test_body_equals_the_difference_of_its_two_terms(self, monkeypatch):
+        # the body is one dict {e0 + off: G+, e0 - off: -G-} without zero
+        # sums; it must equal the difference of the two one-term polynomials
+        # term for term, in key order and coefficient order, for every k and
+        # every color a caller passes: hat_c colors up to p - 1, c = -1 (both
+        # sums at one exponent), and the odd c of 4 | p (an empty body)
+        empty = set()
+        for p in range(2, 25):
+            monkeypatch.setattr(wrt, "_F_CACHE", {})  # every body built here, none kept
+            for q in valid_qs(p):
+                space = LensSpace(p, q)
+                for c in range(-1, p):
+                    e0 = int(12 * p * space.dedekind) + q * (c * c + 2 * c)
+                    off = 2 * (c + 1)
+                    for k in range(p):
+                        gp, gm = g_pm(p, q, c, k, 1), g_pm(p, q, c, k, -1)
+                        expected = LaurentPoly("z", {e0 + off: gp}) - LaurentPoly("z", {e0 - off: gm})
+                        got = f_poly(space, c, k).body
+                        assert [(e, x, x.order) for e, x in got.terms.items()] == [
+                            (e, x, x.order) for e, x in expected.terms.items()
+                        ], (p, q, c, k)
+                        if not got and p % 4 == 0 and c % 2 == 1:
+                            empty.add(p)
+        assert empty == {4, 8, 12, 16, 20, 24}
 
     def test_cache_returns_identical_object(self):
         space = LensSpace(7, 2)
