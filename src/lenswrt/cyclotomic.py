@@ -10,12 +10,17 @@ with the numerator reduced modulo the N-th cyclotomic polynomial, so
 equality of values is equality of (numerators, denominator) after
 lifting to a common order.  Products are integer convolutions, folded by
 xi^(N/2) = -1 for an even N and by xi^N = 1 for an odd one, and then
-divided by the monic Phi_N, whose remainder is the canonical form.  An
+divided by the monic Phi_N, whose remainder is the canonical form.  A
+convolution is chosen by operand size: Kronecker substitution (each vector
+packed into one int, one int product, the slots read back) for operands
+with enough nonzero coefficients and narrow enough slots, the schoolbook
+loop for short, sparse or unbalanced ones.  An
 inverse is the product of the nontrivial Galois conjugates over the
 integer norm, built by doubling along the orbits of the unit group (about
 2 log2 phi(N) products) and kept on the number.  sum_of_products adds
 many products at once: their numerators go unreduced into one integer
-vector, which is reduced once.  int and Fraction values
+vector, which is reduced once; two factors of one order are convolved
+as a product is.  int and Fraction values
 enter through the constructor and leave through `.coeffs`; embed_complex
 imports mpmath and reads the complex power basis from a table cached per
 (N, precision).
@@ -31,6 +36,8 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
+import sys
 from fractions import Fraction
 from operator import add
 
@@ -96,7 +103,82 @@ def _reduce(order: int, vec: list[int]) -> list[int]:
     return vec
 
 
+# The size rule of _convolve.  The schoolbook loop runs one row per nonzero
+# coefficient of its sparser operand; Kronecker substitution packs, multiplies
+# and unpacks both operands whole, in C for slots of up to 64 bits and one
+# slot at a time above that.  Timed against each other on random integer
+# vectors (CPython 3.11, table in CHANGES.md), packing wins once that operand
+# has PACK_MIN_ROWS nonzero coefficients; with slots wider than 64 bits, only
+# once they are also at least 1/PACK_ROW_SHARE of the two lengths together,
+# and not at all above PACK_MAX_SLOT bits, where most of each slot is padding
+# for the smaller operand's coefficients.
+PACK_MIN_ROWS = 5
+PACK_ROW_SHARE = 4
+PACK_MAX_SLOT = 256
+_SIGN_BIT = (1 << 63).to_bytes(8, sys.byteorder)  # 2^63 as one native 64-bit word
+
+
+def _slot_width(a, b) -> int:
+    """The least k with 2^(k-1) > max|a| max|b| min(len a, len b), which bounds
+    every coefficient of the product in absolute value, and every coefficient
+    of a and b as well unless one of them is all zero."""
+    top_a, top_b = max(max(a), -min(a)), max(max(b), -min(b))
+    return max(top_a * top_b * min(len(a), len(b)), top_a, top_b).bit_length() + 1
+
+
+def _kronecker(a, b, k: int) -> list[int]:
+    """The convolution of a and b by Kronecker substitution at x = 2^k, for k
+    at least _slot_width(a, b): each vector becomes the one int sum c_j 2^(kj),
+    the two are multiplied once, and the k-bit slots of the product are read
+    back as signed values, lowest first.
+
+    For k <= 64 the slots are native 64-bit words, which struct and
+    memoryview convert in C.  A slot's value v and its two's complement word
+    w satisfy w ^ 2^63 = v + 2^63, which lies in [0, 2^64), so XOR with 2^63
+    in every word turns the words into the slots of sum (v_j + 2^63) 2^(64 j),
+    in which nothing borrows, and back.  Wider slots are shifted in and out
+    one at a time, and a slot read as negative borrows one from the slots
+    above it.
+    """
+    n = len(a) + len(b) - 1
+    if k <= 64:
+        order = sys.byteorder
+        sign_a = int.from_bytes(_SIGN_BIT * len(a), order)
+        sign_b = int.from_bytes(_SIGN_BIT * len(b), order)
+        sign_n = int.from_bytes(_SIGN_BIT * n, order)
+        x = (int.from_bytes(struct.pack(f"={len(a)}q", *a), order) ^ sign_a) - sign_a
+        y = (int.from_bytes(struct.pack(f"={len(b)}q", *b), order) ^ sign_b) - sign_b
+        return memoryview(((x * y + sign_n) ^ sign_n).to_bytes(8 * n, order)).cast("q").tolist()
+    x = 0
+    for c in reversed(a):
+        x = (x << k) + c
+    y = 0
+    for c in reversed(b):
+        y = (y << k) + c
+    x *= y
+    mask, half, full = (1 << k) - 1, 1 << (k - 1), 1 << k
+    out = []
+    for _ in range(n):
+        d = x & mask
+        x >>= k
+        if d >= half:
+            d -= full
+            x += 1
+        out.append(d)
+    return out
+
+
 def _convolve(a, b) -> list[int]:
+    """The coefficients of (sum_i a_i x^i)(sum_j b_j x^j): packed by
+    _kronecker when the size rule above says it pays, else by the schoolbook
+    loop over the nonzero coefficients of the sparser operand."""
+    rows, other = len(a) - a.count(0), len(b) - b.count(0)
+    if other < rows:
+        a, b, rows = b, a, other
+    if rows >= PACK_MIN_ROWS:
+        k = _slot_width(a, b)
+        if k <= 64 or k <= PACK_MAX_SLOT and PACK_ROW_SHARE * rows >= len(a) + len(b):
+            return _kronecker(a, b, k)
     out = [0] * (len(a) + len(b) - 1)
     m = len(b)
     for i, ai in enumerate(a):
@@ -413,7 +495,10 @@ def sum_of_products(pairs) -> CyclotomicNumber:
     products' denominators, and the vector is reduced modulo Phi_N once,
     and only when its degree reaches phi(N).  A rational factor only scales
     the other numerator, which is already reduced when the other factor is
-    of order N; only two irrational factors are convolved.
+    of order N.  Two irrational factors of one order are convolved as a
+    product is, by _convolve, and the convolution is spread into xi_N; two
+    of different orders are multiplied coefficient by coefficient at their
+    strides in xi_N.
     """
     if len(pairs) == 1:
         a, b = pairs[0]
@@ -446,7 +531,11 @@ def sum_of_products(pairs) -> CyclotomicNumber:
             r, x = a._num[0] * (den // (a._den * b._den)), b
         else:
             scale = den // (a._den * b._den)
-            add([scale * c for c in a._num], order // a._order, b._num, order // b._order)
+            na = [scale * c for c in a._num]
+            if a._order == b._order:  # one convolution in xi_(a.order), spread into xi_N
+                add((1,), 0, _convolve(na, b._num), order // a._order)
+            else:
+                add(na, order // a._order, b._num, order // b._order)
             continue
         if x._order == order and len(acc) == deg:  # r times x needs no spreading
             acc[:] = [s + r * c for s, c in zip(acc, x._num)]
@@ -476,10 +565,17 @@ def unit_root(num: int, den: int, precision: int) -> mpmath.mpc:
     """
     if den < 1:
         raise ValueError(f"denominator must be >= 1, got {den}")
+    make_mpc, from_int, mpf_cos_sin_pi, mpf_div = _libmp()
+    arg = mpf_div(from_int(2 * (num % den), precision, "n"), from_int(den), precision, "n")
+    return make_mpc(mpf_cos_sin_pi(arg, precision, "n"))
+
+
+@functools.cache
+def _libmp():
+    """The mpmath functions unit_root calls, imported on its first call."""
     import mpmath
     from mpmath.libmp import from_int, mpf_cos_sin_pi, mpf_div
-    arg = mpf_div(from_int(2 * (num % den), precision, "n"), from_int(den), precision, "n")
-    return mpmath.mp.make_mpc(mpf_cos_sin_pi(arg, precision, "n"))
+    return mpmath.mp.make_mpc, from_int, mpf_cos_sin_pi, mpf_div
 
 
 @functools.lru_cache(maxsize=None)

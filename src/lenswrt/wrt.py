@@ -58,8 +58,12 @@ class FPolynomial:
     """prefactor_sign * (i / sqrt(2p)) * body(z), body over Q(xi_p).
 
     The scalar i / sqrt(2p) is kept symbolic; it is only multiplied in by
-    eval_meridian.
+    eval_meridian.  signed_body is built once per polynomial, by f_poly or
+    on first use, and kept in a slot outside the fields, so that hash, repr,
+    copies and pickles see the three fields only.
     """
+
+    __slots__ = ("__dict__", "_signed_body")
 
     p: int
     prefactor_sign: int
@@ -69,10 +73,18 @@ class FPolynomial:
         if self.prefactor_sign not in (1, -1):
             raise ValueError(f"prefactor sign must be +-1, got {self.prefactor_sign}")
 
+    def __getstate__(self):
+        return vars(self)
+
     @property
     def signed_body(self) -> LaurentPoly:
         """body with the (-1)^(c+1) sign folded in; the full value divided by i/sqrt(2p)."""
-        return self.body if self.prefactor_sign == 1 else -self.body
+        try:
+            return self._signed_body
+        except AttributeError:
+            signed = self.body if self.prefactor_sign == 1 else -self.body
+            object.__setattr__(self, "_signed_body", signed)
+            return signed
 
     def is_zero(self) -> bool:
         return self.body.is_zero()
@@ -109,6 +121,9 @@ def f_poly(space: LensSpace, c: int, k: int) -> FPolynomial:
     body = LaurentPoly._make("z", {e: g for e, g in terms.items() if g})
     sign = -1 if c % 2 == 0 else 1  # (-1)^(c+1)
     result = FPolynomial(p=p, prefactor_sign=sign, body=body)
+    if sign == -1:  # an even c, so off != 0: the signed body -body, each sum negated once
+        signed = {e0 + off: -gp, e0 - off: gm}
+        object.__setattr__(result, "_signed_body", LaurentPoly._make("z", {e: g for e, g in signed.items() if g}))
     return _F_CACHE.setdefault(key, result)
 
 

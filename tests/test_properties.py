@@ -1,5 +1,5 @@
-"""Property tests of the exact coefficient domain, its JSON codec, the
-fraction-free elimination and the row products of its proof."""
+"""Property tests of the exact coefficient domain, its packed products, its
+JSON codec, the fraction-free elimination and the row products of its proof."""
 
 import json
 import math
@@ -12,14 +12,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lenswrt import cyclotomic
 from lenswrt.codec import coeff_from_json, coeff_to_json, poly_from_json, poly_to_json
 from lenswrt.cyclotomic import (
     CyclotomicNumber,
+    _convolve,
+    _kronecker,
     _nontrivial_conjugates,
     _poly_divmod_int,
     _reduce,
+    _slot_width,
     cyclotomic_polynomial,
     embed_complex,
+    sum_of_products,
 )
 from lenswrt.gauss import GaussSumSpec, gauss_sum
 from lenswrt.analysis import RationalFunctionVector, _bareiss_echelon, _refuting_row, _row_times
@@ -198,6 +203,124 @@ def test_polynomial_json_round_trip(poly):
         lambda coeffs: SkeinElement(p, coeffs))))
 def test_skein_json_round_trip(element):
     assert SkeinElement.from_json(plain_json(element.to_json())) == element
+
+
+# --- packed products ---------------------------------------------------------------
+
+
+def schoolbook(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def int_vectors(draw, lengths=st.integers(1, 100)):
+    """An integer vector of a drawn length and coefficient bit length 0..1000:
+    dense, all zero, a single nonzero coefficient, or every coefficient
+    +-(2^bits - 1) with one sign, so that the product of two such vectors
+    meets the slot bound max|a| max|b| min(len a, len b) exactly."""
+    n = draw(lengths)
+    bits = draw(st.integers(0, 1000))
+    shape = draw(st.sampled_from(("dense", "dense", "zero", "single", "extreme")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    top = (1 << bits) - 1
+    if shape == "extreme":
+        return [rng.choice((top, -top))] * n
+    vec = [0] * n
+    if shape == "single":
+        vec[rng.randrange(n)] = rng.randint(-top, top)
+    elif shape == "dense":
+        vec = [rng.randint(-top, top) for _ in range(n)]
+    return vec
+
+
+@settings(deadline=None, max_examples=150, derandomize=True, database=None)
+@given(int_vectors(), int_vectors())
+def test_packed_convolution_equals_the_schoolbook_one(a, b):
+    # _kronecker at the width _slot_width gives, whatever the size rule
+    # chooses, the product's coefficients, signed, in both slot layouts
+    want = schoolbook(a, b)
+    assert _kronecker(a, b, _slot_width(a, b)) == want
+    assert _convolve(a, b) == want
+    assert _convolve(tuple(b), tuple(a)) == want
+
+
+def test_extreme_products_meet_the_slot_bound():
+    # one coefficient of each product is +-max|a| max|b| min(len a, len b),
+    # the largest the slot width admits, in both slot layouts
+    for n, bits in ((22, 8), (22, 25), (22, 40), (28, 100), (7, 123), (96, 300)):
+        top = (1 << bits) - 1
+        for sa in (1, -1):
+            for sb in (1, -1):
+                a, b = [sa * top] * n, [sb * top] * (n + 3)
+                want = schoolbook(a, b)
+                assert max(map(abs, want)) == top * top * n
+                assert _kronecker(a, b, _slot_width(a, b)) == want == _convolve(a, b)
+
+
+def test_size_rule_packs_only_where_packing_pays(monkeypatch):
+    packed = []
+
+    def spy(a, b, k):
+        packed.append(k)
+        return _kronecker(a, b, k)
+
+    monkeypatch.setattr(cyclotomic, "_kronecker", spy)
+    rng = random.Random(19)
+
+    def vec(n, bits, nonzero=None):
+        v = [rng.randint(1 - (1 << bits), (1 << bits) - 1) or 1 for _ in range(n)]
+        for i in rng.sample(range(n), n - (n if nonzero is None else nonzero)):
+            v[i] = 0
+        return v
+
+    cases = [
+        # (a, b, packs): dense short slots pack; few rows, or wide slots
+        # against long operands, or slots above the cap keep the plain loop
+        (vec(22, 8), vec(22, 8), True),
+        (vec(22, 8, nonzero=5), vec(22, 40), True),
+        (vec(4, 8), vec(4, 8), False),
+        (vec(22, 8, nonzero=4), vec(22, 8), False),
+        (vec(22, 40), vec(22, 8, nonzero=2), False),
+        (vec(22, 50), vec(22, 50), True),
+        (vec(42, 50, nonzero=8), vec(42, 50), False),
+        (vec(42, 50, nonzero=21), vec(42, 50), True),
+        (vec(22, 100), vec(22, 100), True),
+        (vec(22, 40), vec(22, 900), False),
+        (vec(22, 300), vec(22, 300), False),
+    ]
+    for i, (a, b, packs) in enumerate(cases):
+        packed.clear()
+        assert _convolve(a, b) == schoolbook(a, b)
+        assert bool(packed) == packs, i
+
+
+def reference_product(order: int, a, b) -> tuple[int, ...]:
+    """The numerator of a * b: the schoolbook convolution, then its
+    remainder by Phi_order, padded to phi(order) coefficients."""
+    phi = list(cyclotomic_polynomial(order))
+    _, rem = _poly_divmod_int(schoolbook(a, b), phi)
+    return tuple(rem + [0] * (len(phi) - 1 - len(rem)))
+
+
+PACKED_ORDERS = (23, 29, 46, 97)
+
+
+@settings(deadline=None, max_examples=40, derandomize=True, database=None)
+@given(st.sampled_from(PACKED_ORDERS).flatmap(
+    lambda n: st.tuples(st.just(n), *[int_vectors(st.just(len(cyclotomic_polynomial(n)) - 1))] * 4)))
+def test_products_above_the_packing_threshold(case):
+    # products and equal-order sums of products of numbers whose phi(N)
+    # integer coefficients are already reduced, against the reference
+    n, a, b, c, d = case
+    x, y, u, v = (CyclotomicNumber(n, vec) for vec in (a, b, c, d))
+    assert (x * y)._num == reference_product(n, a, b)
+    want = [s + t for s, t in zip(reference_product(n, a, b), reference_product(n, c, d))]
+    got = sum_of_products([(x, y), (u, v)])
+    assert got._den == 1 and list(got._num) == want
 
 
 def test_fraction_input_is_kept_exact():

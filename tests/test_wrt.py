@@ -3,6 +3,7 @@
 import ast
 import math
 import pathlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -109,6 +110,27 @@ class TestFPolynomial:
                         if not got and p % 4 == 0 and c % 2 == 1:
                             empty.add(p)
         assert empty == {4, 8, 12, 16, 20, 24}
+
+    def test_signed_body_is_the_body_times_the_sign(self, monkeypatch):
+        # f_poly builds an even color's signed body from the two Gauss sums
+        # itself; it must be -body term for term, in key order and coefficient
+        # order, and an odd color's must be the body
+        for p in range(2, 13):
+            monkeypatch.setattr(wrt, "_F_CACHE", {})
+            for q in valid_qs(p):
+                space = LensSpace(p, q)
+                for c in range(-1, p):
+                    for k in range(p):
+                        fp = f_poly(space, c, k)
+                        want = -fp.body if c % 2 == 0 else fp.body
+                        assert [(e, x, x.order) for e, x in fp.signed_body.terms.items()] == [
+                            (e, x, x.order) for e, x in want.terms.items()
+                        ], (p, q, c, k)
+                        rebuilt = wrt.FPolynomial(p=fp.p, prefactor_sign=fp.prefactor_sign, body=fp.body)
+                        assert rebuilt.signed_body == fp.signed_body and rebuilt == fp
+        fp = f_poly(LensSpace(7, 3), 2, 1)  # its signed body is built and kept; a pickle keeps the fields
+        copied = pickle.loads(pickle.dumps(fp))
+        assert vars(copied) == vars(fp) and copied.signed_body == fp.signed_body
 
     def test_cache_returns_identical_object(self):
         space = LensSpace(7, 2)
