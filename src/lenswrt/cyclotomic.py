@@ -22,14 +22,16 @@ many products at once: their numerators go unreduced into one integer
 vector, which is reduced once; two factors of one order are convolved
 as a product is.  int and Fraction values
 enter through the constructor and leave through `.coeffs`; embed_complex
-imports mpmath and reads the complex power basis from a table cached per
-(N, precision).
+reads the complex power basis from a table cached per (N, precision).
 
 unit_root is the package's one numeric root of unity: e^(2 pi i num/den)
 at a given precision, computed by mpmath.libmp's cos/sin of pi times the
 rounded argument, bit for bit the value of mpmath.expjpi.  The power-basis
 table, Laurent evaluation, the Jeffrey oracle and the interpolation nodes
-all take their roots from it.
+all take their roots from it.  The numeric evaluators here and in laurent
+and wrt run on raw (re, im) pairs of mpmath.libmp values, making in order
+the calls that mpc arithmetic under workprec makes, so each value is that
+arithmetic's to the bit; each public one wraps its result in an mpc once.
 """
 
 from __future__ import annotations
@@ -563,25 +565,41 @@ def unit_root(num: int, den: int, precision: int) -> mpmath.mpc:
     attempt fails with ComplexResult, which costs more than the sine itself.
     Raises ValueError for den < 1.
     """
+    return _to_mpc(_unit_parts(num, den, precision))
+
+
+def _unit_parts(num: int, den: int, precision: int, den_mpf=None) -> tuple:
+    """unit_root's raw (re, im) parts; den_mpf is from_int(den), if the caller has it."""
     if den < 1:
         raise ValueError(f"denominator must be >= 1, got {den}")
-    make_mpc, from_int, mpf_cos_sin_pi, mpf_div = _libmp()
-    arg = mpf_div(from_int(2 * (num % den), precision, "n"), from_int(den), precision, "n")
-    return make_mpc(mpf_cos_sin_pi(arg, precision, "n"))
+    lm = _libmp()
+    arg = lm.mpf_div(_rounded_int(2 * (num % den), precision), den_mpf or lm.from_int(den), precision, "n")
+    return lm.mpf_cos_sin_pi(arg, precision, "n")
+
+
+def _rounded_int(n: int, precision: int) -> tuple:
+    """from_int(n, precision, "n"), which is the exact from_int(n) when n fits in `precision` bits."""
+    from_int = _libmp().from_int
+    return from_int(n) if n.bit_length() <= precision else from_int(n, precision, "n")
 
 
 @functools.cache
 def _libmp():
-    """The mpmath functions unit_root calls, imported on its first call."""
+    """mpmath.libmp, imported on the first numeric evaluation."""
+    from mpmath import libmp
+    return libmp
+
+
+def _to_mpc(parts: tuple) -> mpmath.mpc:
+    """An mpmath.mpc of raw (re, im) parts."""
     import mpmath
-    from mpmath.libmp import from_int, mpf_cos_sin_pi, mpf_div
-    return mpmath.mp.make_mpc, from_int, mpf_cos_sin_pi, mpf_div
+    return mpmath.mp.make_mpc(parts)
 
 
 @functools.lru_cache(maxsize=None)
-def _roots(n: int, precision: int) -> tuple[mpmath.mpc, ...]:
-    """xi_n^j = unit_root(j, n) at `precision` bits for the power basis 0 <= j < phi(n)."""
-    return tuple(unit_root(j, n, precision) for j in range(len(_order_data(n)[0]) - 1))
+def _roots(n: int, precision: int) -> tuple[tuple, ...]:
+    """The (re, im) parts of xi_n^j = unit_root(j, n) at `precision` bits for the power basis 0 <= j < phi(n)."""
+    return tuple(_unit_parts(j, n, precision) for j in range(len(_order_data(n)[0]) - 1))
 
 
 def check_precision(precision: int) -> None:
@@ -593,15 +611,26 @@ def check_precision(precision: int) -> None:
 def embed_complex(x: CyclotomicNumber, precision: int = 53) -> mpmath.mpc:
     """Complex value of a CyclotomicNumber at `precision` bits."""
     check_precision(precision)
-    import mpmath
+    return _to_mpc(_embed_parts(x, precision))
+
+
+def _embed_parts(x: CyclotomicNumber, precision: int) -> tuple:
+    """embed_complex's raw (re, im) parts: each (n_j / den) times the tabled xi^j, in order of j."""
+    lm = _libmp()
+    mpf_add, mpf_div, mpf_mul = lm.mpf_add, lm.mpf_div, lm.mpf_mul
     num, den = x._num, x._den
-    with mpmath.workprec(precision):
-        if x.is_rational():
-            return mpmath.mpc(mpmath.mpf(num[0]) if den == 1 else mpmath.mpf(num[0]) / den)
-        total = mpmath.mpc(0)
-        roots = _roots(x.order, precision)
-        for j, c in enumerate(num):
-            if c:
-                cf = mpmath.mpf(c) if den == 1 else mpmath.mpf(c) / den
-                total += cf * roots[j]
-        return total
+    dv = None if den == 1 else lm.from_int(den)
+    if not any(num[1:]):
+        cf = _rounded_int(num[0], precision)
+        return (cf if dv is None else mpf_div(cf, dv, precision, "n")), lm.fzero
+    re = im = lm.fzero
+    roots = _roots(x._order, precision)
+    for j, c in enumerate(num):
+        if c:
+            cf = _rounded_int(c, precision)
+            if dv is not None:
+                cf = mpf_div(cf, dv, precision, "n")
+            root_re, root_im = roots[j]
+            re = mpf_add(re, mpf_mul(root_re, cf, precision, "n"), precision, "n")
+            im = mpf_add(im, mpf_mul(root_im, cf, precision, "n"), precision, "n")
+    return re, im

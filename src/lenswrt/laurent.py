@@ -4,7 +4,8 @@ Every coefficient is a CyclotomicNumber: phi(N) integer numerators over
 one denominator.  int and Fraction coefficients are converted once, when
 a polynomial is constructed.  No zero coefficient is ever stored.
 RationalFunction provides the fraction field needed for kernel
-computations; mpmath is imported inside eval_at_unit_root only.
+computations.  Both eval_at_unit_root methods wrap LaurentPoly._parts,
+the one evaluator on raw libmp (re, im) pairs (see cyclotomic).
 
 The arithmetic runs on plain term dicts (exponent -> coefficient):
 terms_mul and terms_divmod are the one product and the one division,
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import operator
 
-from .cyclotomic import CyclotomicNumber, as_cyclotomic, check_precision, embed_complex, unit_root
+from .cyclotomic import CyclotomicNumber, as_cyclotomic, check_precision
+from .cyclotomic import _embed_parts, _libmp, _to_mpc, _unit_parts
 
 _ZERO = CyclotomicNumber.zero()
 
@@ -183,14 +185,19 @@ class LaurentPoly:
     def eval_at_unit_root(self, denominator: int, precision: int = 53):
         """Value at e^(2 pi i / denominator), each var^e a unit_root; ValueError for denominator < 1."""
         check_precision(precision)
+        return _to_mpc(self._parts(denominator, precision))
+
+    def _parts(self, denominator: int, precision: int) -> tuple:
+        """eval_at_unit_root's raw (re, im) parts: each embedding times its unit_root, in term order."""
         if denominator < 1:
             raise ValueError(f"denominator must be >= 1, got {denominator}")
-        import mpmath
-        with mpmath.workprec(precision):
-            total = mpmath.mpc(0)
-            for e, c in self._terms.items():
-                total += embed_complex(c, precision) * unit_root(e, denominator, precision)
-            return total
+        lm = _libmp()
+        mpc_add, mpc_mul = lm.mpc_add, lm.mpc_mul
+        total = lm.mpc_zero
+        for e, c in self._terms.items():
+            term = mpc_mul(_embed_parts(c, precision), _unit_parts(e, denominator, precision), precision, "n")
+            total = mpc_add(total, term, precision, "n")
+        return total
 
     # --- comparisons ------------------------------------------------------------
 
@@ -337,14 +344,20 @@ class RationalFunction:
         return self.num
 
     def eval_at_unit_root(self, denominator: int, precision: int = 53):
-        """Value at e^(2 pi i / denominator); no division when den is 1."""
+        """Value at e^(2 pi i / denominator); no division when den is 1, ValueError when it is 0 there."""
         check_precision(precision)
-        import mpmath
-        with mpmath.workprec(precision):
-            value = self.num.eval_at_unit_root(denominator, precision)
-            if not self.is_polynomial():
-                value /= self.den.eval_at_unit_root(denominator, precision)
+        return _to_mpc(self._parts(denominator, precision))
+
+    def _parts(self, denominator: int, precision: int) -> tuple:
+        """eval_at_unit_root's raw (re, im) parts, the num's over the den's by mpc_div."""
+        value = self.num._parts(denominator, precision)
+        if self.is_polynomial():
             return value
+        lm = _libmp()
+        den = self.den._parts(denominator, precision)
+        if den == lm.mpc_zero:
+            raise ValueError(f"denominator {self.den!r} vanishes at e^(2 pi i / {denominator})")
+        return lm.mpc_div(value, den, precision, "n")
 
     def __add__(self, other):
         other = self._coerce(other)

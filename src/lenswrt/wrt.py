@@ -11,12 +11,15 @@ jeffrey_oracle evaluates the same invariant along an independent route
 (a direct double sum with the framing correction phi), deliberately in
 floating point, for cross-validation; it memoizes its roots of unity
 within one call and keeps nothing between calls.  Every root of unity is a
-cyclotomic.unit_root, and each evaluator imports mpmath.
+cyclotomic.unit_root, and every evaluator computes on raw libmp (re, im)
+pairs, bit for bit the mpc arithmetic (see cyclotomic), with no workprec
+block: eval_z_combination combines the colors' pairs, and each public
+function wraps its value in an mpmath.mpc once, on return.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import check_precision, unit_root
+from .cyclotomic import _libmp, _to_mpc, _unit_parts, check_precision
 from .gauss import g_pm
 from .laurent import LaurentPoly
 from .numtheory import dedekind_sum, lens_matrix, rademacher_phi
@@ -145,12 +148,19 @@ def eval_meridian(space: LensSpace, c: int, r: int, precision: int = 53) -> mpma
     check_precision(precision)
     if r < 2:
         raise ValueError(f"level parameter r must be >= 2, got {r}")
-    import mpmath
+    return _to_mpc(_meridian_parts(space, c, r, precision))
+
+
+def _meridian_parts(space: LensSpace, c: int, r: int, precision: int) -> tuple:
+    """eval_meridian's raw (re, im) parts: (sign i / sqrt(2p)) times the body, over sqrt(r)."""
+    lm = _libmp()
+    from_int, mpf_sqrt, mpc_div_mpf = lm.from_int, lm.mpf_sqrt, lm.mpc_div_mpf
     fp = f_poly(space, c, r % space.p)
-    with mpmath.workprec(precision):
-        value = fp.body.eval_at_unit_root(4 * space.p * r, precision)
-        scale = mpmath.mpc(0, fp.prefactor_sign) / mpmath.sqrt(2 * fp.p)
-        return scale * value / mpmath.sqrt(r)
+    value = fp.body._parts(4 * space.p * r, precision)
+    sqrt_2p = mpf_sqrt(from_int(2 * fp.p), precision, "n")
+    scale = mpc_div_mpf((lm.fzero, from_int(fp.prefactor_sign)), sqrt_2p, precision, "n")
+    value = lm.mpc_mul(scale, value, precision, "n")
+    return mpc_div_mpf(value, mpf_sqrt(from_int(r), precision, "n"), precision, "n")
 
 
 def eval_link(space: LensSpace, element: SkeinElement, r: int, precision: int = 53) -> mpmath.mpc:
@@ -173,16 +183,17 @@ def eval_z_combination(space: LensSpace, components, r: int, precision: int = 53
     check_precision(precision)
     if r < 2:
         raise ValueError(f"level parameter r must be >= 2, got {r}")
-    import mpmath
+    lm = _libmp()
+    mpc_add, mpc_mul = lm.mpc_add, lm.mpc_mul
     items = components.items() if isinstance(components, dict) else enumerate(components)
-    with mpmath.workprec(precision):
-        total = mpmath.mpc(0)
-        denom = 4 * space.p * r
-        for c, comp in items:
-            if comp.is_zero():
-                continue
-            total += comp.eval_at_unit_root(denom, precision) * eval_meridian(space, c, r, precision)
-        return total
+    total = lm.mpc_zero
+    denom = 4 * space.p * r
+    for c, comp in items:
+        if comp.is_zero():
+            continue
+        term = mpc_mul(comp._parts(denom, precision), _meridian_parts(space, c, r, precision), precision, "n")
+        total = mpc_add(total, term, precision, "n")
+    return _to_mpc(total)
 
 
 def jeffrey_oracle(space: LensSpace, c: int, r: int, precision: int = 53) -> mpmath.mpc:
@@ -193,37 +204,38 @@ def jeffrey_oracle(space: LensSpace, c: int, r: int, precision: int = 53) -> mpm
     computes the invariant of (-1)^(l-1) mu_(l-1) with l = c + 1; the result
     is converted to plain mu_c.  The roots of order 4rpq are memoized by
     residue for this call only (the residues (qg +- 1)^2 mod 4rpq repeat
-    within one sum), and the sum is accumulated on their raw real and
-    imaginary parts in the order of the complex sum, so the value is the same
-    to the bit as summing mpc values.
+    within one sum), and the whole value is computed on raw libmp parts in
+    the order of the complex expression, so it is the same to the bit as
+    the sum and products of mpc values.
     """
     check_precision(precision)
     if r < 2:
         raise ValueError(f"level parameter r must be >= 2, got {r}")
-    import mpmath
-    from mpmath.libmp import fzero, mpf_add, mpf_sub
+    lm = _libmp()
+    mpf_add, mpf_sub, mpc_mul = lm.mpf_add, lm.mpf_sub, lm.mpc_mul
     p, q, b, phi = space.p, space.q, space.b, space.phi
     l = c + 1
     big = 4 * r * p * q
+    big_mpf = lm.from_int(big)
     memo: dict[int, tuple] = {}
 
     def unit(num: int) -> tuple:
         key = num % big
         value = memo.get(key)
         if value is None:
-            value = memo[key] = unit_root(key, big, precision)._mpc_
+            value = memo[key] = _unit_parts(key, big, precision, big_mpf)
         return value
 
-    re = im = fzero
+    re = im = lm.fzero
     for n in range(1, p + 1):
         g = l + 2 * r * n
         (ar, ai), (br, bi) = unit((q * g + 1) ** 2), unit((q * g - 1) ** 2)
         re = mpf_add(re, mpf_sub(ar, br, precision, "n"), precision, "n")
         im = mpf_add(im, mpf_sub(ai, bi, precision, "n"), precision, "n")
-    with mpmath.workprec(precision):
-        total = mpmath.mp.make_mpc((re, im))
-        value = mpmath.mpc(0, -1) / mpmath.sqrt(2 * r * p)
-        value *= unit_root(-phi, 4 * r, precision) * unit_root(b, 4 * r * q, precision) * total
-        if c % 2 == 1:
-            value = -value
-        return value
+    sqrt_2rp = lm.mpf_sqrt(lm.from_int(2 * r * p), precision, "n")
+    value = lm.mpc_div_mpf((lm.fzero, lm.fnone), sqrt_2rp, precision, "n")  # mpc(0, -1) / sqrt(2rp)
+    framing = mpc_mul(_unit_parts(-phi, 4 * r, precision), _unit_parts(b, 4 * r * q, precision), precision, "n")
+    value = mpc_mul(value, mpc_mul(framing, (re, im), precision, "n"), precision, "n")
+    if c % 2 == 1:
+        value = lm.mpc_neg(value, precision, "n")
+    return _to_mpc(value)

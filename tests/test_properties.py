@@ -378,6 +378,21 @@ def test_embedding_equals_the_uncached_sum(order):
                 assert embed_complex(x, precision) == _plain_embed(x, precision)
 
 
+@pytest.mark.parametrize("order", (1, 2, 12, 15, 20, 46))
+def test_embedding_over_a_denominator_equals_the_uncached_sum(order):
+    # rationals (orders 1 and 2) included, every value over a den != 1 and
+    # most coefficients rounded before the division by it
+    rng = random.Random(order)
+    values = [
+        CyclotomicNumber(order, [Fraction(rng.randint(-10**30, 10**30), rng.randint(2, 10**20)) for _ in range(order)]),
+        CyclotomicNumber(order, [Fraction(rng.randint(-9, 9), rng.randint(2, 9)) for _ in range(order)]),
+    ]
+    for precision in (53, 64, 256):
+        for x in values:
+            assert x.denominator != 1
+            assert embed_complex(x, precision) == _plain_embed(x, precision)
+
+
 # --- row products -----------------------------------------------------------------
 
 

@@ -12,8 +12,8 @@ import pytest
 
 import lenswrt
 from lenswrt import wrt
-from lenswrt.analysis import interpolate_f
-from lenswrt.cyclotomic import unit_root
+from lenswrt.analysis import interpolate_f, kernel
+from lenswrt.cyclotomic import CyclotomicNumber, unit_root
 from lenswrt.gauss import GaussSumSpec, g_pm, gauss_sum
 from lenswrt.laurent import LaurentPoly, RationalFunction
 from lenswrt.skein import SkeinElement, power_to_colored
@@ -392,14 +392,107 @@ class TestUnitRoot:
             assert _same_bits(eval_meridian(space, c, r, prec), _expjpi_meridian(space, c, r, prec)), (p, q, c, r, prec)
 
 
+def _expjpi_embed(x):
+    # embed_complex as a plain mpc sum, rationals included: one expjpi per nonzero coefficient
+    total = mpmath.mpc(0)
+    for j, n in enumerate(x._num):
+        if n:
+            cf = mpmath.mpf(n) if x._den == 1 else mpmath.mpf(n) / x._den
+            total += cf * _expjpi_unit(j, x.order)
+    return total
+
+
+def _expjpi_value(f, den):
+    # a LaurentPoly or RationalFunction at e^(2 pi i / den), on mpc values under the caller's workprec
+    if isinstance(f, RationalFunction):
+        value = _expjpi_value(f.num, den)
+        if not f.is_polynomial():
+            value /= _expjpi_value(f.den, den)
+        return value
+    total = mpmath.mpc(0)
+    for e, x in f.terms.items():
+        total += _expjpi_embed(x) * _expjpi_unit(e, den)
+    return total
+
+
+def _expjpi_combination(space, components, r, precision):
+    # eval_z_combination on mpc values, each meridian by _expjpi_meridian
+    items = components.items() if isinstance(components, dict) else enumerate(components)
+    with mpmath.workprec(precision):
+        total = mpmath.mpc(0)
+        for c, comp in items:
+            if not comp.is_zero():
+                total += _expjpi_value(comp, 4 * space.p * r) * _expjpi_meridian(space, c, r, precision)
+        return total
+
+
+def _coefficient(rng, order, top):
+    # a value of Q(xi_order) with coefficients n/d, |n| <= top, 2 <= d <= top; at top = 10**30
+    # they round at every precision tested
+    return CyclotomicNumber(order, [Fraction(rng.randint(-top, top), rng.randint(2, top)) for _ in range(order)])
+
+
+class TestCombinationBits:
+    """Evaluations that combine values, bit for bit against the same sums on mpc values."""
+
+    @pytest.mark.parametrize("precision", [53, 64, 256])
+    def test_laurent_and_rational_values_equal_the_mpc_route(self, precision):
+        rng = random.Random(precision)
+        for order in (1, 2, 5, 12):
+            num = LaurentPoly("z", {e: _coefficient(rng, order, 10**30) for e in range(-4, 5)})
+            den = LaurentPoly("z", {e: _coefficient(rng, order, 9) for e in range(3)})
+            f = RationalFunction(num, den)
+            assert not f.is_polynomial() and f.den.coeff(0).denominator != 1
+            for n in (1, 2, 7, 20, 97, 1440):
+                with mpmath.workprec(precision):
+                    want_num, want = _expjpi_value(num, n), _expjpi_value(f, n)
+                assert _same_bits(num.eval_at_unit_root(n, precision), want_num), (order, n)
+                assert _same_bits(f.eval_at_unit_root(n, precision), want), (order, n)
+
+    @pytest.mark.parametrize("precision", [53, 64, 256])
+    def test_combinations_and_links_equal_the_mpc_route(self, precision):
+        rng = random.Random(precision)
+        combinations = [(LensSpace(9, q), list(kernel(LensSpace(9, q))[0])) for q in (1, 4)]
+        den = LaurentPoly("z", {-1: _coefficient(rng, 5, 9), 0: 2, 3: 1})
+        for p, q in ((5, 2), (7, 3)):
+            comps = [poly.subst_signed_power(p, "z") for poly in random_skein(p, rng, max_exp=3).coeffs]
+            combinations.append((LensSpace(p, q), comps))
+            combinations.append((LensSpace(p, q), {c - 2: RationalFunction(v, den) for c, v in enumerate(comps)}))
+        for r in (2, 3, 17, 40, 1234):
+            for space, comps in combinations:
+                got = eval_z_combination(space, comps, r, precision)
+                assert _same_bits(got, _expjpi_combination(space, comps, r, precision)), (space, r)
+            for p, q in ((5, 2), (6, 1)):
+                element = random_skein(p, rng)
+                comps = [poly.subst_signed_power(p, "z") for poly in element.coeffs]
+                got = eval_link(LensSpace(p, q), element, r, precision)
+                assert _same_bits(got, _expjpi_combination(LensSpace(p, q), comps, r, precision)), (p, q, r)
+
+
+class TestVanishingDenominator:
+    def test_rational_function_value(self):
+        f = RationalFunction(LaurentPoly("z", {0: 1}), LaurentPoly("z", {4: 1, 0: -1}))
+        f.eval_at_unit_root(5)
+        with pytest.raises(ValueError, match=r"^denominator \(-1\) \+ \(1\)\*z\^4 vanishes at e\^\(2 pi i / 4\)$"):
+            f.eval_at_unit_root(4)
+
+    def test_z_combination(self):
+        for r in (2, 3, 10):
+            comp = RationalFunction(LaurentPoly("z", {0: 1}), LaurentPoly("z", {12 * r: 1, 0: -1}))
+            with pytest.raises(ValueError, match=rf"^denominator .* vanishes at e\^\(2 pi i / {12 * r}\)$"):
+                eval_z_combination(LensSpace(3, 1), [comp], r, 53)
+
+
 def test_expjpi_is_called_only_in_cyclotomic():
-    # one root-of-unity evaluator: cyclotomic.unit_root; no other module reaches mpmath.expjpi
+    # one root-of-unity evaluator: cyclotomic.unit_root; no other module reaches
+    # mpmath's expjpi or expj, or the libmp cos/sin that unit_root calls
+    names = {"expjpi", "expj", "mpf_cos_sin_pi", "mpf_cos_sin"}
     users = set()
     for path in pathlib.Path(lenswrt.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             name = getattr(node, "attr", None) or getattr(node, "id", None)
             if isinstance(node, ast.alias):
                 name = node.name
-            if name == "expjpi":
+            if name in names:
                 users.add(path.name)
     assert users <= {"cyclotomic.py"}, sorted(users)
