@@ -15,12 +15,12 @@ on such rows:
 - descent to Q(z): xi -> xi^u maps row k to row k/u and fixes z, so the
   kernel has a basis over Q(z).  The power-basis coordinates of one row
   per divisor d of p (row d mod p) are at most tau(p) phi(p) rows over
-  Q[z, 1/z], made as int rows, each cleared of its denominators; the
-  refinement loop below finds their kernel.  It is the answer when it
-  meets both bounds: every vector annihilates all p rows exactly
-  (rank <= ncols - #basis) and the image pivot rows of the matrix number
-  ncols - #basis.  Otherwise the loop runs over Q(xi_p)(z), on the
-  matrix's own image pivot rows;
+  Q[z, 1/z], made as int rows, each cleared of its denominators, and
+  sorted sparsest first (Markowitz); the refinement loop below finds their
+  kernel.  It is the answer when it meets both bounds: every vector
+  annihilates all p rows exactly (rank <= ncols - #basis) and the image
+  pivot rows of the matrix number ncols - #basis.  Otherwise the loop
+  runs over Q(xi_p)(z), on the matrix's own image pivot rows;
 - one refinement loop: fraction-free (Bareiss) elimination on the
   selected rows, then fraction-free back-substitution: int coefficients
   on the descended rows, CyclotomicNumber ones over Q(xi_p), with one
@@ -358,6 +358,11 @@ def _descended(rows, n: int) -> list[list[dict]]:
     return rational
 
 
+def _weight(row) -> tuple[int, int]:
+    """(number of terms, largest coefficient bit length) of an int row."""
+    return sum(map(len, row)), max(abs(v).bit_length() for entry in row for v in entry.values())
+
+
 def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     """The normalized kernel basis, proven: the rank is ncols - len(basis).
 
@@ -365,11 +370,15 @@ def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     coefficient orders.  The image pivot rows bound the rank from below;
     when they number ncols less the zero columns, the unit vectors e_c of
     the zero columns are the basis.  Otherwise the descended rows are
-    refined over Q(z): their basis is the answer when every vector
-    annihilates all rows of the matrix exactly and the image pivot rows
-    meet the bound ncols - len(basis).  When the bounds disagree (a
-    right-hand side that is not Galois-compatible, or a weak image) the
-    matrix's own image pivot rows are refined over Q(xi_p)(z).
+    sorted sparsest first (fewest terms, then the shortest largest
+    coefficient), so that the image picks its pivot rows among the
+    cheapest, and refined over Q(z): their basis is the answer when every
+    vector annihilates all rows of the matrix exactly and the image pivot
+    rows meet the bound ncols - len(basis).  The order of the rows changes
+    which rows are eliminated, never the basis: the proof is on all rows,
+    and the normalized basis is unique for a row space.  When the bounds
+    disagree (a right-hand side that is not Galois-compatible, or a weak
+    image) the matrix's own image pivot rows are refined over Q(xi_p)(z).
     """
     rows = [[entry.terms for entry in row] for row in matrix.entries]
     ncols = matrix.ncols
@@ -379,7 +388,7 @@ def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     if len(selection) == ncols - len(zero):
         one, nil = LaurentPoly.one("z"), LaurentPoly("z")
         return [RationalFunctionVector(tuple(one if j == c else nil for j in range(ncols))) for c in zero]
-    rational = _descended(rows, n)
+    rational = sorted(_descended(rows, n), key=_weight)
     basis = _refined(rational, _image_pivot_rows(rational, n))
     if len(basis) == ncols - len(selection) and all(_refuting_row(rows, vec) is None for vec in basis):
         return basis

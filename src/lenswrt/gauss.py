@@ -1,8 +1,12 @@
 """Generalized Gauss sums over Z/p, exactly, in Q(xi_p).
 
 gauss_sum sums xi_p^(a n^2 + b n) directly, by counting the exponents mod
-p; g_pm, which the f-polynomials call once per sum, shares that counter
-and builds no GaussSumSpec.  gauss_closed_form evaluates
+p, afresh on every call.  g_pm, the one Gauss-sum entry point of the
+f-polynomials and the submatrix certificates, builds no GaussSumSpec and
+takes each sum from one table keyed by (p, a mod p, b mod p), which that
+counter fills: the spaces of one order, and the colliding b's of one
+space, share each sum.  The table holds at most p^2 sums per order, and
+gauss_sum never reads or fills it.  gauss_closed_form evaluates
 the same sums through Jacobi-symbol formulas in the cases where such
 formulas exist (a multiple of p; p an odd prime; p twice an odd prime),
 expressed entirely inside Z[xi_p] by writing eps(p) sqrt(p) as the
@@ -50,6 +54,10 @@ def _counted_sum(p: int, a: int, b: int) -> CyclotomicNumber:
     return _make(p, _reduce(p, counts), 1)
 
 
+# the g_pm table: (p, a mod p, b mod p) -> the counted sum
+_tabled_sum = functools.lru_cache(maxsize=None)(_counted_sum)
+
+
 def g_pm(p: int, q: int, c: int, k: int, sign: int) -> CyclotomicNumber:
     """G_sign(p, q, c, k) = gauss_sum(p, qk, qc + q + sign), sign in {+1, -1}."""
     if p < 2:
@@ -58,7 +66,7 @@ def g_pm(p: int, q: int, c: int, k: int, sign: int) -> CyclotomicNumber:
         raise ValueError(f"(q, p) must be coprime, got ({q}, {p})")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return _counted_sum(p, q * k, q * c + q + sign)
+    return _tabled_sum(p, q * k % p, (q * c + q + sign) % p)
 
 
 def vanishes_mod4(p: int, c: int) -> bool:

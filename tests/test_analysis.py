@@ -33,7 +33,7 @@ from lenswrt.errors import (
 )
 from lenswrt.gauss import GaussSumSpec, g_pm, gauss_sum
 from lenswrt.laurent import LaurentPoly, RationalFunction
-from lenswrt.numtheory import count_squares_mod, is_prime, mod_inverse
+from lenswrt.numtheory import OrderClass, classify_order, count_squares_mod, is_prime, mod_inverse
 from lenswrt.skein import SkeinElement
 from lenswrt.wrt import LensSpace, eval_z_combination, f_link, f_poly, jeffrey_oracle
 
@@ -518,6 +518,76 @@ class TestCertifiedPivots:
         for vec in basis:
             assert not vec.is_zero()
             assert annihilates(matrix, vec)
+
+    @pytest.mark.parametrize("p, q", [(66, 5), (70, 3), (78, 5)])
+    def test_formerly_slow_orders(self, p, q):
+        # the descended rows in index order swell these to 5-11 s each, and
+        # sparsest first to a few tenths of a second: --durations shows a return
+        space = LensSpace(p, q)
+        matrix = build_f_matrix(space)
+        basis = kernel(space)
+        assert rank(matrix) == matrix.ncols - len(basis) == count_squares_mod(p)
+        for vec in basis:
+            assert not vec.is_zero()
+            assert annihilates(matrix, vec)
+
+
+def first_q(p):
+    return next(q for q in valid_qs(p) if q >= 2)
+
+
+class TestRowOrder:
+    """The order of the descended rows decides which rows the image picks
+    and the elimination runs on, never the answer: the proof is on all
+    rows, and the normalized basis is unique for a row space."""
+
+    DEFICIENT = [p for p in range(2, 31) if classify_order(p) is OrderClass.NON_DETERMINING]
+
+    @staticmethod
+    def shuffle(monkeypatch, seed, sort):
+        """_descended returns its rows in a seeded shuffle.  Without sort,
+        _weight is constant, so _certified's stable sort keeps the shuffle."""
+        descend, rng = analysis._descended, random.Random(seed)
+
+        def shuffled(rows, n):
+            out = descend(rows, n)
+            rng.shuffle(out)
+            return out
+
+        monkeypatch.setattr(analysis, "_descended", shuffled)
+        if not sort:
+            monkeypatch.setattr(analysis, "_weight", lambda row: 0)
+
+    @staticmethod
+    def answers(spaces):
+        return [(rank(build_f_matrix(space)), repr(kernel(space))) for space in spaces]
+
+    @pytest.mark.parametrize("sort", [True, False])
+    def test_kernel_and_rank_at_deficient_orders(self, monkeypatch, sort):
+        spaces = [LensSpace(p, first_q(p)) for p in self.DEFICIENT]
+        if sort:  # unsorted, L(66,5) takes seconds
+            spaces.append(LensSpace(66, 5))
+        expected = self.answers(spaces)
+        for seed in (1, 2, 3):
+            with monkeypatch.context() as m:
+                self.shuffle(m, seed, sort)
+                assert self.answers(spaces) == expected, seed
+
+    def test_recover(self, monkeypatch):
+        rng = random.Random(21)
+        cases = []
+        for p, q in ((7, 3), (11, 1), (14, 5)):
+            space, element = LensSpace(p, q), random_skein(p, rng)
+            polys = [f_link(space, element, k).signed_body for k in range(p)]
+            cases.append((space, polys, recover_skein(space, polys)))
+            assert cases[-1][2].a_form == element
+        for seed in (1, 2, 3):
+            for sort in (True, False):
+                with monkeypatch.context() as m:
+                    self.shuffle(m, seed, sort)
+                    for space, polys, expected in cases:
+                        got = recover_skein(space, polys)
+                        assert got == expected and repr(got) == repr(expected), (space, seed, sort)
 
 
 class TestHatC:

@@ -10,6 +10,7 @@ from lenswrt.gauss import (
     GaussSumSpec,
     _odd_prime_closed_form,
     _quadratic_sum,
+    _tabled_sum,
     g_pm,
     gauss_closed_form,
     gauss_sum,
@@ -73,6 +74,43 @@ class TestGPlusMinus:
                             expected = gauss_sum(GaussSumSpec(p, q * k, q * c + q + sign))
                             got = g_pm(p, q, c, k, sign)
                             assert got == expected and got.order == p, (p, q, c, k, sign)
+
+
+class TestSumTable:
+    """g_pm takes each sum from one table keyed by (p, a mod p, b mod p);
+    gauss_sum counts afresh and never reads or fills it."""
+
+    def test_tabled_sums_equal_fresh_counts(self):
+        for p in range(2, 41):
+            fresh = {}  # one fresh count per reduced spec, compared with every (q, c, k, sign) mapping to it
+            for q in (q for q in range(1, p) if math.gcd(p, q) == 1):
+                for c in range(p):
+                    for k in range(p):
+                        for sign in (1, -1):
+                            a, b = q * k, q * c + q + sign
+                            expected = fresh.get((a % p, b % p))
+                            if expected is None:
+                                expected = fresh[a % p, b % p] = gauss_sum(GaussSumSpec(p, a, b))
+                            got = g_pm(p, q, c, k, sign)
+                            assert got == expected and got.order == p, (p, q, c, k, sign)
+
+    def test_one_entry_per_reduced_spec(self):
+        # colors c and c + p, and spaces q and q + p, share one sum
+        assert g_pm(13, 2, 3, 5, 1) is g_pm(13, 2, 3 + 13, 5, 1) is g_pm(13, 15, 3, 5, 1)
+
+    def test_direct_sums_leave_the_table_alone(self):
+        # criterion 12's sweep: every supported closed form against a fresh direct sum
+        before = _tabled_sum.cache_info()
+        for p in range(2, 41):
+            for a in range(p):
+                for b in range(p):
+                    spec = GaussSumSpec(p, a, b)
+                    direct = gauss_sum(spec)
+                    try:
+                        assert gauss_closed_form(spec) == direct, (p, a, b)
+                    except UnsupportedCase:
+                        pass
+        assert _tabled_sum.cache_info() == before
 
 
 class TestVanishesMod4:

@@ -8,7 +8,13 @@ imported: its LAYERS literal is evaluated on its own.
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
+
+import lenswrt
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -39,3 +45,20 @@ def test_every_traced_name_resolves():
         if not found:
             missing.append(target)
     assert not missing, missing
+
+
+def test_cli_and_selftest_load_every_traced_module():
+    # tracing.install looks each module up in sys.modules, after the
+    # benchmark's CLI and worker processes have imported only lenswrt.cli
+    # and lenswrt.selftest: a traced module that those imports leave
+    # unloaded raises KeyError in every traced run
+    modules = sorted({target.split(":")[0] for target in traced_targets()})
+    script = "import json, sys; import lenswrt.cli, lenswrt.selftest; print(json.dumps(sorted(sys.modules)))"
+    src = str(pathlib.Path(lenswrt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    loaded = set(json.loads(out.stdout))
+    missing = [name for name in modules if name not in loaded]
+    assert modules and not missing, missing
