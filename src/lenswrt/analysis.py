@@ -38,15 +38,16 @@ x = v / d; an empty kernel proves there is none.
 
 Kernel vectors are normalized: common polynomial content removed, the
 highest-index nonzero component of valuation 0 and trailing coefficient
-1.  The module also produces the explicit nonsingular-submatrix
-certificates for p prime or twice an odd prime, and decides whether a
-rational-function skein class is a unit multiple of an ordinary one
+1; a vector is proven before it is normalized.  The module also produces
+the explicit nonsingular-submatrix certificates for p prime or twice an
+odd prime, their determinants from conjugate images mod primes l and CRT
+under a proven bound, with no arithmetic in Q(xi_p), and decides whether
+a rational-function skein class is a unit multiple of an ordinary one
 (integer coefficients in A = -z^p).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 
@@ -61,6 +62,7 @@ from .errors import (
 )
 from .gauss import g_pm
 from .laurent import LaurentPoly, RationalFunction, laurent_gcd, terms_divexact, terms_mul
+from .modular import _gauss_determinant, _modulus
 from .numtheory import is_prime, mod_inverse
 from .record import record
 from .skein import SkeinElement
@@ -241,23 +243,6 @@ def _row_times(row, x) -> dict:
 # it joins them, at most rank - (number of image pivots) times.
 
 
-@functools.lru_cache(maxsize=None)
-def _modulus(n: int) -> tuple[int, int, int]:
-    """(l, omega, t): the first prime l = 1 (mod n) above 2^62, an omega of
-    exact order n in F_l, and a fixed nonzero evaluation point t."""
-    m = 2**62 // n + 1
-    while not is_prime(m * n + 1):
-        m += 1
-    ell = m * n + 1
-    g = 2
-    # omega = g^m has order dividing n, exactly n when no omega^(n/f), f | n, f > 1, is 1
-    while any(pow(g, m * (n // f), ell) == 1 for f in range(2, n + 1) if n % f == 0):
-        g += 1
-    omega = pow(g, m, ell)
-    t = 0x9E3779B97F4A7C15 % ell
-    return ell, omega, t
-
-
 def _image_pivot_rows(rows, n: int) -> list[int]:
     """Indices of the pivot rows of the image in F_l of rows of term dicts
     whose coefficient orders divide n.
@@ -300,9 +285,9 @@ def _image_pivot_rows(rows, n: int) -> list[int]:
     return sorted(chosen)
 
 
-def _refuting_row(rows, vec: RationalFunctionVector) -> int | None:
-    """The first row k with M[k] v != 0, exactly; None when M v = 0."""
-    x = [v.terms for v in vec.components]
+def _refuting_row(rows, x: list[dict]) -> int | None:
+    """The first row k with M[k] x != 0, exactly, for x a vector of term
+    dicts; None when M x = 0."""
     return next((k for k, row in enumerate(rows) if _row_times(row, x)), None)
 
 
@@ -312,7 +297,9 @@ def _refined(rows, selection) -> list[RationalFunctionVector]:
     Each free column f gets the vector with v_f = D, the last pivot, and 0
     at the other free columns; its support is the pivots < f and f.  A row
     that a vector fails exactly is not in the selection's span: it joins
-    the selection, which is eliminated again.
+    the selection, which is eliminated again.  The proof runs on the raw
+    back-substituted vector (scaling v moves neither M v = 0 nor the first
+    refuting row), so only a vector that passes pays the normalizing gcd.
     """
     ncols = len(rows[0]) if rows else 0
     while True:
@@ -326,12 +313,12 @@ def _refined(rows, selection) -> list[RationalFunctionVector]:
                 continue
             x = [{}] * ncols
             x[f] = det
-            vec = _normalize_kernel_vector([LaurentPoly("z", t) for t in _back_substitute(selected, pivots, x)])
-            refuting = _refuting_row(rows, vec)
+            x = _back_substitute(selected, pivots, x)
+            refuting = _refuting_row(rows, x)
             if refuting is not None:
                 selection = sorted([*selection, refuting])
                 break
-            basis.append(vec)
+            basis.append(_normalize_kernel_vector([LaurentPoly("z", t) for t in x]))
         else:
             return basis
 
@@ -390,7 +377,9 @@ def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
         return [RationalFunctionVector(tuple(one if j == c else nil for j in range(ncols))) for c in zero]
     rational = sorted(_descended(rows, n), key=_weight)
     basis = _refined(rational, _image_pivot_rows(rational, n))
-    if len(basis) == ncols - len(selection) and all(_refuting_row(rows, vec) is None for vec in basis):
+    if len(basis) == ncols - len(selection) and all(
+        _refuting_row(rows, [v.terms for v in vec]) is None for vec in basis
+    ):
         return basis
     return _refined(rows, selection)
 
@@ -458,7 +447,31 @@ def fullrank_submatrix(space: LensSpace) -> SubmatrixCertificate:
     """The explicit square Gauss-sum submatrix selections for p prime or 2s.
 
     Returns the selected row indices (k values), column colors, the exact
-    entry matrix [G_+(p,q,col[c],row[k])], and its determinant.
+    entry matrix E = [G_+(p,q,col[c],row[k])], and its determinant.
+
+    The determinant takes no arithmetic in Q(xi_p)
+    (modular._gauss_determinant).  Entry (i, c) is G(a, b) =
+    sum_n xi_p^(a n^2 + b n), which the conjugate sigma_u: xi -> xi^u
+    maps to G(ua, ub).  For each prime l = 1 (mod p)
+    above 2^62 in turn, one table of every G(a, b) at omega gives each
+    sigma_u(E) mod l, and one Gaussian elimination each gives sigma_u(det)
+    mod l: the values of det = sum_(j < phi(p)) d_j xi^j at the phi(p)
+    nodes omega^u, from which a Vandermonde solve gives the d_j mod l.
+    CRT runs until the product P of the primes exceeds 4B, and each d_j
+    is its symmetric residue mod P.
+
+    Bound.  With l1 the sum of the absolute values of an entry's
+    numerators, |sigma(E_ic)| <= l1(E_ic), so by Hadamard's inequality
+    |sigma(det)| <= B = prod_i sqrt(sum_c l1(E_ic)^2) for every embedding
+    sigma.  For p prime, Tr(xi^k) is p - 1 if p | k and -1 otherwise, so
+    Tr(x xi^-j) - Tr(x xi) = sum_i d_i (Tr(xi^(i-j)) - Tr(xi^(i+1))) = p d_j
+    for x = det (i + 1 never reaches p); each trace sums p - 1 embeddings,
+    so |d_j| <= 2(p - 1)B/p < 2B.  For p = 2s, xi_2s = -xi_s^((s+1)/2)
+    and (s+1)/2 is a unit mod s, so the basis xi_2s^j, j < s - 1, is
+    +-xi_s^i over every residue i mod s but one, i0; the same sums give
+    Tr(x xi_s^-i) - Tr(x xi_s^-i0) = s e_i for the coordinates e_i = +-d_j
+    in that basis, so again |d_j| < 2B.  So P > 4B puts every d_j in
+    (-P/2, P/2), where its residue names it.
     """
     p, q = space.p, space.q
     if is_prime(p):
@@ -480,14 +493,13 @@ def fullrank_submatrix(space: LensSpace) -> SubmatrixCertificate:
         tuple(g_pm(p, q, c, k, 1) for c in gammas)
         for k in deltas
     )
-    rows = [[{0: e} if e else {} for e in row] for row in entries]
-    pivots, odd = _bareiss_echelon(rows)
-    det = rows[-1][-1][0] if len(pivots) == len(rows) else CyclotomicNumber.zero(p)
+    bound2 = math.prod(sum(sum(map(abs, e.coeffs)) ** 2 for e in row) for row in entries)
+    det = _gauss_determinant(p, [q * k % p for k in deltas], [(q * c + q + 1) % p for c in gammas], bound2)
     return SubmatrixCertificate(
         row_selection=tuple(deltas),
         col_selection=tuple(gammas),
         entries=entries,
-        determinant=-det if odd else det,
+        determinant=det,
     )
 
 

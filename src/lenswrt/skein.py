@@ -70,15 +70,6 @@ class SkeinElement:
             raise ValueError(f"skein coefficients live in A, got variable {poly.var}")
         return poly
 
-    @classmethod
-    def basis_vector(cls, p: int, c: int) -> SkeinElement:
-        """The generator mu_c."""
-        if not 0 <= c <= p // 2:
-            raise ValueError(f"index {c} outside 0..{p // 2}")
-        coeffs = [0] * (p // 2 + 1)
-        coeffs[c] = 1
-        return cls(p, coeffs)
-
     @property
     def p(self) -> int:
         return self._p

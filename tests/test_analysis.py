@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from lenswrt import analysis
+from lenswrt import analysis, modular
 from lenswrt.analysis import (
     LaurentMatrix,
     RationalFunctionVector,
@@ -23,7 +23,7 @@ from lenswrt.analysis import (
     rank,
     recover_skein,
 )
-from lenswrt.cyclotomic import embed_complex, root_of_unity
+from lenswrt.cyclotomic import CyclotomicNumber, embed_complex, root_of_unity
 from lenswrt.errors import (
     BadConditioning,
     Inconsistent,
@@ -671,6 +671,93 @@ class TestFullrankSubmatrix:
         assert doc["nonzero"] is True
         assert doc["rows"] == list(cert.row_selection)
         json.dumps(doc)  # serializable, deterministic key order
+
+
+CERTIFIED_ORDERS = [p for p in range(2, 31) if is_prime(p) or p % 2 == 0 and is_prime(p // 2) and p // 2 % 2 == 1]
+
+
+def bareiss_determinant(cert):
+    """The certificate's determinant by fraction-free elimination over Q(xi_p)."""
+    rows = [[{0: e} if e else {} for e in row] for row in cert.entries]
+    pivots, odd = analysis._bareiss_echelon(rows)
+    if len(pivots) < len(rows):
+        return CyclotomicNumber.zero(cert.determinant.order)
+    det = rows[-1][-1][0]
+    return -det if odd else det
+
+
+def gauss_keys(space, cert):
+    """(a of each row, b of each column): entry (i, c) is gauss_sum(p, a_i, b_c)."""
+    p, q = space.p, space.q
+    return [q * k % p for k in cert.row_selection], [(q * c + q + 1) % p for c in cert.col_selection]
+
+
+def hadamard_square(cert):
+    """B^2, B the Hadamard product of the rows' l1 norms of numerators."""
+    return math.prod(sum(sum(map(abs, e.coeffs)) ** 2 for e in row) for row in cert.entries)
+
+
+class TestConjugateDeterminant:
+    """The certificate determinant: the image of every conjugate mod primes
+    l = 1 (mod p), a Vandermonde solve per prime, CRT until the product of
+    the primes exceeds 4B."""
+
+    def test_equals_the_bareiss_determinant(self):
+        for p in CERTIFIED_ORDERS:
+            for q in valid_qs(p):
+                cert = fullrank_submatrix(LensSpace(p, q))
+                assert cert.determinant.order == p, (p, q)
+                assert cert.determinant == bareiss_determinant(cert), (p, q)
+        cert = fullrank_submatrix(LensSpace(43, 2))
+        assert cert.determinant == bareiss_determinant(cert)
+
+    def test_coordinates_lie_inside_twice_the_bound(self):
+        for p in CERTIFIED_ORDERS:
+            cert = fullrank_submatrix(LensSpace(p, valid_qs(p)[-1]))
+            assert cert.determinant.denominator == 1, p
+            assert max(abs(d) for d in cert.determinant.coeffs) ** 2 < 4 * hadamard_square(cert), p
+
+    def test_one_prime_is_not_enough(self, monkeypatch):
+        # L(43,2): 88-bit coordinates, and 4B has 169 bits; the primes stop at
+        # the first product above 4B, and stopping after one gives a wrong
+        # determinant
+        space = LensSpace(43, 2)
+        primes = []
+        find = modular._modulus
+        monkeypatch.setattr(modular, "_modulus", lambda n, index=0: primes.append(find(n, index)[0]) or find(n, index))
+        cert = fullrank_submatrix(space)
+        primes = list(dict.fromkeys(primes))  # an uncached search also asks for the primes before
+        bound2 = hadamard_square(cert)
+        product = math.prod(primes)
+        assert len(primes) == 3 and product ** 2 > 16 * bound2 >= (product // primes[-1]) ** 2
+        assert max(abs(d) for d in cert.determinant.coeffs).bit_length() == 88
+        row_a, col_b = gauss_keys(space, cert)
+        assert modular._gauss_determinant(43, row_a, col_b, bound2) == cert.determinant
+        assert modular._gauss_determinant(43, row_a, col_b, 1) != cert.determinant  # one prime passes 4B = 4
+
+    def test_table_images_are_the_conjugates_images(self):
+        # sigma_u G(a, b) = G(ua, ub): each conjugate's entries are read from
+        # the table at (ua, ub)
+        for p in CERTIFIED_ORDERS:
+            ell, omega, _ = modular._modulus(p, 1)
+            table = modular._sum_table(p, ell, omega)
+            space = LensSpace(p, valid_qs(p)[-1])
+            cert = fullrank_submatrix(space)
+            row_a, col_b = gauss_keys(space, cert)
+            for u in valid_qs(p):
+                for a, row in zip(row_a, cert.entries):
+                    for b, g in zip(col_b, row):
+                        assert table[u * a % p][u * b % p] == g.galois(u).image_mod(ell, omega), (p, u, a, b)
+
+    def test_no_bareiss_and_no_inverse(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the certificate computes in F_l only")
+
+        monkeypatch.setattr(analysis, "_bareiss_echelon", forbidden)
+        monkeypatch.setattr(CyclotomicNumber, "inverse", forbidden)
+        for p in CERTIFIED_ORDERS:
+            for q in valid_qs(p)[:2]:
+                assert fullrank_submatrix(LensSpace(p, q)).nonzero, (p, q)
 
 
 def _jacobi(a, b):

@@ -68,7 +68,7 @@ class TestBasisMatrices:
 
 class TestPowerToColored:
     def test_small_cases(self):
-        assert power_to_colored(5, 1) == SkeinElement.basis_vector(5, 1)
+        assert power_to_colored(5, 1) == SkeinElement(5, [0, 1, 0])
         x2 = power_to_colored(5, 2)
         assert x2 == SkeinElement(5, [1, 0, 1])  # alpha^2 = e_2 + e_0
 
@@ -87,7 +87,7 @@ class TestPowerToColored:
 
 class TestSkeinElement:
     def test_scale_cancellation(self):
-        mu1 = SkeinElement.basis_vector(5, 1)
+        mu1 = SkeinElement(5, [0, 1, 0])
         a_sq = LaurentPoly("A", {2: 1})
         total = mu1.scale(a_sq) + mu1.scale(-a_sq)
         assert total.is_zero()
@@ -98,8 +98,8 @@ class TestSkeinElement:
 
     def test_power_minus_colored(self):
         x2 = power_to_colored(5, 2)
-        mu2 = SkeinElement.basis_vector(5, 2)
-        assert x2 - mu2 == SkeinElement.basis_vector(5, 0)
+        mu2 = SkeinElement(5, [0, 0, 1])
+        assert x2 - mu2 == SkeinElement(5, [1, 0, 0])
 
     def test_length_validation(self):
         with pytest.raises(ValueError):

@@ -184,7 +184,7 @@ class TestFLink:
     def test_unit_vector_reduces_to_meridian(self):
         space = LensSpace(7, 3)
         for c in range(4):
-            element = SkeinElement.basis_vector(7, c)
+            element = SkeinElement(7, [int(j == c) for j in range(4)])
             assert f_link(space, element, 2) == f_poly(space, c, 2)
 
     def test_conjugation_symmetry_random(self):
@@ -199,13 +199,13 @@ class TestFLink:
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
-            f_link(LensSpace(5, 2), SkeinElement.basis_vector(7, 1), 0)
+            f_link(LensSpace(5, 2), SkeinElement(7, [0, 1, 0, 0]), 0)
 
 
 class TestEvalLink:
     def test_empty_link(self):
         space = LensSpace(6, 1)
-        empty = SkeinElement.basis_vector(6, 0)
+        empty = SkeinElement(6, [1, 0, 0, 0])
         for r in (2, 3, 9):
             assert abs(eval_link(space, empty, r, 64) - eval_meridian(space, 0, r, 64)) < 1e-12
 
