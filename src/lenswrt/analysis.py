@@ -6,9 +6,8 @@ polynomials.  The matrix is read once, as rows of plain term dicts
 (exponent -> coefficient, one dict per column), and every step below runs
 on such rows:
 
-- one image test mod l: the matrix is mapped to F_l (l = 1 mod p prime,
-  xi_p -> an element of exact order p, z -> a fixed point t), and the
-  pivot rows of that image, whose nonzero minor proves them independent,
+- one image test mod l (modular._image_pivot_rows): the pivot rows of
+  the matrix's image in F_l, whose nonzero minor proves them independent,
   bound the rank from below; when they number ncols less the zero
   columns (an odd color c when p = 0 mod 4), the unit vectors e_c of
   those columns are the kernel basis and the computation ends;
@@ -40,10 +39,9 @@ Kernel vectors are normalized: common polynomial content removed, the
 highest-index nonzero component of valuation 0 and trailing coefficient
 1; a vector is proven before it is normalized.  The module also produces
 the explicit nonsingular-submatrix certificates for p prime or twice an
-odd prime, their determinants from conjugate images mod primes l and CRT
-under a proven bound, with no arithmetic in Q(xi_p), and decides whether
-a rational-function skein class is a unit multiple of an ordinary one
-(integer coefficients in A = -z^p).
+odd prime, their determinants computed in modular, with no arithmetic in
+Q(xi_p), and decides whether a rational-function skein class is a unit
+multiple of an ordinary one (integer coefficients in A = -z^p).
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ from .errors import (
 )
 from .gauss import g_pm
 from .laurent import LaurentPoly, RationalFunction, laurent_gcd, terms_divexact, terms_mul
-from .modular import _gauss_determinant, _modulus
+from .modular import _gauss_determinant, _image_pivot_rows
 from .numtheory import is_prime, mod_inverse
 from .record import record
 from .skein import SkeinElement
@@ -232,59 +230,6 @@ def _row_times(row, x) -> dict:
     return total
 
 
-# --- certified modular pivots ----------------------------------------------------
-#
-# The entries of the f-matrix lie in Z[xi_n][z, 1/z] with n = p.  For a prime
-# l = 1 (mod n) and omega of exact order n in F_l, xi_n -> omega, z -> t is a
-# ring map into F_l, so the pivot rows of the image are exactly independent: a
-# nonzero r x r image minor proves rank >= r.  Exact elimination then runs on
-# those rows only, and every answer built from them is checked exactly on all
-# rows.  A row that an answer fails is independent of the selected rows, so
-# it joins them, at most rank - (number of image pivots) times.
-
-
-def _image_pivot_rows(rows, n: int) -> list[int]:
-    """Indices of the pivot rows of the image in F_l of rows of term dicts
-    whose coefficient orders divide n.
-
-    Each row is mapped after multiplying it by the lcm of its coefficient
-    denominators: an integer multiple of a row keeps its pivot status, and
-    its image needs no denominator to be invertible mod l.  The images of
-    xi_order (omega^(n/order)) and of z^e (t^e) are tabled for this call.
-    """
-    ell, omega, t = _modulus(n)
-    roots: dict[int, int] = {}  # order -> omega^(n/order)
-    powers: dict[int, int] = {}  # e -> t^e
-
-    def image(row) -> list[int]:
-        scale = math.lcm(*(c.denominator for entry in row for c in entry.values()))
-        values = []
-        for entry in row:
-            total = 0
-            for e, c in entry.items():
-                if not isinstance(c, int):
-                    root = roots.get(c.order) or roots.setdefault(c.order, pow(omega, n // c.order, ell))
-                    c = (c * scale if scale != 1 else c).image_mod(ell, root)
-                total += c * (powers.get(e) or powers.setdefault(e, pow(t, e, ell)))
-            values.append(total % ell)
-        return values
-
-    remaining = {k: image(row) for k, row in enumerate(rows)}
-    chosen = []
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((k for k in remaining if remaining[k][col]), None)
-        if piv is None:
-            continue
-        pivot_row = remaining.pop(piv)
-        chosen.append(piv)
-        inv = pow(pivot_row[col], -1, ell)
-        for k, row in remaining.items():
-            f = row[col] * inv % ell
-            if f:
-                remaining[k] = [(a - f * b) % ell for a, b in zip(row, pivot_row)]
-    return sorted(chosen)
-
-
 def _refuting_row(rows, x: list[dict]) -> int | None:
     """The first row k with M[k] x != 0, exactly, for x a vector of term
     dicts; None when M x = 0."""
@@ -449,29 +394,9 @@ def fullrank_submatrix(space: LensSpace) -> SubmatrixCertificate:
     Returns the selected row indices (k values), column colors, the exact
     entry matrix E = [G_+(p,q,col[c],row[k])], and its determinant.
 
-    The determinant takes no arithmetic in Q(xi_p)
-    (modular._gauss_determinant).  Entry (i, c) is G(a, b) =
-    sum_n xi_p^(a n^2 + b n), which the conjugate sigma_u: xi -> xi^u
-    maps to G(ua, ub).  For each prime l = 1 (mod p)
-    above 2^62 in turn, one table of every G(a, b) at omega gives each
-    sigma_u(E) mod l, and one Gaussian elimination each gives sigma_u(det)
-    mod l: the values of det = sum_(j < phi(p)) d_j xi^j at the phi(p)
-    nodes omega^u, from which a Vandermonde solve gives the d_j mod l.
-    CRT runs until the product P of the primes exceeds 4B, and each d_j
-    is its symmetric residue mod P.
-
-    Bound.  With l1 the sum of the absolute values of an entry's
-    numerators, |sigma(E_ic)| <= l1(E_ic), so by Hadamard's inequality
-    |sigma(det)| <= B = prod_i sqrt(sum_c l1(E_ic)^2) for every embedding
-    sigma.  For p prime, Tr(xi^k) is p - 1 if p | k and -1 otherwise, so
-    Tr(x xi^-j) - Tr(x xi) = sum_i d_i (Tr(xi^(i-j)) - Tr(xi^(i+1))) = p d_j
-    for x = det (i + 1 never reaches p); each trace sums p - 1 embeddings,
-    so |d_j| <= 2(p - 1)B/p < 2B.  For p = 2s, xi_2s = -xi_s^((s+1)/2)
-    and (s+1)/2 is a unit mod s, so the basis xi_2s^j, j < s - 1, is
-    +-xi_s^i over every residue i mod s but one, i0; the same sums give
-    Tr(x xi_s^-i) - Tr(x xi_s^-i0) = s e_i for the coordinates e_i = +-d_j
-    in that basis, so again |d_j| < 2B.  So P > 4B puts every d_j in
-    (-P/2, P/2), where its residue names it.
+    The determinant takes no arithmetic in Q(xi_p): modular._gauss_determinant
+    computes it from conjugate images mod primes l and CRT, under the
+    Hadamard bound B^2 taken here from the entries' numerators.
     """
     p, q = space.p, space.q
     if is_prime(p):

@@ -1,9 +1,17 @@
 """Exact answers over Q(xi_n) from their images mod primes l = 1 (mod n).
 
 For omega of exact order n in F_l and each unit u, xi_n -> omega^u maps
-Z[xi_n] to F_l: the image of the conjugate sigma_u.  A Vandermonde solve
-on the images gives the power-basis coordinates mod l, and CRT over
-successive primes, up to a proven bound, gives them over Z.
+Z[xi_n] to F_l: the image of the conjugate sigma_u.  Both uses of the
+images eliminate mod l through one routine, _echelon_mod:
+
+- the image test of analysis: with z -> a fixed point t as well, the
+  pivot rows of the f-matrix's image are exactly independent (a nonzero
+  r x r image minor proves rank >= r).  Exact elimination runs on those
+  rows only, and a row that its answer fails joins them, at most
+  rank - r times;
+- the certificate determinants: a Vandermonde solve on the determinants
+  of the images gives the power-basis coordinates mod l, and CRT over
+  successive primes, up to a proven bound, gives them over Z.
 """
 
 from __future__ import annotations
@@ -33,10 +41,61 @@ def _modulus(n: int, index: int = 0) -> tuple[int, int, int]:
     return ell, omega, t
 
 
+def _image_pivot_rows(rows, n: int) -> list[int]:
+    """Indices of the pivot rows of the image in F_l of rows of term dicts
+    whose coefficient orders divide n.
+
+    Each row is mapped after multiplying it by the lcm of its coefficient
+    denominators: an integer multiple of a row keeps its pivot status, and
+    its image needs no denominator to be invertible mod l.  The images of
+    xi_order (omega^(n/order)) and of z^e (t^e) are tabled for this call.
+    """
+    ell, omega, t = _modulus(n)
+    roots: dict[int, int] = {}  # order -> omega^(n/order)
+    powers: dict[int, int] = {}  # e -> t^e
+
+    def image(row) -> list[int]:
+        scale = math.lcm(*(c.denominator for entry in row for c in entry.values()))
+        values = []
+        for entry in row:
+            total = 0
+            for e, c in entry.items():
+                if not isinstance(c, int):
+                    root = roots.get(c.order) or roots.setdefault(c.order, pow(omega, n // c.order, ell))
+                    c = (c * scale if scale != 1 else c).image_mod(ell, root)
+                total += c * (powers.get(e) or powers.setdefault(e, pow(t, e, ell)))
+            values.append(total % ell)
+        return values
+
+    return sorted(_echelon_mod([image(row) for row in rows], ell)[0])
+
+
 def _gauss_determinant(p: int, row_a: list[int], col_b: list[int], bound2: int) -> CyclotomicNumber:
-    """det [G(a_i, b_j)], G(a, b) = sum_n xi_p^(a n^2 + b n), from its images
-    mod primes l = 1 (mod p), given bound2 >= B^2 for a B >= |sigma(det)| at
-    every embedding sigma; fullrank_submatrix states the method and the proof."""
+    """det E, E = [G(a_i, b_j)], G(a, b) = sum_n xi_p^(a n^2 + b n), from its
+    images mod primes l = 1 (mod p), given bound2 >= B^2 for a B >= |sigma(det)|
+    at every embedding sigma.
+
+    The conjugate sigma_u: xi -> xi^u maps G(a, b) to G(ua, ub).  For each
+    prime l = 1 (mod p) above 2^62 in turn, one table of every G(a, b) at
+    omega gives each sigma_u(E) mod l, and one _echelon_mod each gives
+    sigma_u(det) mod l: the values of det = sum_(j < phi(p)) d_j xi^j at
+    the phi(p) nodes omega^u, from which a Vandermonde solve gives the d_j
+    mod l.  CRT runs until the product P of the primes exceeds 4B, and
+    each d_j is its symmetric residue mod P.
+
+    Bound.  With l1 the sum of the absolute values of an entry's
+    numerators, |sigma(E_ic)| <= l1(E_ic), so by Hadamard's inequality
+    B = prod_i sqrt(sum_c l1(E_ic)^2) serves; fullrank_submatrix passes its
+    square.  For p prime, Tr(xi^k) is p - 1 if p | k and -1 otherwise, so
+    Tr(x xi^-j) - Tr(x xi) = sum_i d_i (Tr(xi^(i-j)) - Tr(xi^(i+1))) = p d_j
+    for x = det (i + 1 never reaches p); each trace sums p - 1 embeddings,
+    so |d_j| <= 2(p - 1)B/p < 2B.  For p = 2s, xi_2s = -xi_s^((s+1)/2) and
+    (s+1)/2 is a unit mod s, so the basis xi_2s^j, j < s - 1, is
+    +-xi_s^i over every residue i mod s but one, i0; the same sums give
+    Tr(x xi_s^-i) - Tr(x xi_s^-i0) = s e_i for the coordinates e_i = +-d_j
+    in that basis, so again |d_j| < 2B.  So P > 4B puts every d_j in
+    (-P/2, P/2), where its residue names it.
+    """
     units = [u for u in range(1, p) if math.gcd(u, p) == 1]
     coords, modulus, index = [0] * len(units), 1, 0
     while modulus * modulus <= 16 * bound2:
@@ -45,7 +104,7 @@ def _gauss_determinant(p: int, row_a: list[int], col_b: list[int], bound2: int) 
         values = []
         for u in units:  # sigma_u G(a, b) = G(ua, ub)
             cols = [u * b % p for b in col_b]
-            values.append(_det_mod([[sums[x] for x in cols] for sums in (table[u * a % p] for a in row_a)], ell))
+            values.append(_echelon_mod([[table[u * a % p][x] for x in cols] for a in row_a], ell)[1])
         residues = _vandermonde_solve([pow(omega, u, ell) for u in units], values, ell)
         lift = pow(modulus, -1, ell)
         coords = [x + modulus * ((r - x) * lift % ell) for x, r in zip(coords, residues)]
@@ -77,26 +136,34 @@ def _sum_table(p: int, ell: int, omega: int) -> list[list[int]]:
     return table
 
 
-def _det_mod(rows: list[list[int]], ell: int) -> int:
-    """The determinant mod ell of a square int matrix, by Gaussian elimination
-    that drops the pivot row and column at each step.  Only the pivot row
-    and the multipliers are reduced; every other entry grows by one product
-    of two residues per step."""
-    det = 1
-    while rows:
+def _echelon_mod(rows: list[list[int]], ell: int) -> tuple[list[int], int]:
+    """(pivot_rows, det): Gaussian elimination mod ell of int rows.
+
+    Column by column, the pivot is the first remaining row, in input order,
+    nonzero mod ell there; pivot_rows lists the input indices of the pivots
+    in column order.  det is the determinant of a square input: 0 when a
+    column has no pivot, and the elimination goes on to the later columns'
+    pivots.  Each step drops the pivot row and column; only the pivot row
+    and the multipliers are reduced, and every other entry grows by one
+    product of two residues per step."""
+    index = list(range(len(rows)))
+    pivots, det = [], 1
+    for _ in range(len(rows[0]) if rows else 0):
         piv = next((i for i, row in enumerate(rows) if row[0] % ell), None)
         if piv is None:
-            return 0
-        pivot_row = rows.pop(piv)
+            det, rows = 0, [row[1:] for row in rows]
+            continue
+        pivots.append(index.pop(piv))
+        pivot_row = rows[piv]
         head = pivot_row[0] % ell
         det = (-det if piv % 2 else det) * head % ell  # piv swaps bring the pivot row to the top
         minus_inv = ell - pow(head, -1, ell)
         tail = [b % ell for b in pivot_row[1:]]
         rows = [
             [a + f * b for a, b in zip(row[1:], tail)] if (f := row[0] * minus_inv % ell) else row[1:]
-            for row in rows
+            for row in rows[:piv] + rows[piv + 1:]
         ]
-    return det
+    return pivots, det
 
 
 def _vandermonde_solve(nodes: list[int], values: list[int], ell: int) -> list[int]:

@@ -229,7 +229,7 @@ def refinements(monkeypatch):
 def untabled_image_pivot_rows(rows, n):
     """The pivot rows of the image in F_l with a pow per root and per term
     and a Horner value reduced at every step."""
-    ell, omega, t = analysis._modulus(n)
+    ell, omega, t = modular._modulus(n)
 
     def residue(c) -> int:
         if isinstance(c, int):
@@ -300,17 +300,6 @@ class TestCertifiedPivots:
             ncols = p // 2 + 1
             units = [tuple(z({0: 1} if j == c else {}) for j in range(ncols)) for c in range(1, ncols, 2)]
             assert [vec.components for vec in kernel(LensSpace(p, q))] == units, (p, q)
-
-    def test_modulus_is_a_ring_map_target(self):
-        # xi_n -> omega is a ring map Z[xi_n] -> F_l only when omega has
-        # exact order n in F_l, which needs l prime and l = 1 (mod n)
-        for n in range(1, 101):
-            ell, omega, t = analysis._modulus(n)
-            assert is_prime(ell) and (ell - 1) % n == 0 and ell > 2**62, n
-            assert pow(omega, n, ell) == 1, n
-            primes = [f for f in range(2, n + 1) if n % f == 0 and is_prime(f)]
-            assert all(pow(omega, n // f, ell) != 1 for f in primes), n
-            assert 0 < t < ell, n
 
     def test_image_pivot_rows_equal_the_untabled_image(self):
         # the image tables omega^(n/order) and t^e and reduces each Horner
@@ -803,7 +792,7 @@ class TestRecoverSkein:
         # 1/l has no image mod l, the prime of the pivot-row image; each row
         # is mapped only after its denominators are cleared
         space = LensSpace(5, 2)
-        ell = analysis._modulus(5)[0]
+        ell = modular._modulus(5)[0]
         polys = [row[0].scale(Fraction(1, ell)) for row in build_f_matrix(space).entries]
         result = recover_skein(space, polys)
         assert result.z_components == (RationalFunction(z({0: Fraction(1, ell)})), RationalFunction(z({})),

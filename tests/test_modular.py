@@ -1,11 +1,14 @@
-"""Images mod primes l = 1 (mod n): the moduli, determinants and
-Vandermonde solves mod l, and the table of Gauss sums at omega."""
+"""Images mod primes l = 1 (mod n): the moduli, the one elimination mod l
+and the Vandermonde solves mod l, and the table of Gauss sums at omega."""
 
 import random
 
 from lenswrt import modular
+from lenswrt.analysis import build_f_matrix, fullrank_submatrix, kernel, rank, recover_skein
 from lenswrt.gauss import GaussSumSpec, gauss_sum
+from lenswrt.laurent import LaurentPoly
 from lenswrt.numtheory import is_prime
+from lenswrt.wrt import LensSpace
 
 
 def laplace_determinant(rows):
@@ -15,13 +18,32 @@ def laplace_determinant(rows):
                for j in range(len(rows)) if rows[0][j])
 
 
+def first_nonzero_pivots(rows, ell):
+    """The pivot rows, in column order, of textbook elimination mod ell that
+    keeps every column and reduces every entry at every step."""
+    remaining = {k: [a % ell for a in row] for k, row in enumerate(rows)}
+    chosen = []
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((k for k in remaining if remaining[k][col]), None)
+        if piv is None:
+            continue
+        pivot_row = remaining.pop(piv)
+        chosen.append(piv)
+        inv = pow(pivot_row[col], -1, ell)
+        for k, row in remaining.items():
+            f = row[col] * inv % ell
+            remaining[k] = [(a - f * b) % ell for a, b in zip(row, pivot_row)]
+    return chosen
+
+
 def test_successive_moduli():
     # each search continues from the prime before: the primes = 1 (mod n)
     # above 2^62 in increasing order, none skipped, each with an omega of
-    # exact order n
-    for n in range(1, 31):
+    # exact order n, so that xi_n -> omega is a ring map Z[xi_n] -> F_l;
+    # the first four primes up to n = 30 and the first up to n = 100
+    for n in range(1, 101):
         previous = 2**62
-        for index in range(4):
+        for index in range(4 if n <= 30 else 1):
             ell, omega, t = modular._modulus(n, index)
             assert is_prime(ell) and (ell - 1) % n == 0 and ell > previous, (n, index)
             assert not any(is_prime(m) for m in range(ell - n, previous, -n)), (n, index)
@@ -56,7 +78,57 @@ def test_determinant_mod_l_matches_the_integer_determinant():
         if trial % 10 == 0 and n > 1:
             rows[-1] = list(rows[0])
         expected = laplace_determinant(rows) % ell
-        assert modular._det_mod([list(row) for row in rows], ell) == expected, rows
+        assert modular._echelon_mod([list(row) for row in rows], ell)[1] == expected, rows
+
+
+def test_pivot_rows_are_the_first_nonzero_rows():
+    # lazy reduction and dropped columns pick the pivots of textbook
+    # elimination: columns without a pivot, more rows than columns and the
+    # reverse (rows run out before the last column), entries >= l and < 0
+    ell = modular._modulus(7)[0]
+    cases = [
+        [[0, 1], [0, 2]],
+        [[ell, 1], [-2 * ell, 3], [5, 0]],
+        [[1, 2, 3]],
+        [[1, 2, 3], [2, 4, 6], [0, 0, 1]],
+        [[2, 1], [ell - 1, -1], [3, 4], [1, 0]],
+    ]
+    rng = random.Random(11)
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        bound = rng.choice((2, ell, 3 * ell))
+        rows = [[rng.randrange(-bound, bound) if rng.random() < 0.6 else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        if rng.random() < 0.3:
+            zero = rng.randrange(ncols)
+            for row in rows:
+                row[zero] = rng.randint(-2, 2) * ell
+        if nrows > 1 and rng.random() < 0.3:
+            rows[-1] = [2 * a - ell for a in rows[0]]
+        cases.append(rows)
+    for rows in cases:
+        pivots, det = modular._echelon_mod([list(row) for row in rows], ell)
+        assert pivots == first_nonzero_pivots(rows, ell), rows
+        if len(rows) == len(rows[0]):
+            assert det == laplace_determinant(rows) % ell, rows
+
+
+def test_every_elimination_mod_l_is_echelon_mod(monkeypatch):
+    # the image test of rank, kernel and recover_skein and the certificate
+    # determinants all eliminate mod l through the one routine
+    calls = []
+    echelon = modular._echelon_mod
+    monkeypatch.setattr(modular, "_echelon_mod", lambda rows, ell: calls.append(ell) or echelon(rows, ell))
+    space = LensSpace(5, 2)
+    for name, run in (
+        ("rank", lambda: rank(build_f_matrix(space))),
+        ("kernel", lambda: kernel(space)),
+        ("recover_skein", lambda: recover_skein(space, [LaurentPoly("z")] * 5)),
+        ("fullrank_submatrix", lambda: fullrank_submatrix(space)),
+    ):
+        calls.clear()
+        run()
+        assert calls and set(calls) <= {modular._modulus(5, index)[0] for index in range(4)}, name
 
 
 def test_vandermonde_solve_recovers_the_coefficients():
