@@ -301,6 +301,17 @@ class TestCertifiedPivots:
             units = [tuple(z({0: 1} if j == c else {}) for j in range(ncols)) for c in range(1, ncols, 2)]
             assert [vec.components for vec in kernel(LensSpace(p, q))] == units, (p, q)
 
+    def test_modulus_is_a_ring_map_target(self):
+        # xi_n -> omega is a ring map Z[xi_n] -> F_l only when omega has
+        # exact order n in F_l, which needs l prime and l = 1 (mod n)
+        for n in range(1, 101):
+            ell, omega, t = modular._modulus(n)
+            assert is_prime(ell) and (ell - 1) % n == 0 and ell > 2**62, n
+            assert pow(omega, n, ell) == 1, n
+            primes = [f for f in range(2, n + 1) if n % f == 0 and is_prime(f)]
+            assert all(pow(omega, n // f, ell) != 1 for f in primes), n
+            assert 0 < t < ell, n
+
     def test_image_pivot_rows_equal_the_untabled_image(self):
         # the image tables omega^(n/order) and t^e and reduces each Horner
         # value once; it must select what a pow per root and per term and a
