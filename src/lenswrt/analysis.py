@@ -3,8 +3,8 @@
 Builds the p x ([p/2]+1) matrix of f-polynomial bodies and computes its
 rank and kernel, and recovers skein coefficients from a full set of link
 polynomials.  The matrix is read once, as rows of plain term dicts
-(exponent -> coefficient, one dict per column), and every step below runs
-on such rows:
+(exponent -> coefficient, one dict per column), each row times the lcm of
+its coefficient denominators, and every step below runs on such rows:
 
 - one image test mod l (modular._image_pivot_rows): the pivot rows of
   the matrix's image in F_l, whose nonzero minor proves them independent,
@@ -13,13 +13,12 @@ on such rows:
   those columns are the kernel basis and the computation ends;
 - descent to Q(z): xi -> xi^u maps row k to row k/u and fixes z, so the
   kernel has a basis over Q(z).  The power-basis coordinates of one row
-  per divisor d of p (row d mod p) are at most tau(p) phi(p) rows over
-  Q[z, 1/z], made as int rows, each cleared of its denominators, and
-  sorted sparsest first (Markowitz); the refinement loop below finds their
-  kernel.  It is the answer when it meets both bounds: every vector
-  annihilates all p rows exactly (rank <= ncols - #basis) and the image
-  pivot rows of the matrix number ncols - #basis.  Otherwise the loop
-  runs over Q(xi_p)(z), on the matrix's own image pivot rows;
+  per divisor d of p (row d mod p) are at most tau(p) phi(p) int rows
+  over Z[z, 1/z], sorted sparsest first (Markowitz); the refinement loop
+  below finds their kernel.  It is the answer when it meets both bounds:
+  every vector annihilates all p rows exactly (rank <= ncols - #basis)
+  and the image pivot rows of the matrix number ncols - #basis.
+  Otherwise the loop runs over Q(xi_p)(z), on M's own image pivot rows;
 - one refinement loop: fraction-free (Bareiss) elimination on the
   selected rows, then fraction-free back-substitution: int coefficients
   on the descended rows, CyclotomicNumber ones over Q(xi_p), with one
@@ -269,11 +268,10 @@ def _refined(rows, selection) -> list[RationalFunctionVector]:
 
 
 def _descended(rows, n: int) -> list[list[dict]]:
-    """The rational rows: the power-basis coordinates in Q(xi_n), Laurent
-    polynomials over Q, of row d mod p for each divisor d of p = len(rows),
-    each coordinate row times the lcm of its denominators, as int term
-    dicts.  For the f-matrix, xi -> xi^u maps row k to row k/u, so these
-    rows annihilate the same rational vectors as the whole matrix."""
+    """The rational rows: the power-basis coordinates in Z[xi_n] of row d
+    mod p, for each divisor d of p = len(rows) and integral rows, as int
+    term dicts.  For the f-matrix, xi -> xi^u maps row k to row k/u, so
+    these rows annihilate the same rational vectors as the whole matrix."""
     p = len(rows)
     rational = []
     for k in (d % p for d in range(1, p + 1) if p % d == 0):
@@ -283,10 +281,7 @@ def _descended(rows, n: int) -> list[list[dict]]:
                 for j, v in enumerate(c.lift(n).coeffs):
                     if v:
                         coords[j][col][e] = v
-        for row in coords:
-            if any(row):
-                scale = math.lcm(*(v.denominator for t in row for v in t.values()))
-                rational.append([{e: int(v * scale) for e, v in t.items()} for t in row])
+        rational.extend(row for row in coords if any(row))
     return rational
 
 
@@ -298,23 +293,26 @@ def _weight(row) -> tuple[int, int]:
 def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     """The normalized kernel basis, proven: the rank is ncols - len(basis).
 
-    The matrix becomes rows of term dicts once, and n is the lcm of its
-    coefficient orders.  The image pivot rows bound the rank from below;
-    when they number ncols less the zero columns, the unit vectors e_c of
-    the zero columns are the basis.  Otherwise the descended rows are
-    sorted sparsest first (fewest terms, then the shortest largest
-    coefficient), so that the image picks its pivot rows among the
-    cheapest, and refined over Q(z): their basis is the answer when every
-    vector annihilates all rows of the matrix exactly and the image pivot
-    rows meet the bound ncols - len(basis).  The order of the rows changes
-    which rows are eliminated, never the basis: the proof is on all rows,
-    and the normalized basis is unique for a row space.  When the bounds
-    disagree (a right-hand side that is not Galois-compatible, or a weak
-    image) the matrix's own image pivot rows are refined over Q(xi_p)(z).
+    This is the one place denominators are cleared: in the pass that takes
+    n, the lcm of the coefficient orders, each row becomes term dicts times
+    the lcm of its coefficient denominators, which spans the same line.
+    The image pivot rows bound the rank from below; at ncols less the zero
+    columns, the e_c of the zero columns are the basis.  Otherwise the
+    descended rows, sparsest first (fewest terms, then shortest largest
+    coefficient) so that the image picks the cheapest, are refined over
+    Q(z), and their basis is the answer when it annihilates every row and
+    the image pivot rows number ncols - len(basis); row order never moves
+    the proven, normalized basis.  Else (a right-hand side that is not
+    Galois-compatible, or a weak image) M's image pivot rows are refined
+    over Q(xi_p)(z).
     """
-    rows = [[entry.terms for entry in row] for row in matrix.entries]
+    rows, n = [], 1
+    for row in matrix.entries:
+        coeffs = [c for entry in row for c in entry.terms.values()]
+        n = math.lcm(n, *(c.order for c in coeffs))
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        rows.append([{e: c * scale for e, c in entry.terms.items()} if scale != 1 else entry.terms for entry in row])
     ncols = matrix.ncols
-    n = math.lcm(*(c.order for row in rows for entry in row for c in entry.values()))
     zero = [c for c in range(ncols) if not any(row[c] for row in rows)]
     selection = _image_pivot_rows(rows, n)
     if len(selection) == ncols - len(zero):
@@ -395,8 +393,8 @@ def fullrank_submatrix(space: LensSpace) -> SubmatrixCertificate:
     entry matrix E = [G_+(p,q,col[c],row[k])], and its determinant.
 
     The determinant takes no arithmetic in Q(xi_p): modular._gauss_determinant
-    computes it from conjugate images mod primes l and CRT, under the
-    Hadamard bound B^2 taken here from the entries' numerators.
+    computes it from conjugate images mod primes l and CRT, under a
+    Hadamard bound that it proves from the Gauss keys alone.
     """
     p, q = space.p, space.q
     if is_prime(p):
@@ -414,12 +412,8 @@ def fullrank_submatrix(space: LensSpace) -> SubmatrixCertificate:
         deltas += [s]
     else:
         raise UnsupportedOrder(f"no selection construction for p = {p}")
-    entries = tuple(
-        tuple(g_pm(p, q, c, k, 1) for c in gammas)
-        for k in deltas
-    )
-    bound2 = math.prod(sum(sum(map(abs, e.coeffs)) ** 2 for e in row) for row in entries)
-    det = _gauss_determinant(p, [q * k % p for k in deltas], [(q * c + q + 1) % p for c in gammas], bound2)
+    entries = tuple(tuple(g_pm(p, q, c, k, 1) for c in gammas) for k in deltas)
+    det = _gauss_determinant(p, [q * k % p for k in deltas], [(q * c + q + 1) % p for c in gammas])
     return SubmatrixCertificate(
         row_selection=tuple(deltas),
         col_selection=tuple(gammas),

@@ -6,12 +6,10 @@ images eliminate mod l through one routine, _echelon_mod:
 
 - the image test of analysis: with z -> a fixed point t as well, the
   pivot rows of the f-matrix's image are exactly independent (a nonzero
-  r x r image minor proves rank >= r).  Exact elimination runs on those
-  rows only, and a row that its answer fails joins them, at most
-  rank - r times;
+  r x r image minor proves rank >= r);
 - the certificate determinants: a Vandermonde solve on the determinants
-  of the images gives the power-basis coordinates mod l, and CRT over
-  successive primes, up to a proven bound, gives them over Z.
+  of the images gives the power-basis coordinates mod l, and CRT up to a
+  bound proven from |G(a, b; p)|^2 <= 2p gcd(a, p) gives them over Z.
 """
 
 from __future__ import annotations
@@ -43,26 +41,22 @@ def _modulus(n: int, index: int = 0) -> tuple[int, int, int]:
 
 def _image_pivot_rows(rows, n: int) -> list[int]:
     """Indices of the pivot rows of the image in F_l of rows of term dicts
-    whose coefficient orders divide n.
-
-    Each row is mapped after multiplying it by the lcm of its coefficient
-    denominators: an integer multiple of a row keeps its pivot status, and
-    its image needs no denominator to be invertible mod l.  The images of
-    xi_order (omega^(n/order)) and of z^e (t^e) are tabled for this call.
+    whose coefficient orders divide n: integral rows, as analysis._certified
+    clears them (image_mod inverts a denominator prime to l).  The images
+    of xi_order (omega^(n/order)) and of z^e (t^e) are tabled for this call.
     """
     ell, omega, t = _modulus(n)
     roots: dict[int, int] = {}  # order -> omega^(n/order)
     powers: dict[int, int] = {}  # e -> t^e
 
     def image(row) -> list[int]:
-        scale = math.lcm(*(c.denominator for entry in row for c in entry.values()))
         values = []
         for entry in row:
             total = 0
             for e, c in entry.items():
                 if not isinstance(c, int):
                     root = roots.get(c.order) or roots.setdefault(c.order, pow(omega, n // c.order, ell))
-                    c = (c * scale if scale != 1 else c).image_mod(ell, root)
+                    c = c.image_mod(ell, root)
                 total += c * (powers.get(e) or powers.setdefault(e, pow(t, e, ell)))
             values.append(total % ell)
         return values
@@ -70,34 +64,46 @@ def _image_pivot_rows(rows, n: int) -> list[int]:
     return sorted(_echelon_mod([image(row) for row in rows], ell)[0])
 
 
-def _gauss_determinant(p: int, row_a: list[int], col_b: list[int], bound2: int) -> CyclotomicNumber:
+def _hadamard_square(p: int, row_a: list[int], width: int) -> int:
+    """B^2 = prod_i width 2p gcd(a_i, p): B >= |sigma(det E)| at every
+    embedding sigma, for E = [G(a_i, b_j)] with width columns.
+
+    Let G(a, b; c) = sum_(n mod c) xi_c^(a n^2 + b n) and g = gcd(a, c).
+    Summing n = x + (c/g) y over y mod g shows G(a, b; c) = 0 unless g | b,
+    and then G(a, b; c) = g G(a/g, b/g; c/g).  For gcd(a', c') = 1, n = m + h
+    and the sum over m give |G|^2 = c' sum_(h : c' | 2a'h) xi^(a'h^2 + b'h):
+    c' for odd c' (h = 0), 0 or 2c' for even c' (h = 0, c'/2; the second
+    term is +-1).  So |G(a, b; p)|^2 <= 2p gcd(a, p), also at every
+    conjugate: sigma_u G(a, b) = G(ua, ub) and gcd(ua, p) = gcd(a, p).
+    Hadamard's inequality bounds |det| by the product of the row norms.
+    """
+    return math.prod(width * 2 * p * math.gcd(a, p) for a in row_a)
+
+
+def _gauss_determinant(p: int, row_a: list[int], col_b: list[int]) -> CyclotomicNumber:
     """det E, E = [G(a_i, b_j)], G(a, b) = sum_n xi_p^(a n^2 + b n), from its
-    images mod primes l = 1 (mod p), given bound2 >= B^2 for a B >= |sigma(det)|
-    at every embedding sigma.
+    images mod primes l = 1 (mod p).
 
-    The conjugate sigma_u: xi -> xi^u maps G(a, b) to G(ua, ub).  For each
-    prime l = 1 (mod p) above 2^62 in turn, one table of every G(a, b) at
-    omega gives each sigma_u(E) mod l, and one _echelon_mod each gives
-    sigma_u(det) mod l: the values of det = sum_(j < phi(p)) d_j xi^j at
-    the phi(p) nodes omega^u, from which a Vandermonde solve gives the d_j
-    mod l.  CRT runs until the product P of the primes exceeds 4B, and
-    each d_j is its symmetric residue mod P.
+    For each prime l = 1 (mod p) above 2^62 in turn, one table of every
+    G(a, b) at omega gives each sigma_u(E) mod l, and one _echelon_mod each
+    gives sigma_u(det) mod l: the values of det = sum_(j < phi(p)) d_j xi^j
+    at the phi(p) nodes omega^u, from which a Vandermonde solve gives the
+    d_j mod l.  CRT runs until the product P of the primes exceeds 4B, B^2
+    from _hadamard_square, and each d_j is its symmetric residue mod P.
 
-    Bound.  With l1 the sum of the absolute values of an entry's
-    numerators, |sigma(E_ic)| <= l1(E_ic), so by Hadamard's inequality
-    B = prod_i sqrt(sum_c l1(E_ic)^2) serves; fullrank_submatrix passes its
-    square.  For p prime, Tr(xi^k) is p - 1 if p | k and -1 otherwise, so
+    Bound.  For p prime, Tr(xi^k) is p - 1 if p | k and -1 otherwise, so
     Tr(x xi^-j) - Tr(x xi) = sum_i d_i (Tr(xi^(i-j)) - Tr(xi^(i+1))) = p d_j
-    for x = det (i + 1 never reaches p); each trace sums p - 1 embeddings,
-    so |d_j| <= 2(p - 1)B/p < 2B.  For p = 2s, xi_2s = -xi_s^((s+1)/2) and
-    (s+1)/2 is a unit mod s, so the basis xi_2s^j, j < s - 1, is
-    +-xi_s^i over every residue i mod s but one, i0; the same sums give
-    Tr(x xi_s^-i) - Tr(x xi_s^-i0) = s e_i for the coordinates e_i = +-d_j
-    in that basis, so again |d_j| < 2B.  So P > 4B puts every d_j in
-    (-P/2, P/2), where its residue names it.
+    for x = det (i + 1 never reaches p), and each trace sums p - 1 terms of
+    modulus <= B: |d_j| <= 2(p - 1)B/p < 2B.  For p = 2s, xi_2s =
+    -xi_s^((s+1)/2) with (s+1)/2 a unit mod s, so the basis xi_2s^j,
+    j < s - 1, is +-xi_s^i over every residue i mod s but one, i0; the same
+    sums give Tr(x xi_s^-i) - Tr(x xi_s^-i0) = s e_i for the coordinates
+    e_i = +-d_j in that basis, so again |d_j| < 2B, and P > 4B puts every
+    d_j in (-P/2, P/2), where its residue names it.
     """
     units = [u for u in range(1, p) if math.gcd(u, p) == 1]
     coords, modulus, index = [0] * len(units), 1, 0
+    bound2 = _hadamard_square(p, row_a, len(col_b))
     while modulus * modulus <= 16 * bound2:
         ell, omega, _ = _modulus(p, index)
         table = _sum_table(p, ell, omega)

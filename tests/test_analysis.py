@@ -202,7 +202,8 @@ def all_rows_kernel(p, q):
 
 
 def term_rows(matrix):
-    """The matrix as rows of term dicts, as analysis._certified converts it."""
+    """The matrix as rows of term dicts, as analysis._certified converts an
+    integral matrix."""
     return [[entry.terms for entry in row] for row in matrix.entries]
 
 
@@ -692,9 +693,27 @@ def gauss_keys(space, cert):
     return [q * k % p for k in cert.row_selection], [(q * c + q + 1) % p for c in cert.col_selection]
 
 
-def hadamard_square(cert):
-    """B^2, B the Hadamard product of the rows' l1 norms of numerators."""
+def hadamard_square(space, cert):
+    """B^2 from the closed form |G(a, b; p)|^2 <= 2p gcd(a, p): the bound
+    the determinant's CRT runs under."""
+    row_a, col_b = gauss_keys(space, cert)
+    return modular._hadamard_square(space.p, row_a, len(col_b))
+
+
+def l1_square(cert):
+    """B^2, B the Hadamard product of the rows' l1 norms of numerators: a
+    valid bound, looser than the closed form."""
     return math.prod(sum(sum(map(abs, e.coeffs)) ** 2 for e in row) for row in cert.entries)
+
+
+def certificate_primes(monkeypatch, space):
+    """(fullrank_submatrix(space), the primes l its CRT ran over)."""
+    primes = []
+    find = modular._modulus
+    with monkeypatch.context() as m:
+        m.setattr(modular, "_modulus", lambda n, index=0: primes.append(find(n, index)[0]) or find(n, index))
+        cert = fullrank_submatrix(space)
+    return cert, list(dict.fromkeys(primes))  # an uncached search also asks for the primes before
 
 
 class TestConjugateDeterminant:
@@ -713,27 +732,40 @@ class TestConjugateDeterminant:
 
     def test_coordinates_lie_inside_twice_the_bound(self):
         for p in CERTIFIED_ORDERS:
-            cert = fullrank_submatrix(LensSpace(p, valid_qs(p)[-1]))
+            space = LensSpace(p, valid_qs(p)[-1])
+            cert = fullrank_submatrix(space)
             assert cert.determinant.denominator == 1, p
-            assert max(abs(d) for d in cert.determinant.coeffs) ** 2 < 4 * hadamard_square(cert), p
+            assert max(abs(d) for d in cert.determinant.coeffs) ** 2 < 4 * hadamard_square(space, cert), p
 
     def test_one_prime_is_not_enough(self, monkeypatch):
-        # L(43,2): 88-bit coordinates, and 4B has 169 bits; the primes stop at
+        # L(43,2): 88-bit coordinates, and 4B has 125 bits; the primes stop at
         # the first product above 4B, and stopping after one gives a wrong
         # determinant
         space = LensSpace(43, 2)
-        primes = []
-        find = modular._modulus
-        monkeypatch.setattr(modular, "_modulus", lambda n, index=0: primes.append(find(n, index)[0]) or find(n, index))
-        cert = fullrank_submatrix(space)
-        primes = list(dict.fromkeys(primes))  # an uncached search also asks for the primes before
-        bound2 = hadamard_square(cert)
+        cert, primes = certificate_primes(monkeypatch, space)
         product = math.prod(primes)
-        assert len(primes) == 3 and product ** 2 > 16 * bound2 >= (product // primes[-1]) ** 2
+        assert len(primes) == 3 and product ** 2 > 16 * hadamard_square(space, cert) >= (product // primes[-1]) ** 2
         assert max(abs(d) for d in cert.determinant.coeffs).bit_length() == 88
         row_a, col_b = gauss_keys(space, cert)
-        assert modular._gauss_determinant(43, row_a, col_b, bound2) == cert.determinant
-        assert modular._gauss_determinant(43, row_a, col_b, 1) != cert.determinant  # one prime passes 4B = 4
+        monkeypatch.setattr(modular, "_hadamard_square", lambda p, row_a, width: 1)
+        assert modular._gauss_determinant(43, row_a, col_b) != cert.determinant  # one prime passes 4B = 4
+
+    def test_the_closed_form_bound_stops_early(self, monkeypatch):
+        # 4B from |G|^2 <= 2p gcd(a, p) against the l1 norms of numerators:
+        # 59 against 76 bits at L(23,3), 182 against 250 at L(59,2); the
+        # primes lie above 2^62, so 1 where the l1 bound ran 2, and 3 for 5
+        for (p, q), count in (((23, 3), 1), ((59, 2), 3)):
+            cert, primes = certificate_primes(monkeypatch, LensSpace(p, q))
+            assert len(primes) == count, (p, q, len(primes))
+
+    def test_the_l1_bound_gives_the_same_determinant(self, monkeypatch):
+        # CRT run past any valid bound gives the same symmetric residues
+        space = LensSpace(59, 2)
+        cert = fullrank_submatrix(space)
+        row_a, col_b = gauss_keys(space, cert)
+        assert l1_square(cert) > hadamard_square(space, cert)
+        monkeypatch.setattr(modular, "_hadamard_square", lambda p, row_a, width: l1_square(cert))
+        assert modular._gauss_determinant(59, row_a, col_b) == cert.determinant
 
     def test_table_images_are_the_conjugates_images(self):
         # sigma_u G(a, b) = G(ua, ub): each conjugate's entries are read from
@@ -809,6 +841,23 @@ class TestRecoverSkein:
         assert result.z_components == (RationalFunction(z({0: Fraction(1, ell)})), RationalFunction(z({})),
                                        RationalFunction(z({})))
         assert result.a_form == SkeinElement(5, [LaurentPoly("A", {0: Fraction(1, ell)}), 0, 0])
+
+    def test_rows_reach_the_image_cleared(self, monkeypatch):
+        # _certified clears each row's denominators once: the image of the
+        # 1/l right-hand side sees integral coefficients only
+        space = LensSpace(5, 2)
+        ell = modular._modulus(5)[0]
+        polys = [row[0].scale(Fraction(1, ell)) for row in build_f_matrix(space).entries]
+        denominators = set()
+        find = analysis._image_pivot_rows
+
+        def spy(rows, n):
+            denominators.update(c.denominator for row in rows for entry in row for c in entry.values())
+            return find(rows, n)
+
+        monkeypatch.setattr(analysis, "_image_pivot_rows", spy)
+        assert recover_skein(space, polys).z_components[0] == RationalFunction(z({0: Fraction(1, ell)}))
+        assert denominators == {1}
 
 
 class TestLambdaMembership:

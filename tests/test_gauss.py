@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from lenswrt import modular
 from lenswrt.cyclotomic import root_of_unity
 from lenswrt.errors import UnsupportedCase
 from lenswrt.gauss import (
@@ -111,6 +112,30 @@ class TestSumTable:
                     except UnsupportedCase:
                         pass
         assert _tabled_sum.cache_info() == before
+
+
+class TestModulusBound:
+    """|G(a, b; p)|^2 is 0, p gcd(a, p) or 2p gcd(a, p): the closed form
+    that bounds the certificate determinants' conjugates."""
+
+    ORDERS = [p for p in range(2, 31) if is_prime(p) or p % 2 == 0 and is_prime(p // 2) and p // 2 % 2 == 1] + [43, 59]
+
+    def test_squared_modulus_is_an_integer_of_the_closed_form(self):
+        for p in self.ORDERS:
+            for a in range(p):
+                allowed = {0, p * math.gcd(a, p), 2 * p * math.gcd(a, p)}
+                for b in range(p):
+                    g = gauss_sum(GaussSumSpec(p, a, b))
+                    norm = g * g.conjugate()
+                    assert norm.is_rational() and norm.denominator == 1, (p, a, b)
+                    assert norm.coeffs[0] in allowed, (p, a, b, norm)
+
+    def test_hadamard_square_is_the_product_formula(self):
+        for p in self.ORDERS:
+            for row_a in ([], [0], list(range(p)), [1, p - 1, 2 % p]):
+                for width in (1, 3, p // 2 + 1):
+                    expected = math.prod(width * 2 * p * math.gcd(a, p) for a in row_a)
+                    assert modular._hadamard_square(p, row_a, width) == expected, (p, row_a, width)
 
 
 class TestVanishesMod4:
