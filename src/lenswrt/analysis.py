@@ -29,7 +29,8 @@ its coefficient denominators, and every step below runs on such rows:
   row that a vector fails is independent of the selection; it joins the
   selection, which is eliminated again.  A row times a vector adds plain
   ints on int rows; otherwise each exponent's products are summed by
-  cyclotomic.sum_of_products, reduced once.
+  cyclotomic.sum_of_products, reduced once (an irrational pair is one
+  reduced product).
 
 A solution of M x = b is the proven kernel vector (v, d) of [M | -b],
 x = v / d; an empty kernel proves there is none.
@@ -201,7 +202,9 @@ def _row_times(row, x) -> dict:
 
     An int row times an int vector adds plain ints.  Otherwise the products
     are grouped by exponent and each group is one
-    cyclotomic.sum_of_products: added unreduced, reduced once.
+    cyclotomic.sum_of_products: a rational factor scales the other one and
+    an irrational pair is one reduced product, each added unreduced, and
+    the sum reduced once.
     """
     pairs = [(a, v) for a, v in zip(row, x) if a and v]
     if not pairs:

@@ -11,18 +11,15 @@ equality of values is equality of (numerators, denominator) after
 lifting to a common order.  Products are integer convolutions, folded by
 xi^(N/2) = -1 for an even N and by xi^N = 1 for an odd one, and then
 divided by the monic Phi_N, whose remainder is the canonical form.  A
-convolution is chosen by operand size: Kronecker substitution (each vector
-packed into one int, one int product, the slots read back) for operands
-with enough nonzero coefficients and narrow enough slots, the schoolbook
-loop for short, sparse or unbalanced ones.  An
-inverse is the product of the nontrivial Galois conjugates over the
-integer norm, built by doubling along the orbits of the unit group (about
-2 log2 phi(N) products) and kept on the number.  sum_of_products adds
-many products at once: their numerators go unreduced into one integer
-vector, which is reduced once; two factors of one order are convolved
-as a product is.  int and Fraction values
-enter through the constructor and leave through `.coeffs`; embed_complex
-reads the complex power basis from a table cached per (N, precision).
+convolution is one Kronecker substitution: each vector packed into one
+int, one int product, the slots read back.  An inverse is the product of
+the nontrivial Galois conjugates, one at a time, over the integer norm,
+and is kept on the number.  sum_of_products adds many products at once:
+each is a scale times one number (two irrational factors are one reduced
+product), whose numerators go unreduced into one integer vector, which is
+reduced once.  int and Fraction values enter through the constructor and
+leave through `.coeffs`; embed_complex reads the complex power basis from
+a table cached per (N, precision).
 
 unit_root is the package's one numeric root of unity: e^(2 pi i num/den)
 at a given precision, computed by mpmath.libmp's cos/sin of pi times the
@@ -38,8 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
-import sys
 from fractions import Fraction
 from operator import add
 
@@ -105,52 +100,16 @@ def _reduce(order: int, vec: list[int]) -> list[int]:
     return vec
 
 
-# The size rule of _convolve.  The schoolbook loop runs one row per nonzero
-# coefficient of its sparser operand; Kronecker substitution packs, multiplies
-# and unpacks both operands whole, in C for slots of up to 64 bits and one
-# slot at a time above that.  Timed against each other on random integer
-# vectors (CPython 3.11, table in CHANGES.md), packing wins once that operand
-# has PACK_MIN_ROWS nonzero coefficients; with slots wider than 64 bits, only
-# once they are also at least 1/PACK_ROW_SHARE of the two lengths together,
-# and not at all above PACK_MAX_SLOT bits, where most of each slot is padding
-# for the smaller operand's coefficients.
-PACK_MIN_ROWS = 5
-PACK_ROW_SHARE = 4
-PACK_MAX_SLOT = 256
-_SIGN_BIT = (1 << 63).to_bytes(8, sys.byteorder)  # 2^63 as one native 64-bit word
-
-
-def _slot_width(a, b) -> int:
-    """The least k with 2^(k-1) > max|a| max|b| min(len a, len b), which bounds
-    every coefficient of the product in absolute value, and every coefficient
-    of a and b as well unless one of them is all zero."""
-    top_a, top_b = max(max(a), -min(a)), max(max(b), -min(b))
-    return max(top_a * top_b * min(len(a), len(b)), top_a, top_b).bit_length() + 1
-
-
-def _kronecker(a, b, k: int) -> list[int]:
-    """The convolution of a and b by Kronecker substitution at x = 2^k, for k
-    at least _slot_width(a, b): each vector becomes the one int sum c_j 2^(kj),
+def _convolve(a, b) -> list[int]:
+    """The coefficients of (sum_i a_i x^i)(sum_j b_j x^j), by Kronecker
+    substitution at x = 2^k: each vector becomes the one int sum c_j 2^(kj),
     the two are multiplied once, and the k-bit slots of the product are read
-    back as signed values, lowest first.
-
-    For k <= 64 the slots are native 64-bit words, which struct and
-    memoryview convert in C.  A slot's value v and its two's complement word
-    w satisfy w ^ 2^63 = v + 2^63, which lies in [0, 2^64), so XOR with 2^63
-    in every word turns the words into the slots of sum (v_j + 2^63) 2^(64 j),
-    in which nothing borrows, and back.  Wider slots are shifted in and out
-    one at a time, and a slot read as negative borrows one from the slots
-    above it.
+    back as signed values, lowest first; a slot read as negative borrows one
+    from the slots above it.  k is the bit length of max|a| max|b|
+    min(len a, len b), which bounds every coefficient of the product in
+    absolute value, plus 1 for the sign.
     """
-    n = len(a) + len(b) - 1
-    if k <= 64:
-        order = sys.byteorder
-        sign_a = int.from_bytes(_SIGN_BIT * len(a), order)
-        sign_b = int.from_bytes(_SIGN_BIT * len(b), order)
-        sign_n = int.from_bytes(_SIGN_BIT * n, order)
-        x = (int.from_bytes(struct.pack(f"={len(a)}q", *a), order) ^ sign_a) - sign_a
-        y = (int.from_bytes(struct.pack(f"={len(b)}q", *b), order) ^ sign_b) - sign_b
-        return memoryview(((x * y + sign_n) ^ sign_n).to_bytes(8 * n, order)).cast("q").tolist()
+    k = (max(max(a), -min(a)) * max(max(b), -min(b)) * min(len(a), len(b))).bit_length() + 1
     x = 0
     for c in reversed(a):
         x = (x << k) + c
@@ -160,32 +119,13 @@ def _kronecker(a, b, k: int) -> list[int]:
     x *= y
     mask, half, full = (1 << k) - 1, 1 << (k - 1), 1 << k
     out = []
-    for _ in range(n):
+    for _ in range(len(a) + len(b) - 1):
         d = x & mask
         x >>= k
         if d >= half:
             d -= full
             x += 1
         out.append(d)
-    return out
-
-
-def _convolve(a, b) -> list[int]:
-    """The coefficients of (sum_i a_i x^i)(sum_j b_j x^j): packed by
-    _kronecker when the size rule above says it pays, else by the schoolbook
-    loop over the nonzero coefficients of the sparser operand."""
-    rows, other = len(a) - a.count(0), len(b) - b.count(0)
-    if other < rows:
-        a, b, rows = b, a, other
-    if rows >= PACK_MIN_ROWS:
-        k = _slot_width(a, b)
-        if k <= 64 or k <= PACK_MAX_SLOT and PACK_ROW_SHARE * rows >= len(a) + len(b):
-            return _kronecker(a, b, k)
-    out = [0] * (len(a) + len(b) - 1)
-    m = len(b)
-    for i, ai in enumerate(a):
-        if ai:
-            out[i:i + m] = [o + ai * bj for o, bj in zip(out[i:i + m], b)]
     return out
 
 
@@ -223,59 +163,6 @@ def _common(x: CyclotomicNumber, y: CyclotomicNumber):
         return x, y
     n = math.lcm(x._order, y._order)
     return x.lift(n), y.lift(n)
-
-
-@functools.lru_cache(maxsize=None)
-def _unit_steps(n: int) -> tuple[tuple[int, int], ...]:
-    """(g_1, m_1), ..., (g_r, m_r) such that every unit mod n is
-    g_1^e_1 ... g_r^e_r, 0 <= e_i < m_i, in exactly one way: m_i is the
-    least m with g_i^m in the group of g_1..g_(i-1), and g_i is a unit
-    whose m_i is largest.  A cyclic unit group takes one step."""
-    units = [u for u in range(2, n) if math.gcd(u, n) == 1]
-    group = {1}
-    steps = []
-    while len(group) <= len(units):
-        best = (0, 0)
-        for u in units:
-            m, v = 1, u
-            while v not in group:
-                v, m = v * u % n, m + 1
-            best = max(best, (m, u))
-        m, g = best
-        group = {h * pow(g, e, n) % n for h in group for e in range(m)}
-        steps.append((g, m))
-    return tuple(steps)
-
-
-def _orbit_product(x: CyclotomicNumber, g: int, count: int) -> CyclotomicNumber:
-    """x sigma_g(x) ... sigma_g^(count-1)(x) for count >= 1, sigma_g: xi -> xi^g,
-    by doubling: about 2 log2(count) products."""
-    n = x._order
-    result, length = x, 1
-    for bit in bin(count)[3:]:
-        result = result * result.galois(pow(g, length, n))
-        length *= 2
-        if bit == "1":
-            result = result * x.galois(pow(g, length, n))
-            length += 1
-    return result
-
-
-def _nontrivial_conjugates(x: CyclotomicNumber) -> CyclotomicNumber:
-    """The product of sigma_u(x) over the units u != 1 mod x.order.
-
-    With the steps (g_i, m_i) of _unit_steps and P_0 = x, the product over
-    the group of g_1..g_i is P_i = P_(i-1) R_i, where R_i is the product of
-    sigma_(g_i^e)(P_(i-1)) over 1 <= e < m_i; so the answer is R_1 ... R_r.
-    """
-    steps = _unit_steps(x._order)
-    conj = CyclotomicNumber.from_rational(1, x._order)
-    for i, (g, m) in enumerate(steps):
-        r = _orbit_product(x, g, m - 1).galois(g)
-        conj = conj * r
-        if i + 1 < len(steps):
-            x = x * r
-    return conj
 
 
 class CyclotomicNumber:
@@ -347,6 +234,8 @@ class CyclotomicNumber:
         """Re-express in Q(xi_order); order must be a multiple of self.order."""
         if order == self._order:
             return self
+        if order < 1:
+            raise ValueError(f"order must be >= 1, got {order}")
         if order % self._order != 0:
             raise ValueError(f"cannot lift order {self._order} into order {order}")
         step = order // self._order
@@ -397,7 +286,8 @@ class CyclotomicNumber:
 
     def inverse(self) -> CyclotomicNumber:
         """Multiplicative inverse: den times the product of the nontrivial Galois
-        conjugates of the integral numerator a, over the integer norm N(a).
+        conjugates of the integral numerator a, sigma_u(a) for the units
+        u != 1 mod N taken one at a time, over the integer norm N(a).
         Computed on the first call and kept on the number; threads that race
         on it store equal values."""
         inv = getattr(self, "_inverse", None)
@@ -407,7 +297,10 @@ class CyclotomicNumber:
             raise ZeroDivisionError("cyclotomic division by zero")
         n = self._order
         a = _make(n, self._num, 1)
-        conj = _nontrivial_conjugates(a)
+        conj = CyclotomicNumber.from_rational(1, n)
+        for u in range(2, n):
+            if math.gcd(u, n) == 1:
+                conj = conj * a.galois(u)
         norm = (a * conj)._num[0]
         sign = 1 if norm > 0 else -1
         self._inverse = _make(n, [sign * self._den * c for c in conj._num], abs(norm))
@@ -492,15 +385,12 @@ def sum_of_products(pairs) -> CyclotomicNumber:
     CyclotomicNumber, exactly, in the order N that adding the products
     gives: the lcm of all the factors' orders, an int's being 1.
 
-    One pair is one product.  Otherwise every product's numerator goes,
-    unreduced, into one integer vector in xi_N over the lcm of the
-    products' denominators, and the vector is reduced modulo Phi_N once,
-    and only when its degree reaches phi(N).  A rational factor only scales
-    the other numerator, which is already reduced when the other factor is
-    of order N.  Two irrational factors of one order are convolved as a
-    product is, by _convolve, and the convolution is spread into xi_N; two
-    of different orders are multiplied coefficient by coefficient at their
-    strides in xi_N.
+    One pair is one product.  Otherwise each pair is a scale r times one
+    number x over the lcm of the products' denominators: a rational factor
+    scales the other one, and two irrational factors are one reduced product
+    x = a * b.  Every r x goes, unreduced, into one integer vector in xi_N,
+    at the stride of x's order in N, and the vector is reduced modulo Phi_N
+    once, and only when its degree reaches phi(N).
     """
     if len(pairs) == 1:
         a, b = pairs[0]
@@ -513,17 +403,6 @@ def sum_of_products(pairs) -> CyclotomicNumber:
             order, den = math.lcm(order, a._order, b._order), math.lcm(den, a._den * b._den)
     deg = len(_order_data(order)[0]) - 1
     acc = [0] * deg
-
-    def add(na, sa: int, nb, sb: int) -> None:
-        """acc += (sum_i na[i] xi_N^(i sa)) (sum_j nb[j] xi_N^(j sb)), unreduced."""
-        width = (len(nb) - 1) * sb + 1
-        if len(acc) < (len(na) - 1) * sa + width:
-            acc.extend([0] * ((len(na) - 1) * sa + width - len(acc)))
-        for i, c in enumerate(na):
-            if c:
-                at = slice(i * sa, i * sa + width, sb)
-                acc[at] = [s + c * v for s, v in zip(acc[at], nb)]
-
     for a, b in pairs:
         if a.__class__ is int:
             r, x = a * (den // b._den), b
@@ -532,17 +411,16 @@ def sum_of_products(pairs) -> CyclotomicNumber:
         elif not any(a._num[1:]):
             r, x = a._num[0] * (den // (a._den * b._den)), b
         else:
-            scale = den // (a._den * b._den)
-            na = [scale * c for c in a._num]
-            if a._order == b._order:  # one convolution in xi_(a.order), spread into xi_N
-                add((1,), 0, _convolve(na, b._num), order // a._order)
-            else:
-                add(na, order // a._order, b._num, order // b._order)
-            continue
+            x = a * b
+            r = den // x._den
         if x._order == order and len(acc) == deg:  # r times x needs no spreading
             acc[:] = [s + r * c for s, c in zip(acc, x._num)]
         else:
-            add((r,), 0, x._num, order // x._order)
+            step = order // x._order
+            at = slice(0, (len(x._num) - 1) * step + 1, step)
+            if len(acc) < at.stop:
+                acc.extend([0] * (at.stop - len(acc)))
+            acc[at] = [s + r * c for s, c in zip(acc[at], x._num)]
     return _make(order, acc if len(acc) == deg else _reduce(order, acc), den)
 
 

@@ -1,4 +1,5 @@
-"""Exact cyclotomic arithmetic: canonical forms, conjugation, embedding."""
+"""Exact cyclotomic arithmetic: canonical forms, conjugation, embedding, and
+the rational traffic of the exact queries."""
 
 import math
 import random
@@ -7,6 +8,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from lenswrt import cyclotomic, selftest, wrt
+from lenswrt.analysis import build_f_matrix, fullrank_submatrix, kernel, rank, recover_skein
 from lenswrt.cyclotomic import (
     CyclotomicNumber,
     cyclotomic_polynomial,
@@ -14,6 +17,9 @@ from lenswrt.cyclotomic import (
     root_of_unity,
 )
 from lenswrt.gauss import GaussSumSpec, gauss_sum
+from lenswrt.laurent import LaurentPoly
+from lenswrt.skein import SkeinElement
+from lenswrt.wrt import LensSpace, f_link
 
 
 class TestCyclotomicPolynomials:
@@ -102,6 +108,12 @@ class TestArithmetic:
         first = x.inverse()
         assert x.inverse() == first and x * first == 1
 
+    def test_lift_refuses_an_order_below_one(self):
+        for x, order in ((CyclotomicNumber(1, [3]), -1), (CyclotomicNumber(1, [3]), 0),
+                         (root_of_unity(5, 2), 0), (root_of_unity(5, 2), -5)):
+            with pytest.raises(ValueError, match=f"order must be >= 1, got {order}"):
+                x.lift(order)
+
 
 class TestConjugation:
     def test_roots(self):
@@ -177,3 +189,47 @@ class TestValueSemantics:
         assert x.galois(2).galois(5) == x.galois(10)  # composition multiplies exponents
         with pytest.raises(ValueError):
             root_of_unity(9, 1).galois(3)
+
+
+class TestRationalTraffic:
+    """The kernel of the f-matrix is rational, so the exact queries never
+    multiply two irrational numbers (no _convolve) and never invert one."""
+
+    @pytest.fixture(autouse=True)
+    def guard(self, monkeypatch):
+        def convolve(a, b):
+            raise AssertionError("a product of two irrational numbers")
+
+        plain_inverse = CyclotomicNumber.inverse
+
+        def inverse(x):
+            if not x.is_rational():
+                raise AssertionError(f"the inverse of the irrational {x!r}")
+            return plain_inverse(x)
+
+        monkeypatch.setattr(cyclotomic, "_convolve", convolve)
+        monkeypatch.setattr(CyclotomicNumber, "inverse", inverse)
+        monkeypatch.setattr(wrt, "_F_CACHE", {})  # every f-polynomial built under the guard
+
+    @pytest.mark.parametrize("p, q", [(9, 1), (15, 2), (16, 3), (21, 2)])
+    def test_rank_and_kernel(self, p, q):
+        space = LensSpace(p, q)
+        assert rank(build_f_matrix(space)) + len(kernel(space)) == p // 2 + 1
+
+    @pytest.mark.parametrize("p, q", [(7, 3), (11, 1), (14, 5)])
+    def test_recover_skein(self, p, q):
+        rng = random.Random(p)
+        element = SkeinElement(p, [LaurentPoly("A", {e: rng.randint(-4, 4) for e in range(-3, 4)})
+                                   for _ in range(p // 2 + 1)])
+        space = LensSpace(p, q)
+        polys = [f_link(space, element, k).signed_body for k in range(p)]
+        assert recover_skein(space, polys).a_form == element
+
+    @pytest.mark.parametrize("p, q", [(13, 2), (26, 3)])
+    def test_fullrank_submatrix(self, p, q):
+        assert fullrank_submatrix(LensSpace(p, q)).nonzero
+
+    @pytest.mark.parametrize("number", [7, 8, 9, 10])
+    def test_selftest_criterion(self, number):
+        ok, detail = next(fn for n, _, fn in selftest.CRITERIA if n == number)()
+        assert ok, detail

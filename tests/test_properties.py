@@ -12,16 +12,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lenswrt import cyclotomic
 from lenswrt.codec import coeff_from_json, coeff_to_json, poly_from_json, poly_to_json
 from lenswrt.cyclotomic import (
     CyclotomicNumber,
     _convolve,
-    _kronecker,
-    _nontrivial_conjugates,
     _poly_divmod_int,
     _reduce,
-    _slot_width,
     cyclotomic_polynomial,
     embed_complex,
     sum_of_products,
@@ -77,18 +73,17 @@ def test_inverse(x):
 
 @pytest.mark.parametrize("order", ORDERS + (97,))
 def test_conjugates_by_doubling_equal_the_plain_product(order):
-    # the inverse's product of the nontrivial Galois conjugates, built along
-    # the unit group's orbits (not cyclic at 8, 12, 15 and 105), against one
-    # conjugate at a time
+    # the inverse, the product of the nontrivial Galois conjugates over the
+    # norm, at every unit group of ORDERS (not cyclic at 8, 12, 15 and 105)
+    # and at 97, on a dense number
     rng = random.Random(order)
     x = CyclotomicNumber(order, [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(order)])
     assert not x.is_zero()
-    plain = CyclotomicNumber.from_rational(1, order)
-    for u in range(2, order):
-        if math.gcd(u, order) == 1:
-            plain = plain * x.galois(u)
-    assert _nontrivial_conjugates(x) == plain
     assert x * x.inverse() == 1
+    # at 97 and 105 the inverse has numerators of 958 and 474 bits, and its
+    # own inverse takes about 50 and 1.5 s (test_inverse covers 105)
+    if order < 97:
+        assert x.inverse().inverse() == x
 
 
 @PROPERTY
@@ -240,17 +235,16 @@ def int_vectors(draw, lengths=st.integers(1, 100)):
 @settings(deadline=None, max_examples=150, derandomize=True, database=None)
 @given(int_vectors(), int_vectors())
 def test_packed_convolution_equals_the_schoolbook_one(a, b):
-    # _kronecker at the width _slot_width gives, whatever the size rule
-    # chooses, the product's coefficients, signed, in both slot layouts
+    # the slots of the one packed product are the product's coefficients,
+    # signed, in either operand order
     want = schoolbook(a, b)
-    assert _kronecker(a, b, _slot_width(a, b)) == want
     assert _convolve(a, b) == want
     assert _convolve(tuple(b), tuple(a)) == want
 
 
 def test_extreme_products_meet_the_slot_bound():
     # one coefficient of each product is +-max|a| max|b| min(len a, len b),
-    # the largest the slot width admits, in both slot layouts
+    # the largest the slot width admits
     for n, bits in ((22, 8), (22, 25), (22, 40), (28, 100), (7, 123), (96, 300)):
         top = (1 << bits) - 1
         for sa in (1, -1):
@@ -258,44 +252,7 @@ def test_extreme_products_meet_the_slot_bound():
                 a, b = [sa * top] * n, [sb * top] * (n + 3)
                 want = schoolbook(a, b)
                 assert max(map(abs, want)) == top * top * n
-                assert _kronecker(a, b, _slot_width(a, b)) == want == _convolve(a, b)
-
-
-def test_size_rule_packs_only_where_packing_pays(monkeypatch):
-    packed = []
-
-    def spy(a, b, k):
-        packed.append(k)
-        return _kronecker(a, b, k)
-
-    monkeypatch.setattr(cyclotomic, "_kronecker", spy)
-    rng = random.Random(19)
-
-    def vec(n, bits, nonzero=None):
-        v = [rng.randint(1 - (1 << bits), (1 << bits) - 1) or 1 for _ in range(n)]
-        for i in rng.sample(range(n), n - (n if nonzero is None else nonzero)):
-            v[i] = 0
-        return v
-
-    cases = [
-        # (a, b, packs): dense short slots pack; few rows, or wide slots
-        # against long operands, or slots above the cap keep the plain loop
-        (vec(22, 8), vec(22, 8), True),
-        (vec(22, 8, nonzero=5), vec(22, 40), True),
-        (vec(4, 8), vec(4, 8), False),
-        (vec(22, 8, nonzero=4), vec(22, 8), False),
-        (vec(22, 40), vec(22, 8, nonzero=2), False),
-        (vec(22, 50), vec(22, 50), True),
-        (vec(42, 50, nonzero=8), vec(42, 50), False),
-        (vec(42, 50, nonzero=21), vec(42, 50), True),
-        (vec(22, 100), vec(22, 100), True),
-        (vec(22, 40), vec(22, 900), False),
-        (vec(22, 300), vec(22, 300), False),
-    ]
-    for i, (a, b, packs) in enumerate(cases):
-        packed.clear()
-        assert _convolve(a, b) == schoolbook(a, b)
-        assert bool(packed) == packs, i
+                assert _convolve(a, b) == want
 
 
 def reference_product(order: int, a, b) -> tuple[int, ...]:
@@ -313,8 +270,9 @@ PACKED_ORDERS = (23, 29, 46, 97)
 @given(st.sampled_from(PACKED_ORDERS).flatmap(
     lambda n: st.tuples(st.just(n), *[int_vectors(st.just(len(cyclotomic_polynomial(n)) - 1))] * 4)))
 def test_products_above_the_packing_threshold(case):
-    # products and equal-order sums of products of numbers whose phi(N)
-    # integer coefficients are already reduced, against the reference
+    # products and equal-order sums of products of long numbers (phi(N) up
+    # to 96 integer coefficients of up to 1000 bits, already reduced), every
+    # one through _convolve, against the reference
     n, a, b, c, d = case
     x, y, u, v = (CyclotomicNumber(n, vec) for vec in (a, b, c, d))
     assert (x * y)._num == reference_product(n, a, b)
