@@ -17,8 +17,9 @@ its coefficient denominators, and every step below runs on such rows:
   over Z[z, 1/z], sorted sparsest first (Markowitz); the refinement loop
   below finds their kernel.  It is the answer when it meets both bounds:
   every vector annihilates all p rows exactly (rank <= ncols - #basis)
-  and the image pivot rows of the matrix number ncols - #basis.
-  Otherwise the loop runs over Q(xi_p)(z), on M's own image pivot rows;
+  and the image pivot rows of the matrix number ncols - #basis; the first
+  by int sums of the rows' numerators (_annihilates).  Otherwise the loop
+  runs over Q(xi_p)(z), on M's own image pivot rows;
 - one refinement loop: fraction-free (Bareiss) elimination on the
   selected rows, then fraction-free back-substitution: int coefficients
   on the descended rows, CyclotomicNumber ones over Q(xi_p), with one
@@ -27,10 +28,9 @@ its coefficient denominators, and every step below runs on such rows:
   pivot, so its vector normalizes to e_c); then an exact proof on all
   rows: M v = 0 for every vector, which bounds the rank from above.  A
   row that a vector fails is independent of the selection; it joins the
-  selection, which is eliminated again.  A row times a vector adds plain
-  ints on int rows; otherwise each exponent's products are summed by
-  cyclotomic.sum_of_products, reduced once (an irrational pair is one
-  reduced product).
+  selection, which is eliminated again.  A row times a vector is one
+  laurent.terms_mul per pair, int on the descended rows and per term in
+  Q(xi_p) on the fallback's.
 
 A solution of M x = b is the proven kernel vector (v, d) of [M | -b],
 x = v / d; an empty kernel proves there is none.
@@ -50,7 +50,7 @@ import math
 import operator
 
 from .codec import coeff_terms_to_json
-from .cyclotomic import CyclotomicNumber, check_precision, sum_of_products, unit_root
+from .cyclotomic import CyclotomicNumber, check_precision, unit_root
 from .errors import (
     BadConditioning,
     Inconsistent,
@@ -198,37 +198,11 @@ def _back_substitute(rows, pivots, x: list[dict]) -> list[dict]:
 
 
 def _row_times(row, x) -> dict:
-    """sum_c row[c] x[c] on term dicts, exactly.
-
-    An int row times an int vector adds plain ints.  Otherwise the products
-    are grouped by exponent and each group is one
-    cyclotomic.sum_of_products: a rational factor scales the other one and
-    an irrational pair is one reduced product, each added unreduced, and
-    the sum reduced once.
-    """
-    pairs = [(a, v) for a, v in zip(row, x) if a and v]
-    if not pairs:
-        return {}
-    a, v = pairs[0]
-    if isinstance(next(iter(a.values())), int) and isinstance(next(iter(v.values())), int):
-        total: dict = {}
-        for a, v in pairs:
+    """sum_c row[c] x[c] on term dicts, exactly: one terms_mul per nonzero pair."""
+    total: dict = {}
+    for a, v in zip(row, x):
+        if a and v:
             terms_mul(a, v, total)
-        return total
-    products: dict = {}
-    for a, v in pairs:
-        for e1, c1 in a.items():
-            for e2, c2 in v.items():
-                e = e1 + e2
-                if e in products:
-                    products[e].append((c1, c2))
-                else:
-                    products[e] = [(c1, c2)]
-    total = {}
-    for e, group in products.items():
-        value = sum_of_products(group)
-        if value:
-            total[e] = value
     return total
 
 
@@ -273,19 +247,46 @@ def _refined(rows, selection) -> list[RationalFunctionVector]:
 def _descended(rows, n: int) -> list[list[dict]]:
     """The rational rows: the power-basis coordinates in Z[xi_n] of row d
     mod p, for each divisor d of p = len(rows) and integral rows, as int
-    term dicts.  For the f-matrix, xi -> xi^u maps row k to row k/u, so
-    these rows annihilate the same rational vectors as the whole matrix."""
+    term dicts read from the numerators lifted to order n.  For the
+    f-matrix, xi -> xi^u maps row k to row k/u, so these rows annihilate
+    the same rational vectors as the whole matrix."""
     p = len(rows)
     rational = []
     for k in (d % p for d in range(1, p + 1) if p % d == 0):
-        coords = [[{} for _ in rows[k]] for _ in range(n)]
+        coords: dict[int, list[dict]] = {}
         for col, entry in enumerate(rows[k]):
             for e, c in entry.items():
-                for j, v in enumerate(c.lift(n).coeffs):
+                for j, v in enumerate(c.lift(n)._num):
                     if v:
-                        coords[j][col][e] = v
-        rational.extend(row for row in coords if any(row))
+                        coords.setdefault(j, [{} for _ in rows[k]])[col][e] = v
+        rational.extend(coords[j] for j in sorted(coords))
     return rational
+
+
+def _annihilates(rows, x: list[dict], n: int) -> bool:
+    """Whether every row annihilates x, exactly, for integral rows whose
+    coefficient orders divide n and x a vector of int term dicts.
+
+    A row times x is sum_j s_j xi_n^j, s_j in Z[z, 1/z] the sum of v times
+    the j-th numerator of c.lift(n) over the terms c of the entries and v
+    of x.  The numerators are reduced modulo Phi_n, and so is any integer
+    combination of them, and the power basis xi_n^j, j < phi(n), stays
+    independent over Q(z) (Phi_n is irreducible there): the row
+    annihilates x iff every s_j is zero, with no reduction or denominator.
+    """
+    for row in rows:
+        sums: dict[int, list[int]] = {}
+        for entry, v in zip(row, x):
+            if not v:
+                continue
+            for e1, c in entry.items():
+                num = c.lift(n)._num
+                for e2, m in v.items():
+                    acc = sums.get(e1 + e2)
+                    sums[e1 + e2] = [m * a for a in num] if acc is None else [s + m * a for s, a in zip(acc, num)]
+        if any(any(acc) for acc in sums.values()):
+            return False
+    return True
 
 
 def _weight(row) -> tuple[int, int]:
@@ -296,9 +297,10 @@ def _weight(row) -> tuple[int, int]:
 def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     """The normalized kernel basis, proven: the rank is ncols - len(basis).
 
-    This is the one place denominators are cleared: in the pass that takes
-    n, the lcm of the coefficient orders, each row becomes term dicts times
-    the lcm of its coefficient denominators, which spans the same line.
+    Denominators are cleared here: in the pass that takes n, the lcm of the
+    coefficient orders, each row becomes term dicts times the lcm of its
+    coefficient denominators, which spans the same line, and a descended
+    vector is proven on its multiple by the lcm of its denominators.
     The image pivot rows bound the rank from below; at ncols less the zero
     columns, the e_c of the zero columns are the basis.  Otherwise the
     descended rows, sparsest first (fewest terms, then shortest largest
@@ -323,10 +325,13 @@ def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
         return [RationalFunctionVector(tuple(one if j == c else nil for j in range(ncols))) for c in zero]
     rational = sorted(_descended(rows, n), key=_weight)
     basis = _refined(rational, _image_pivot_rows(rational, n))
-    if len(basis) == ncols - len(selection) and all(
-        _refuting_row(rows, [v.terms for v in vec]) is None for vec in basis
-    ):
-        return basis
+    if len(basis) == ncols - len(selection):
+        for vec in basis:
+            scale = math.lcm(*(c.denominator for w in vec for c in w.terms.values()))
+            if not _annihilates(rows, [{e: c._num[0] * scale // c._den for e, c in w.terms.items()} for w in vec], n):
+                break
+        else:
+            return basis
     return _refined(rows, selection)
 
 

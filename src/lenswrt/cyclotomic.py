@@ -14,10 +14,9 @@ divided by the monic Phi_N, whose remainder is the canonical form.  A
 convolution is one Kronecker substitution: each vector packed into one
 int, one int product, the slots read back.  An inverse is the product of
 the nontrivial Galois conjugates, one at a time, over the integer norm,
-and is kept on the number.  sum_of_products adds many products at once:
-each is a scale times one number (two irrational factors are one reduced
-product), whose numerators go unreduced into one integer vector, which is
-reduced once.  int and Fraction values enter through the constructor and
+and is kept on the number.  A sum of products is plain + and *: the exact
+proofs of analysis add integer multiples of reduced numerators without
+this module.  int and Fraction values enter through the constructor and
 leave through `.coeffs`; embed_complex reads the complex power basis from
 a table cached per (N, precision).
 
@@ -378,50 +377,6 @@ class CyclotomicNumber:
                 else:
                     terms.append(f"{c}*{unit}")
         return " + ".join(terms).replace("+ -", "- ")
-
-
-def sum_of_products(pairs) -> CyclotomicNumber:
-    """sum a * b over a list of pairs, a a CyclotomicNumber or an int and b a
-    CyclotomicNumber, exactly, in the order N that adding the products
-    gives: the lcm of all the factors' orders, an int's being 1.
-
-    One pair is one product.  Otherwise each pair is a scale r times one
-    number x over the lcm of the products' denominators: a rational factor
-    scales the other one, and two irrational factors are one reduced product
-    x = a * b.  Every r x goes, unreduced, into one integer vector in xi_N,
-    at the stride of x's order in N, and the vector is reduced modulo Phi_N
-    once, and only when its degree reaches phi(N).
-    """
-    if len(pairs) == 1:
-        a, b = pairs[0]
-        return a * b
-    order = den = 1
-    for a, b in pairs:
-        if a.__class__ is int:
-            order, den = math.lcm(order, b._order), math.lcm(den, b._den)
-        else:
-            order, den = math.lcm(order, a._order, b._order), math.lcm(den, a._den * b._den)
-    deg = len(_order_data(order)[0]) - 1
-    acc = [0] * deg
-    for a, b in pairs:
-        if a.__class__ is int:
-            r, x = a * (den // b._den), b
-        elif not any(b._num[1:]):
-            r, x = b._num[0] * (den // (a._den * b._den)), a
-        elif not any(a._num[1:]):
-            r, x = a._num[0] * (den // (a._den * b._den)), b
-        else:
-            x = a * b
-            r = den // x._den
-        if x._order == order and len(acc) == deg:  # r times x needs no spreading
-            acc[:] = [s + r * c for s, c in zip(acc, x._num)]
-        else:
-            step = order // x._order
-            at = slice(0, (len(x._num) - 1) * step + 1, step)
-            if len(acc) < at.stop:
-                acc.extend([0] * (at.stop - len(acc)))
-            acc[at] = [s + r * c for s, c in zip(acc[at], x._num)]
-    return _make(order, acc if len(acc) == deg else _reduce(order, acc), den)
 
 
 def root_of_unity(order: int, exponent: int = 1) -> CyclotomicNumber:

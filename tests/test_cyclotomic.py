@@ -1,5 +1,5 @@
 """Exact cyclotomic arithmetic: canonical forms, conjugation, embedding, and
-the rational traffic of the exact queries."""
+the rational traffic and int row products of the exact queries."""
 
 import math
 import random
@@ -8,7 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from lenswrt import cyclotomic, selftest, wrt
+from lenswrt import analysis, cyclotomic, selftest, wrt
 from lenswrt.analysis import build_f_matrix, fullrank_submatrix, kernel, rank, recover_skein
 from lenswrt.cyclotomic import (
     CyclotomicNumber,
@@ -233,3 +233,21 @@ class TestRationalTraffic:
     def test_selftest_criterion(self, number):
         ok, detail = next(fn for n, _, fn in selftest.CRITERIA if n == number)()
         assert ok, detail
+
+
+class TestIntRowProducts(TestRationalTraffic):
+    """The same queries: on f-matrices the cyclotomic rows are read only by
+    the proof of the rational basis (analysis._annihilates), so every row
+    that _row_times multiplies, in back-substitution or refutation, is an
+    int row."""
+
+    @pytest.fixture(autouse=True)
+    def guard(self, monkeypatch):
+        row_times = analysis._row_times
+
+        def int_rows_only(row, x):
+            if not all(isinstance(c, int) for entry in row for c in entry.values()):
+                raise AssertionError("a row product on a cyclotomic row")
+            return row_times(row, x)
+
+        monkeypatch.setattr(analysis, "_row_times", int_rows_only)

@@ -20,10 +20,9 @@ from lenswrt.cyclotomic import (
     _reduce,
     cyclotomic_polynomial,
     embed_complex,
-    sum_of_products,
 )
 from lenswrt.gauss import GaussSumSpec, gauss_sum
-from lenswrt.analysis import RationalFunctionVector, _bareiss_echelon, _refuting_row, _row_times
+from lenswrt.analysis import RationalFunctionVector, _annihilates, _bareiss_echelon, _refuting_row, _row_times
 from lenswrt.laurent import LaurentPoly, terms_divexact, terms_divmod, terms_mul
 from lenswrt.skein import SkeinElement
 
@@ -270,15 +269,13 @@ PACKED_ORDERS = (23, 29, 46, 97)
 @given(st.sampled_from(PACKED_ORDERS).flatmap(
     lambda n: st.tuples(st.just(n), *[int_vectors(st.just(len(cyclotomic_polynomial(n)) - 1))] * 4)))
 def test_products_above_the_packing_threshold(case):
-    # products and equal-order sums of products of long numbers (phi(N) up
-    # to 96 integer coefficients of up to 1000 bits, already reduced), every
-    # one through _convolve, against the reference
+    # products of long numbers (phi(N) up to 96 integer coefficients of up
+    # to 1000 bits, already reduced), every one through _convolve, against
+    # the reference
     n, a, b, c, d = case
     x, y, u, v = (CyclotomicNumber(n, vec) for vec in (a, b, c, d))
     assert (x * y)._num == reference_product(n, a, b)
-    want = [s + t for s, t in zip(reference_product(n, a, b), reference_product(n, c, d))]
-    got = sum_of_products([(x, y), (u, v)])
-    assert got._den == 1 and list(got._num) == want
+    assert (u * v)._num == reference_product(n, c, d)
 
 
 def test_fraction_input_is_kept_exact():
@@ -458,3 +455,41 @@ def test_refuting_row_is_the_first_row_with_a_nonzero_product(case, data):
     assert _refuting_row(checked, terms) == expected
     for row in checked:
         assert same_terms(_row_times(row, terms), reference_row_times(row, terms))
+
+
+def integral(row) -> list[dict]:
+    """A row times the lcm of its coefficient denominators."""
+    scale = math.lcm(*(c.denominator for entry in row for c in entry.values()))
+    return [{e: c * scale for e, c in entry.items()} for entry in row]
+
+
+@st.composite
+def annihilated(draw):
+    """(n, rows, x): an int vector x and integral cyclotomic rows of mixed
+    orders dividing n.  One more column makes the first row annihilate x
+    (its entry -(row . x) against a component 1); the other rows are int
+    multiples of it (annihilating) or drawn ones (refuting, mostly), in a
+    drawn order."""
+    n = draw(st.sampled_from((4, 6, 9, 12, 15)))
+    ncols = draw(st.integers(1, 3))
+    x = draw(term_rows("int", n, ncols))
+    first = integral(draw(term_rows("cyclotomic", n, ncols)))
+    first, x = first + [negated(reference_row_times(first, x))], x + [{0: 1}]
+    rows = [first]
+    for multiple in draw(st.lists(st.booleans(), max_size=3)):
+        if multiple:
+            m = draw(st.integers(-3, 3).filter(bool))
+            rows.append([{e: m * c for e, c in entry.items()} for entry in first])
+        else:
+            rows.append(integral(draw(term_rows("cyclotomic", n, ncols + 1))))
+    order = draw(st.permutations(range(len(rows))))
+    return n, [rows[i] for i in order], x
+
+
+@ROW_PRODUCTS
+@given(annihilated())
+def test_annihilates_iff_every_row_product_is_zero(case):
+    n, rows, x = case
+    assert _annihilates(rows, x, n) == (not any(reference_row_times(row, x) for row in rows))
+    for row in rows:
+        assert _annihilates([row], x, n) == (not reference_row_times(row, x))
