@@ -37,17 +37,21 @@ x = v / d; an empty kernel proves there is none.
 
 Kernel vectors are normalized: common polynomial content removed, the
 highest-index nonzero component of valuation 0 and trailing coefficient
-1; a vector is proven before it is normalized.  The module also produces
-the explicit nonsingular-submatrix certificates for p prime or twice an
-odd prime, their determinants computed in modular, with no arithmetic in
-Q(xi_p), and decides whether a rational-function skein class is a unit
-multiple of an ordinary one (integer coefficients in A = -z^p).
+1; a vector is proven before it is normalized, an int one (every
+descended one) in Z[z, 1/z] by a heuristic gcd proven by exact division
+(laurent.terms_gcd), any other by Euclid (laurent_gcd).  The module also
+produces the explicit nonsingular-submatrix certificates for p prime or
+twice an odd prime, their determinants computed in modular, with no
+arithmetic in Q(xi_p), and decides whether a rational-function skein
+class is a unit multiple of an ordinary one (integer coefficients in
+A = -z^p).
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 
 from .codec import coeff_terms_to_json
 from .cyclotomic import CyclotomicNumber, check_precision, unit_root
@@ -59,7 +63,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .gauss import g_pm
-from .laurent import LaurentPoly, RationalFunction, laurent_gcd, terms_divexact, terms_mul
+from .laurent import LaurentPoly, RationalFunction, laurent_gcd, terms_divexact, terms_gcd, terms_mul
 from .modular import _gauss_determinant, _image_pivot_rows
 from .numtheory import is_prime, mod_inverse
 from .record import record
@@ -220,7 +224,8 @@ def _refined(rows, selection) -> list[RationalFunctionVector]:
     that a vector fails exactly is not in the selection's span: it joins
     the selection, which is eliminated again.  The proof runs on the raw
     back-substituted vector (scaling v moves neither M v = 0 nor the first
-    refuting row), so only a vector that passes pays the normalizing gcd.
+    refuting row), so only a vector that passes pays the normalizing gcd:
+    over Z for an int vector (_int_normalized), else by Euclid.
     """
     ncols = len(rows[0]) if rows else 0
     while True:
@@ -239,7 +244,8 @@ def _refined(rows, selection) -> list[RationalFunctionVector]:
             if refuting is not None:
                 selection = sorted([*selection, refuting])
                 break
-            basis.append(_normalize_kernel_vector([LaurentPoly("z", t) for t in x]))
+            vec = _int_normalized(x)
+            basis.append(vec if vec is not None else _normalize_kernel_vector([LaurentPoly("z", t) for t in x]))
         else:
             return basis
 
@@ -343,6 +349,29 @@ def rank(matrix: LaurentMatrix) -> int:
 def kernel(space: LensSpace) -> list[RationalFunctionVector]:
     """Basis of { v : sum_c M[k][c] v_c = 0 for all k }, normalized."""
     return _certified(build_f_matrix(space))
+
+
+def _int_normalized(x: list[dict]) -> RationalFunctionVector | None:
+    """The normalized vector on the line of x, int term dicts not all
+    empty, in Z[z, 1/z]; None for a coefficient that is not an int or a
+    gcd that terms_gcd does not prove.  Component i is z^v_i P_i(z^s), s
+    the gcd of the exponent differences within components, and Euclid in
+    Q[w] commutes with w = z^s: the quotients P_i / gcd, shifted by
+    -v_last and over the last one's constant term, are the answer.
+    """
+    if not all(isinstance(c, int) for t in x for c in t.values()):
+        return None
+    lows = [min(t) if t else 0 for t in x]
+    s = math.gcd(*(e - v for t, v in zip(x, lows) for e in t)) or 1
+    found = terms_gcd([{(e - v) // s: c for e, c in t.items()} for t, v in zip(x, lows) if t])
+    if found is None:
+        return None
+    quotients, unit = iter(found[1]), found[1][-1][0]
+    shift = lows[max(i for i, t in enumerate(x) if t)]
+    return RationalFunctionVector(tuple(
+        LaurentPoly("z", {v - shift + s * k: Fraction(c, unit) for k, c in next(quotients).items()} if t else {})
+        for t, v in zip(x, lows)
+    ))
 
 
 def _normalize_kernel_vector(polys: list[LaurentPoly]) -> RationalFunctionVector:

@@ -11,10 +11,12 @@ The arithmetic runs on plain term dicts (exponent -> coefficient):
 terms_mul and terms_divmod are the one product and the one division,
 shared by LaurentPoly and by the fraction-free elimination in analysis,
 which runs them on int coefficients as well as CyclotomicNumber ones.
+terms_gcd, a heuristic gcd of int term dicts, is proven by terms_divexact.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 
 from .cyclotomic import CyclotomicNumber, as_cyclotomic, check_precision
@@ -285,6 +287,55 @@ def terms_divexact(num: dict, den: dict) -> dict:
     if rem:
         raise ArithmeticError("division is not exact")
     return quot
+
+
+def terms_gcd(polys: list[dict]) -> tuple[dict, list[dict]] | None:
+    """(g, [a / g for a in polys]): g the gcd in Z[x], leading coefficient
+    > 0, of nonzero int term dicts with exponents >= 0 and a(0) != 0, by
+    the heuristic of Char, Geddes and Gonnet (GCDHEU, J. Symbolic Comput.
+    7, 1989); None when none of six attempts is proven.
+
+    An attempt reads gamma > 0, the gcd of the a(xi) at an integer
+    xi >= 2 min |a| + 2 (|.| the largest absolute coefficient), back as G,
+    its symmetric xi-adic digits (|digit| <= xi/2, the last > 0), and
+    accepts h = G / c, c the gcd of the digits, iff every a / h is exact
+    (terms_divexact).  Then h = g.  Proof: take a of least height.  Roots
+    of a divisor of a have |r| < 1 + |a| (Cauchy), so a(xi), h(xi) != 0;
+    xi cannot divide gamma, as it would divide a(xi) = a(0) mod xi, so
+    h(0) != 0, the quotients are polynomials, and g = h k in Z[x] (h is
+    primitive).  A nonconstant k has |k(xi)| > (xi - 1 - |a|)^deg k >=
+    xi/2, yet k(xi) divides c (g(xi) divides gamma = c h(xi)), 0 < c <=
+    xi/2; so k = 1, as g and h have leads > 0.  As in GCDHEU, xi starts
+    at 2 min |a| + 29 and a failed attempt multiplies it by 73794/27011.
+    """
+    xi = 2 * min(max(map(abs, a.values())) for a in polys) + 29
+    for _ in range(6):
+        gamma = math.gcd(*(_value(a, xi) for a in polys))
+        digits = []
+        while gamma:
+            gamma, d = divmod(gamma, xi)
+            if 2 * d > xi:
+                d -= xi
+                gamma += 1
+            digits.append(d)
+        c = math.gcd(*digits)
+        h = {e: d // c for e, d in enumerate(digits) if d}
+        if h == {0: 1}:
+            return h, list(polys)
+        try:
+            return h, [terms_divexact(a, h) for a in polys]
+        except ArithmeticError:
+            pass
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _value(terms: dict, x: int) -> int:
+    """The int term dict, exponents >= 0, at x (Horner)."""
+    value = 0
+    for e in range(max(terms), -1, -1):
+        value = value * x + terms.get(e, 0)
+    return value
 
 
 def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

@@ -499,6 +499,7 @@ class TestCertifiedPivots:
         assert rank(matrix) == 22
         basis = kernel(LensSpace(49, 3))
         assert len(basis) == matrix.ncols - 22
+        assert basis_digest(basis) == "de15f95efcb37851347fa40ebeca987a5e5d07cf2b74e3ed66731936abfeff20"
         for vec in basis:
             assert annihilates(matrix, vec)
 
@@ -507,7 +508,9 @@ class TestCertifiedPivots:
         space = LensSpace(57, 2)
         matrix = build_f_matrix(space)
         assert rank(matrix) == count_squares_mod(57)
-        for vec in kernel(space):
+        basis = kernel(space)
+        assert basis_digest(basis) == "36984cafab7afad1c5b19437dd8bcafe31c43e8d665ff699f0c4908e7b88b03d"
+        for vec in basis:
             assert annihilates(matrix, vec)
 
     def test_order_25_kernel(self):
@@ -516,6 +519,7 @@ class TestCertifiedPivots:
         matrix = build_f_matrix(space)
         basis = kernel(space)
         assert len(basis) == 13 - 11
+        assert basis_digest(basis) == "304e9e71599ff5f22c81d8479c9755ef0ed6e0dc0399e3870c05b2881800cd0b"
         for vec in basis:
             assert not vec.is_zero()
             assert annihilates(matrix, vec)
@@ -528,9 +532,21 @@ class TestCertifiedPivots:
         matrix = build_f_matrix(space)
         basis = kernel(space)
         assert rank(matrix) == matrix.ncols - len(basis) == count_squares_mod(p)
+        assert basis_digest(basis) == {
+            (66, 5): "33a9fe80f0e6acea85e7838f89d18c058d61ecb1fb4e1e2ae6874b2e90d2d402",
+            (70, 3): "f9a07bca78c7addf7ec97ecd4d50033ac0ff933c0e178822be11d433966d8faa",
+            (78, 5): "13d83e8bef972f974971dd484307114aeb4611f5b07e473a33e809467d359784",
+        }[p, q]
         for vec in basis:
             assert not vec.is_zero()
             assert annihilates(matrix, vec)
+
+
+def basis_digest(basis) -> str:
+    """SHA-256 of the basis reprs, as test_exact_answers_keep_their_digest
+    hashes them: the large-order pins were recorded before the kernel
+    vectors were normalized over Z[z, 1/z]."""
+    return hashlib.sha256(repr([vec.components for vec in basis]).encode()).hexdigest()
 
 
 def first_q(p):
@@ -1081,6 +1097,40 @@ class TestColumnCollisions:
                         if not any(col == seen for seen in distinct):
                             distinct.append(col)
                     assert len(distinct) <= bound, (p, q, sign)
+
+
+def euclid_only(monkeypatch) -> list:
+    """Make the heuristic gcd prove nothing, so every vector is normalized
+    by Euclid through CyclotomicNumber; returns the list of its gcds."""
+    calls = []
+
+    def laurent_gcd(a, b):
+        calls.append((a, b))
+        return plain_gcd(a, b)
+
+    plain_gcd = analysis.laurent_gcd
+    monkeypatch.setattr(analysis, "terms_gcd", lambda polys: None)
+    monkeypatch.setattr(analysis, "laurent_gcd", laurent_gcd)
+    return calls
+
+
+@pytest.mark.parametrize("p, q", [(9, 1), (16, 3), (21, 2)])
+def test_euclidean_normalization_keeps_the_kernel(monkeypatch, p, q):
+    want = repr(kernel(LensSpace(p, q)))
+    calls = euclid_only(monkeypatch)
+    assert repr(kernel(LensSpace(p, q))) == want
+    assert calls
+
+
+def test_euclidean_normalization_keeps_the_recovered_class(monkeypatch):
+    space = LensSpace(7, 3)
+    element = random_skein(7, random.Random(7))
+    polys = [f_link(space, element, k).signed_body for k in range(7)]
+    want = recover_skein(space, polys)
+    calls = euclid_only(monkeypatch)
+    got = recover_skein(space, polys)
+    assert repr(got) == repr(want) and got.a_form == element
+    assert calls
 
 
 # SHA-256 over rank(build_f_matrix), the kernel basis and the certificate

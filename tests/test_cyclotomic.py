@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic: canonical forms, conjugation, embedding, and
-the rational traffic and int row products of the exact queries."""
+the rational traffic, int row products and int normalization of the exact
+queries."""
 
 import math
 import random
@@ -251,3 +252,16 @@ class TestIntRowProducts(TestRationalTraffic):
             return row_times(row, x)
 
         monkeypatch.setattr(analysis, "_row_times", int_rows_only)
+
+
+class TestIntNormalization(TestRationalTraffic):
+    """The same queries: every kernel vector they normalize is an int vector
+    whose content laurent.terms_gcd proves, so analysis never runs Euclid
+    (laurent_gcd) through CyclotomicNumber."""
+
+    @pytest.fixture(autouse=True)
+    def guard(self, monkeypatch):
+        def laurent_gcd(a, b):
+            raise AssertionError("a kernel vector normalized by Euclid")
+
+        monkeypatch.setattr(analysis, "laurent_gcd", laurent_gcd)

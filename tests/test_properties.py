@@ -1,10 +1,12 @@
 """Property tests of the exact coefficient domain, its packed products, its
-JSON codec, the fraction-free elimination and the row products of its proof."""
+JSON codec, the fraction-free elimination, the row products of its proof
+and the normalization of its int kernel vectors."""
 
 import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -22,8 +24,17 @@ from lenswrt.cyclotomic import (
     embed_complex,
 )
 from lenswrt.gauss import GaussSumSpec, gauss_sum
-from lenswrt.analysis import RationalFunctionVector, _annihilates, _bareiss_echelon, _refuting_row, _row_times
-from lenswrt.laurent import LaurentPoly, terms_divexact, terms_divmod, terms_mul
+from lenswrt.analysis import (
+    RationalFunctionVector,
+    _annihilates,
+    _bareiss_echelon,
+    _int_normalized,
+    _normalize_kernel_vector,
+    _refuting_row,
+    _row_times,
+)
+from lenswrt import laurent
+from lenswrt.laurent import LaurentPoly, terms_divexact, terms_divmod, terms_gcd, terms_mul
 from lenswrt.skein import SkeinElement
 
 PROPERTY = settings(deadline=None, max_examples=30, derandomize=True, database=None)
@@ -493,3 +504,65 @@ def test_annihilates_iff_every_row_product_is_zero(case):
     assert _annihilates(rows, x, n) == (not any(reference_row_times(row, x) for row in rows))
     for row in rows:
         assert _annihilates([row], x, n) == (not reference_row_times(row, x))
+
+
+BIG = st.one_of(st.integers(-9, 9), st.integers(-(1 << 200), 1 << 200)).filter(bool)
+W_POLYS = st.dictionaries(st.integers(0, 3), BIG, min_size=1, max_size=3)
+
+
+@st.composite
+def int_lines(draw):
+    """Int vectors g u in Z[z, 1/z]: per component a zero, a monomial, or
+    the common factor g(z^s) times a cofactor u(z^s), shifted into its own
+    coset of s; coefficients reach 200 bits.  g = w - m with cofactor 1 is
+    the case that needs the whole bound: at any xi in (m, 2m], g(xi) <=
+    xi/2 reads back as a constant, a wrong gcd 1."""
+    s = draw(st.integers(1, 5))
+    g = draw(st.one_of(W_POLYS, st.integers(2, 1 << 200).map(lambda m: {0: -m, 1: 1})))
+    cofactors = st.one_of(W_POLYS, st.just({0: 1}))
+    x = []
+    for kind in draw(st.lists(st.sampled_from(("zero", "monomial", "multiple")), min_size=1, max_size=5)):
+        shift = draw(st.integers(-6, 6))
+        if kind == "zero":
+            x.append({})
+        elif kind == "monomial":
+            x.append({shift: draw(BIG)})
+        else:
+            x.append({shift + s * e: c for e, c in terms_mul(g, draw(cofactors)).items()})
+    assume(any(x))
+    return x
+
+
+@settings(deadline=None, max_examples=300, derandomize=True, database=None)
+@given(int_lines())
+def test_int_normalization_equals_the_euclidean_one(x):
+    got = _int_normalized(x)
+    want = _normalize_kernel_vector([LaurentPoly("z", t) for t in x])
+    assert got is not None
+    assert got == want and repr(got) == repr(want)
+
+
+@PROPERTY
+@given(W_POLYS, BIG, st.integers(1, 3))
+def test_a_wrong_first_candidate_is_refused(g, g0, k):
+    # with xi the first point, a = g (w + 1) and b = g (w + r), r = 1 + k (xi + 1),
+    # have gcd(a(xi), b(xi)) = |a(xi)|: the first candidate is pp(a), which
+    # does not divide b, so a second point must be tried
+    g = {**g, 0: g0}
+    a = terms_mul(g, {0: 1, 1: 1})
+    points = []
+
+    def value(terms, x):
+        points.append(x)
+        return plain_value(terms, x)
+
+    plain_value = laurent._value
+    with mock.patch.object(laurent, "_value", value):
+        terms_gcd([a])
+        b = terms_mul(g, {0: 1 + k * (points[0] + 1), 1: 1})
+        points.clear()
+        found = terms_gcd([a, b])
+    assert len(set(points)) > 1
+    content = math.gcd(*g.values()) * (1 if g[max(g)] > 0 else -1)
+    primitive = {e: c // content for e, c in g.items()}
+    assert found == (primitive, [terms_divexact(a, primitive), terms_divexact(b, primitive)])
