@@ -4,36 +4,31 @@ Builds the p x ([p/2]+1) matrix of f-polynomial bodies and computes its
 rank and kernel, and recovers skein coefficients from a full set of link
 polynomials.  The matrix is read once, as rows of plain term dicts
 (exponent -> coefficient, one dict per column), each row times the lcm of
-its coefficient denominators, and every step below runs on such rows:
+its coefficient denominators, and one certified flow runs on such rows:
 
+- the rows: build_f_matrix's _FMatrix carries the Galois action in its
+  type (xi -> xi^u maps row k to row k/u and fixes z), so it trades its
+  rows for the descended ones: the power-basis coordinates of one row
+  per divisor of p, at most tau(p) phi(p) int rows over Z[z, 1/z],
+  sparsest first (Markowitz).  Any other LaurentMatrix keeps its own
+  rows, over Q(xi_p)(z);
 - one image test mod l (modular._image_pivot_rows): the pivot rows of
-  the matrix's image in F_l, whose nonzero minor proves them independent,
-  bound the rank from below; when they number ncols less the zero
-  columns (an odd color c when p = 0 mod 4), the unit vectors e_c of
-  those columns are the kernel basis and the computation ends;
-- descent to Q(z): xi -> xi^u maps row k to row k/u and fixes z, so the
-  kernel has a basis over Q(z).  The power-basis coordinates of one row
-  per divisor d of p (row d mod p) are at most tau(p) phi(p) int rows
-  over Z[z, 1/z], sorted sparsest first (Markowitz); the refinement loop
-  below finds their kernel.  It is the answer when it meets both bounds:
-  every vector annihilates all p rows exactly (rank <= ncols - #basis)
-  and the image pivot rows of the matrix number ncols - #basis; the first
-  by int sums of the rows' numerators (_annihilates).  Otherwise the loop
-  runs over Q(xi_p)(z), on M's own image pivot rows;
+  the rows' image in F_l, whose nonzero minor proves them independent;
+  when they number ncols less the zero columns (an odd color c when
+  p = 0 mod 4), the unit vectors e_c of those columns are the kernel;
 - one refinement loop: fraction-free (Bareiss) elimination on the
-  selected rows, then fraction-free back-substitution: int coefficients
-  on the descended rows, CyclotomicNumber ones over Q(xi_p), with one
-  exact division (laurent.terms_divmod) for both.  With D the last pivot,
-  each kernel vector has D at its free column (a zero column has no
-  pivot, so its vector normalizes to e_c); then an exact proof on all
-  rows: M v = 0 for every vector, which bounds the rank from above.  A
-  row that a vector fails is independent of the selection; it joins the
-  selection, which is eliminated again.  A row times a vector is one
-  laurent.terms_mul per pair, int on the descended rows and per term in
-  Q(xi_p) on the fallback's.
+  selected rows, then fraction-free back-substitution, with one exact
+  division (laurent.terms_divmod) for int and CyclotomicNumber terms.
+  With D the last pivot, each kernel vector has D at its free column;
+  then the proof, exact on every row the loop was given: a row that a
+  vector fails (one laurent.terms_mul per pair) joins the selection,
+  which is eliminated again.  A basis that every row annihilates, one
+  vector per free column, spans the kernel.
 
 A solution of M x = b is the proven kernel vector (v, d) of [M | -b],
-x = v / d; an empty kernel proves there is none.
+x = v / d.  b comes from outside, so the descended answer stands only
+when M v = b d holds on every row; else the plain LaurentMatrix [M | -b]
+decides, and an empty kernel there proves there is none.
 
 Kernel vectors are normalized: common polynomial content removed, the
 highest-index nonzero component of valuation 0 and trailing coefficient
@@ -126,8 +121,23 @@ class RationalFunctionVector:
         return True
 
 
+class _FMatrix(LaurentMatrix):
+    """A matrix built by build_f_matrix: its type asserts that sigma_u, the
+    map xi_p -> xi_p^u fixing z, sends row k to row k/u for every unit u
+    mod p, sigma_u(M_k) = M_(k/u).
+
+    Proof.  Entry (k, c) is +-(z^(e+2(c+1)) G(qk, b_+) - z^(e-2(c+1))
+    G(qk, b_-)), b_+- = qc + q +- 1, with e and the sign set by c alone
+    (wrt.f_poly), and G(a, b) = sum_(n mod p) xi_p^(a n^2 + b n).  Term by
+    term sigma_u G(a, b) = G(ua, ub), and n -> vn permutes Z/p for a unit
+    v, so G(a, b) = G(av^2, bv).  With v = u^-1, sigma_u G(qk, b) =
+    G(qk/u, b): each sum of entry (k, c) goes to the same sum of entry
+    (k/u, c), and the monomials are fixed.
+    """
+
+
 def build_f_matrix(space: LensSpace) -> LaurentMatrix:
-    """The p x ([p/2]+1) matrix of signed f-polynomial bodies.
+    """The p x ([p/2]+1) matrix of signed f-polynomial bodies, an _FMatrix.
 
     Entry (k, c) is (-1)^(c+1) body(p,q,c,k): the full polynomial divided
     by the global scalar i/sqrt(2p), so rank and kernel coincide with
@@ -138,7 +148,7 @@ def build_f_matrix(space: LensSpace) -> LaurentMatrix:
     entries = tuple(
         tuple(f_poly(space, c, k).signed_body for c in cols) for k in range(p)
     )
-    return LaurentMatrix(entries=entries)
+    return _FMatrix(entries=entries)
 
 
 # --- fraction-free elimination ------------------------------------------------
@@ -251,11 +261,19 @@ def _refined(rows, selection) -> list[RationalFunctionVector]:
 
 
 def _descended(rows, n: int) -> list[list[dict]]:
-    """The rational rows: the power-basis coordinates in Z[xi_n] of row d
-    mod p, for each divisor d of p = len(rows) and integral rows, as int
-    term dicts read from the numerators lifted to order n.  For the
-    f-matrix, xi -> xi^u maps row k to row k/u, so these rows annihilate
-    the same rational vectors as the whole matrix."""
+    """The descended rows: the power-basis coordinates in Z[xi_n] of row d
+    mod p, for each divisor d of p = len(rows) and integral rows whose
+    coefficient orders divide n, as int term dicts read from the numerators
+    lifted to order n.
+
+    For rows with the action of _FMatrix they annihilate exactly the
+    rational vectors that all p rows do.  Each k is d u, d = gcd(k, p) and
+    u a unit mod p, so row k is sigma_(1/u) of row d, and sigma fixes a
+    vector v over Q(z): row k annihilates v iff row d does.  Row d times v
+    is sum_j s_j xi_n^j, s_j its j-th coordinate row times v, and the power
+    basis xi_n^j, j < phi(n), stays independent over Q(z) (Phi_n is
+    irreducible there): row d annihilates v iff every s_j is zero.
+    """
     p = len(rows)
     rational = []
     for k in (d % p for d in range(1, p + 1) if p % d == 0):
@@ -269,32 +287,6 @@ def _descended(rows, n: int) -> list[list[dict]]:
     return rational
 
 
-def _annihilates(rows, x: list[dict], n: int) -> bool:
-    """Whether every row annihilates x, exactly, for integral rows whose
-    coefficient orders divide n and x a vector of int term dicts.
-
-    A row times x is sum_j s_j xi_n^j, s_j in Z[z, 1/z] the sum of v times
-    the j-th numerator of c.lift(n) over the terms c of the entries and v
-    of x.  The numerators are reduced modulo Phi_n, and so is any integer
-    combination of them, and the power basis xi_n^j, j < phi(n), stays
-    independent over Q(z) (Phi_n is irreducible there): the row
-    annihilates x iff every s_j is zero, with no reduction or denominator.
-    """
-    for row in rows:
-        sums: dict[int, list[int]] = {}
-        for entry, v in zip(row, x):
-            if not v:
-                continue
-            for e1, c in entry.items():
-                num = c.lift(n)._num
-                for e2, m in v.items():
-                    acc = sums.get(e1 + e2)
-                    sums[e1 + e2] = [m * a for a in num] if acc is None else [s + m * a for s, a in zip(acc, num)]
-        if any(any(acc) for acc in sums.values()):
-            return False
-    return True
-
-
 def _weight(row) -> tuple[int, int]:
     """(number of terms, largest coefficient bit length) of an int row."""
     return sum(map(len, row)), max(abs(v).bit_length() for entry in row for v in entry.values())
@@ -303,19 +295,22 @@ def _weight(row) -> tuple[int, int]:
 def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     """The normalized kernel basis, proven: the rank is ncols - len(basis).
 
-    Denominators are cleared here: in the pass that takes n, the lcm of the
-    coefficient orders, each row becomes term dicts times the lcm of its
-    coefficient denominators, which spans the same line, and a descended
-    vector is proven on its multiple by the lcm of its denominators.
-    The image pivot rows bound the rank from below; at ncols less the zero
-    columns, the e_c of the zero columns are the basis.  Otherwise the
-    descended rows, sparsest first (fewest terms, then shortest largest
-    coefficient) so that the image picks the cheapest, are refined over
-    Q(z), and their basis is the answer when it annihilates every row and
-    the image pivot rows number ncols - len(basis); row order never moves
-    the proven, normalized basis.  Else (a right-hand side that is not
-    Galois-compatible, or a weak image) M's image pivot rows are refined
-    over Q(xi_p)(z).
+    Denominators are cleared first: in the pass that takes n, the lcm of
+    the coefficient orders, each row becomes term dicts times the lcm of
+    its coefficient denominators, which spans the same line.  An _FMatrix
+    then trades its rows for the descended ones, sparsest first (fewest
+    terms, then shortest largest coefficient) so that the image picks the
+    cheapest.  They annihilate the same rational vectors as M (_descended),
+    and sigma_u maps ker M onto itself, so ker M has a basis over Q(z)
+    (Speiser's lemma): a basis of their kernel over Q(z) is one of ker M.
+    A column is zero in row k iff in row k/u, so they also have M's zero
+    columns.  Any other matrix keeps its own rows, over Q(xi_n)(z).
+
+    On those rows the image pivot rows are independent; when they number
+    ncols less the zero columns, the e_c of the zero columns are the
+    basis.  Otherwise _refined's basis annihilates every row exactly and
+    has one vector per free column of its echelon form, so it spans the
+    kernel.  Row order never moves the proven, normalized basis.
     """
     rows, n = [], 1
     for row in matrix.entries:
@@ -323,21 +318,14 @@ def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
         n = math.lcm(n, *(c.order for c in coeffs))
         scale = math.lcm(*(c.denominator for c in coeffs))
         rows.append([{e: c * scale for e, c in entry.terms.items()} if scale != 1 else entry.terms for entry in row])
+    if isinstance(matrix, _FMatrix):
+        rows = sorted(_descended(rows, n), key=_weight)
     ncols = matrix.ncols
     zero = [c for c in range(ncols) if not any(row[c] for row in rows)]
     selection = _image_pivot_rows(rows, n)
     if len(selection) == ncols - len(zero):
         one, nil = LaurentPoly.one("z"), LaurentPoly("z")
         return [RationalFunctionVector(tuple(one if j == c else nil for j in range(ncols))) for c in zero]
-    rational = sorted(_descended(rows, n), key=_weight)
-    basis = _refined(rational, _image_pivot_rows(rational, n))
-    if len(basis) == ncols - len(selection):
-        for vec in basis:
-            scale = math.lcm(*(c.denominator for w in vec for c in w.terms.values()))
-            if not _annihilates(rows, [{e: c._num[0] * scale // c._den for e, c in w.terms.items()} for w in vec], n):
-                break
-        else:
-            return basis
     return _refined(rows, selection)
 
 
@@ -477,10 +465,13 @@ def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
 
     fpolys must hold one Laurent polynomial per k = 0..p-1, in the same
     normalization as f_link(...).signed_body.  The proven kernel of
-    [M | -b] decides everything: its vectors with last component 0 are the
-    kernel of M, so any of them raise RankDeficient; an empty kernel raises
-    Inconsistent (b is outside the column span); otherwise its one vector
-    (v, d) gives x = v / d.
+    [M | -b], an _FMatrix when M is one, decides: its vectors with last
+    component 0 are ker M whatever b is, so any of them raise RankDeficient;
+    otherwise its one vector (v, d) gives x = v / d.  b need not have M's
+    Galois action, and then the descended x may fail a row that is not a
+    divisor row, or not exist: so it stands only when M v = b d on every
+    row, exactly, and else the plain LaurentMatrix [M | -b] decides, an
+    empty kernel raising Inconsistent (b is outside the column span).
     """
     p = space.p
     fpolys = list(fpolys)
@@ -488,13 +479,17 @@ def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
         raise ValueError(f"need one polynomial per k = 0..{p - 1}, got {len(fpolys)}")
     matrix = build_f_matrix(space)
     ncols = matrix.ncols
-    augmented = LaurentMatrix(tuple(row + (-fp,) for row, fp in zip(matrix.entries, fpolys)))
+    augmented = type(matrix)(tuple(row + (-fp,) for row, fp in zip(matrix.entries, fpolys)))
     basis = _certified(augmented)
     nullity = sum(1 for vec in basis if not vec.components[-1])
     if nullity:
         raise RankDeficient(
             f"f-matrix of L({space.p},{space.q}) has rank {ncols - nullity} < {ncols}"
         )
+    if isinstance(augmented, _FMatrix) and not (basis and all(
+        not sum((entry * w for entry, w in zip(row, basis[0])), LaurentPoly("z")) for row in augmented.entries
+    )):
+        basis = _certified(LaurentMatrix(augmented.entries))
     if not basis:
         raise Inconsistent("right-hand side is not in the column span")
     *num, den = basis[0]

@@ -14,11 +14,12 @@ divided by the monic Phi_N, whose remainder is the canonical form.  A
 convolution is one Kronecker substitution: each vector packed into one
 int, one int product, the slots read back.  An inverse is the product of
 the nontrivial Galois conjugates, one at a time, over the integer norm,
-and is kept on the number.  A sum of products is plain + and *: the exact
-proofs of analysis add integer multiples of reduced numerators without
-this module.  int and Fraction values enter through the constructor and
-leave through `.coeffs`; embed_complex reads the complex power basis from
-a table cached per (N, precision).
+and is kept on the number.  A sum of products is plain + and *: analysis
+reads the reduced numerators of the f-matrix once, as int rows, and
+proves its answers on those without this module.  int and Fraction
+values enter through the constructor and leave through `.coeffs`;
+embed_complex reads the complex power basis from a table cached per
+(N, precision).
 
 unit_root is the package's one numeric root of unity: e^(2 pi i num/den)
 at a given precision, computed by mpmath.libmp's cos/sin of pi times the

@@ -265,10 +265,10 @@ def untabled_image_pivot_rows(rows, n):
 
 class TestCertifiedPivots:
     """rank, kernel and recover_skein eliminate only on the pivot rows of a
-    mod-l image and prove the answer on every row; a row that an answer
-    fails joins the selection.  The kernel is sought over Q(z) first, on
-    the descended rows, and over Q(xi_p)(z) when that answer is not proven.
-    With every row selected they eliminate on all rows."""
+    mod-l image and prove the answer on every row they were given; a row
+    that an answer fails joins the selection.  An f-matrix gives its
+    descended rows, over Q(z); any other LaurentMatrix its own rows, over
+    Q(xi_p)(z).  With every row selected they eliminate on all rows."""
 
     @staticmethod
     def all_rows(monkeypatch, fn, *args):
@@ -290,12 +290,11 @@ class TestCertifiedPivots:
 
     def test_zero_columns_ride_the_image_bound(self, monkeypatch):
         # p = 0 mod 4: every odd color is a zero column; when the image pivot
-        # rows account for every other column, the unit vectors e_c are
-        # proven by the image alone, with no descent and no refinement
+        # rows of the descended rows account for every other column, the
+        # unit vectors e_c are proven by the image alone, with no refinement
         def forbidden(*args):
             raise AssertionError("the image bound alone proves this kernel")
 
-        monkeypatch.setattr(analysis, "_descended", forbidden)
         monkeypatch.setattr(analysis, "_refined", forbidden)
         for p, q in ((12, 5), (20, 13), (68, 3)):
             ncols = p // 2 + 1
@@ -380,10 +379,10 @@ class TestCertifiedPivots:
                 calls.clear()
                 assert tuple(kernel(space)) == expected
                 assert rank(matrix) == matrix.ncols - len(expected)
-                # two images per query: one of M, whose pivot rows bound the
-                # rank from below, and one of its descended rational rows
-                assert len(calls) == 4
-                assert sum(integral(rows) for rows in calls) == 2
+                # one image per query, of the descended int rows; M's own
+                # cyclotomic rows are never imaged
+                assert len(calls) == 2
+                assert all(integral(rows) for rows in calls)
 
     def test_wrong_selection_rejected_in_recover(self, monkeypatch):
         space = LensSpace(5, 2)
@@ -431,9 +430,47 @@ class TestCertifiedPivots:
         with pytest.raises(Inconsistent):
             self.all_rows(monkeypatch, recover_skein, space, polys)
 
+    def test_typed_solution_must_solve_every_row(self, monkeypatch):
+        # b = M x on the divisor rows 0, 1, 2 and 5 of p = 10 and changed on
+        # row 3: the descended rows see only the divisor rows, so they give
+        # x; the exact check on every row refuses it, and the plain matrix
+        # proves that no solution exists
+        space = LensSpace(10, 3)
+        polys = [f_link(space, random_skein(10, random.Random(5)), k).signed_body for k in range(10)]
+        x = recover_skein(space, polys).z_components
+        polys[3] = polys[3] + z({1: 1})
+        calls = []
+        certify = analysis._certified
+
+        def spy(matrix):
+            calls.append((type(matrix), certify(matrix)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(analysis, "_certified", spy)
+        with pytest.raises(Inconsistent):
+            recover_skein(space, polys)
+        (typed, solution), (plain, empty) = calls
+        assert typed is analysis._FMatrix and plain is LaurentMatrix
+        *num, den = solution[0].components
+        assert len(solution) == 1 and tuple(RationalFunction(v, den) for v in num) == x
+        assert empty == []
+
+    def test_untyped_copy_gives_the_same_answers(self, monkeypatch):
+        # a plain LaurentMatrix with the f-matrix's entries is refined on its
+        # own rows, over Q(xi_p)(z), to the same proven basis
+        seen = refinements(monkeypatch)
+        for p in range(2, 13):
+            for q in valid_qs(p):
+                matrix = build_f_matrix(LensSpace(p, q))
+                plain = LaurentMatrix(matrix.entries)
+                assert rank(plain) == rank(matrix), (p, q)
+                assert analysis._certified(plain) == kernel(LensSpace(p, q)), (p, q)
+        # kernel(space) refines its descended int rows, the plain copy its own
+        assert True in seen and False in seen
+
     def test_refuted_rational_rows_join_the_selection(self, monkeypatch):
-        # a short selection on the descended rows only: refined over Q(z),
-        # the answer still meets the image bound of M, so no Q(xi_p) step
+        # a short selection on the descended rows: the refinement over Q(z)
+        # adds the refuting rows, with no Q(xi_p) step
         find = analysis._image_pivot_rows
         monkeypatch.setattr(analysis, "_image_pivot_rows", lambda rows, n: find(rows, n)[:-1] if integral(rows) else find(rows, n))
         # every elimination ran on the descended rows, cleared to int
@@ -451,23 +488,23 @@ class TestCertifiedPivots:
             analysis._bareiss_echelon(term_rows(build_f_matrix(space)))
             assert eliminations == [False], (p, q)
 
-    def test_descended_answer_must_annihilate_every_row(self, monkeypatch):
+    def test_untyped_matrix_is_never_descended(self, monkeypatch):
         # a stand-in matrix whose rows are not Galois images of each other:
-        # the descended rows (rows 1 and 0) miss the constraint of row 2, and
-        # a short image of M lets the counts agree, so only M v = 0 on every
-        # row rejects the rational answer
+        # its descended rows (rows 1 and 0) would miss the constraint of
+        # row 2 and give rank 1.  A plain LaurentMatrix is refined on its
+        # own rows, from a short image, and the refuting row joins
         xi = root_of_unity(3)
         matrix = LaurentMatrix(((z({}), z({})), (z({0: xi}), z({0: -xi})), (z({0: xi * xi}), z({}))))
         find = analysis._image_pivot_rows
         monkeypatch.setattr(analysis, "_image_pivot_rows", lambda rows, n: find(rows, n) if integral(rows) else find(rows, n)[:-1])
         seen = refinements(monkeypatch)
         assert rank(matrix) == 2
-        assert seen == [True, False]
+        assert seen == [False]
 
     def test_incompatible_right_hand_side_falls_back(self, monkeypatch):
         # x_c = xi_p: b = M x is not Galois-compatible and the solution is
-        # not rational, so the descended rows cannot prove it and the
-        # elimination over Q(xi_p)(z) must
+        # not rational, so the descended rows cannot give it and the plain
+        # matrix, refined over Q(xi_p)(z), decides
         for p, q in ((7, 3), (11, 2)):
             space = LensSpace(p, q)
             matrix = build_f_matrix(space)
@@ -542,6 +579,55 @@ class TestCertifiedPivots:
             assert annihilates(matrix, vec)
 
 
+def unit_generators(p):
+    """A generating set of the units mod p: each unit that the ones before
+    do not generate."""
+    group, gens = {1 % p}, []
+    for u in range(2, p):
+        if math.gcd(u, p) == 1 and u not in group:
+            gens.append(u)
+            while not group >= (grown := {a * g % p for a in group for g in gens}):
+                group |= grown
+    return gens
+
+
+class TestGaloisAction:
+    """The lemma of analysis._FMatrix, exactly: sigma_g(M_k) = M_(k/g) entry
+    by entry for a generating set g of the units mod p, which gives it for
+    every unit; and the descended rows have M's zero columns."""
+
+    @staticmethod
+    def check(p, q):
+        matrix = build_f_matrix(LensSpace(p, q))
+        assert type(matrix) is analysis._FMatrix
+        for g in unit_generators(p):
+            inverse = mod_inverse(g, p)
+            for k, row in enumerate(matrix.entries):
+                for entry, image in zip(row, matrix.entries[k * inverse % p]):
+                    assert {e: c.galois(g) for e, c in entry.terms.items()} == image.terms, (p, q, g, k)
+        rows = term_rows(matrix)
+        descended = analysis._descended(rows, p)
+        cols = range(matrix.ncols)
+        assert [c for c in cols if not any(row[c] for row in descended)] == [c for c in cols if not any(row[c] for row in rows)]
+
+    def test_unit_generators(self):
+        for p in range(2, 99):
+            units, gens = {u for u in range(p) if math.gcd(u, p) == 1}, unit_generators(p)
+            group = {1 % p}
+            while not group >= (grown := {a * g % p for a in group for g in gens}):
+                group |= grown
+            assert group == units, p
+
+    def test_every_space_up_to_30(self):
+        for p in range(2, 31):
+            for q in valid_qs(p):
+                self.check(p, q)
+
+    @pytest.mark.parametrize("p, q", [(49, 3), (81, 43), (98, 25)])
+    def test_large_orders(self, p, q):
+        self.check(p, q)
+
+
 def basis_digest(basis) -> str:
     """SHA-256 of the basis reprs, as test_exact_answers_keep_their_digest
     hashes them: the large-order pins were recorded before the kernel
@@ -556,7 +642,7 @@ def first_q(p):
 class TestRowOrder:
     """The order of the descended rows decides which rows the image picks
     and the elimination runs on, never the answer: the proof is on all
-    rows, and the normalized basis is unique for a row space."""
+    descended rows, and the normalized basis is unique for a row space."""
 
     DEFICIENT = [p for p in range(2, 31) if classify_order(p) is OrderClass.NON_DETERMINING]
 

@@ -194,7 +194,11 @@ class TestValueSemantics:
 
 class TestRationalTraffic:
     """The kernel of the f-matrix is rational, so the exact queries never
-    multiply two irrational numbers (no _convolve) and never invert one."""
+    multiply two irrational numbers (no _convolve) and never invert one.
+    The f-matrix's type carries its Galois action, so they image no
+    cyclotomic number mod l and refine only int rows: M's cyclotomic rows
+    are read to be descended, and by recover's check of its right-hand
+    side."""
 
     @pytest.fixture(autouse=True)
     def guard(self, monkeypatch):
@@ -208,8 +212,20 @@ class TestRationalTraffic:
                 raise AssertionError(f"the inverse of the irrational {x!r}")
             return plain_inverse(x)
 
+        def image_mod(x, prime, root):
+            raise AssertionError(f"the image mod l of the cyclotomic {x!r}")
+
+        refine = analysis._refined
+
+        def int_rows_refined(rows, selection):
+            if not all(isinstance(c, int) for row in rows for entry in row for c in entry.values()):
+                raise AssertionError("a refinement over Q(xi_p)")
+            return refine(rows, selection)
+
         monkeypatch.setattr(cyclotomic, "_convolve", convolve)
         monkeypatch.setattr(CyclotomicNumber, "inverse", inverse)
+        monkeypatch.setattr(CyclotomicNumber, "image_mod", image_mod)
+        monkeypatch.setattr(analysis, "_refined", int_rows_refined)
         monkeypatch.setattr(wrt, "_F_CACHE", {})  # every f-polynomial built under the guard
 
     @pytest.mark.parametrize("p, q", [(9, 1), (15, 2), (16, 3), (21, 2)])
@@ -238,9 +254,10 @@ class TestRationalTraffic:
 
 class TestIntRowProducts(TestRationalTraffic):
     """The same queries: on f-matrices the cyclotomic rows are read only by
-    the proof of the rational basis (analysis._annihilates), so every row
-    that _row_times multiplies, in back-substitution or refutation, is an
-    int row."""
+    the descent (analysis._descended) and by recover's check of its
+    right-hand side, a sum of LaurentPoly products, so every row that
+    _row_times multiplies, in back-substitution or refutation, is an int
+    row."""
 
     @pytest.fixture(autouse=True)
     def guard(self, monkeypatch):

@@ -26,7 +26,6 @@ from lenswrt.cyclotomic import (
 from lenswrt.gauss import GaussSumSpec, gauss_sum
 from lenswrt.analysis import (
     RationalFunctionVector,
-    _annihilates,
     _bareiss_echelon,
     _int_normalized,
     _normalize_kernel_vector,
@@ -466,44 +465,6 @@ def test_refuting_row_is_the_first_row_with_a_nonzero_product(case, data):
     assert _refuting_row(checked, terms) == expected
     for row in checked:
         assert same_terms(_row_times(row, terms), reference_row_times(row, terms))
-
-
-def integral(row) -> list[dict]:
-    """A row times the lcm of its coefficient denominators."""
-    scale = math.lcm(*(c.denominator for entry in row for c in entry.values()))
-    return [{e: c * scale for e, c in entry.items()} for entry in row]
-
-
-@st.composite
-def annihilated(draw):
-    """(n, rows, x): an int vector x and integral cyclotomic rows of mixed
-    orders dividing n.  One more column makes the first row annihilate x
-    (its entry -(row . x) against a component 1); the other rows are int
-    multiples of it (annihilating) or drawn ones (refuting, mostly), in a
-    drawn order."""
-    n = draw(st.sampled_from((4, 6, 9, 12, 15)))
-    ncols = draw(st.integers(1, 3))
-    x = draw(term_rows("int", n, ncols))
-    first = integral(draw(term_rows("cyclotomic", n, ncols)))
-    first, x = first + [negated(reference_row_times(first, x))], x + [{0: 1}]
-    rows = [first]
-    for multiple in draw(st.lists(st.booleans(), max_size=3)):
-        if multiple:
-            m = draw(st.integers(-3, 3).filter(bool))
-            rows.append([{e: m * c for e, c in entry.items()} for entry in first])
-        else:
-            rows.append(integral(draw(term_rows("cyclotomic", n, ncols + 1))))
-    order = draw(st.permutations(range(len(rows))))
-    return n, [rows[i] for i in order], x
-
-
-@ROW_PRODUCTS
-@given(annihilated())
-def test_annihilates_iff_every_row_product_is_zero(case):
-    n, rows, x = case
-    assert _annihilates(rows, x, n) == (not any(reference_row_times(row, x) for row in rows))
-    for row in rows:
-        assert _annihilates([row], x, n) == (not reference_row_times(row, x))
 
 
 BIG = st.one_of(st.integers(-9, 9), st.integers(-(1 << 200), 1 << 200)).filter(bool)
