@@ -26,9 +26,9 @@ its coefficient denominators, and one certified flow runs on such rows:
   vector per free column, spans the kernel.
 
 A solution of M x = b is the proven kernel vector (v, d) of [M | -b],
-x = v / d.  b comes from outside, so the descended answer stands only
-when M v = b d holds on every row; else the plain LaurentMatrix [M | -b]
-decides, and an empty kernel there proves there is none.
+x = v / d.  b comes from outside: [M | -b] is an _FMatrix only when b
+has M's action (_has_action), and then one proven kernel decides; else
+ker M decides rank deficiency and the plain LaurentMatrix [M | -b] the rest.
 
 Kernel vectors are normalized: common polynomial content removed, the
 highest-index nonzero component of valuation 0 and trailing coefficient
@@ -132,7 +132,8 @@ class _FMatrix(LaurentMatrix):
     term sigma_u G(a, b) = G(ua, ub), and n -> vn permutes Z/p for a unit
     v, so G(a, b) = G(av^2, bv).  With v = u^-1, sigma_u G(qk, b) =
     G(qk/u, b): each sum of entry (k, c) goes to the same sum of entry
-    (k/u, c), and the monomials are fixed.
+    (k/u, c), and the monomials are fixed.  [M | -b] has the action iff b
+    has it, sigma_u(b_k) = b_(k/u), which _has_action decides.
     """
 
 
@@ -274,9 +275,8 @@ def _descended(rows, n: int) -> list[list[dict]]:
     basis xi_n^j, j < phi(n), stays independent over Q(z) (Phi_n is
     irreducible there): row d annihilates v iff every s_j is zero.
     """
-    p = len(rows)
     rational = []
-    for k in (d % p for d in range(1, p + 1) if p % d == 0):
+    for k in _divisor_rows(len(rows)):
         coords: dict[int, list[dict]] = {}
         for col, entry in enumerate(rows[k]):
             for e, c in entry.items():
@@ -285,6 +285,26 @@ def _descended(rows, n: int) -> list[list[dict]]:
                         coords.setdefault(j, [{} for _ in rows[k]])[col][e] = v
         rational.extend(coords[j] for j in sorted(coords))
     return rational
+
+
+def _divisor_rows(p: int) -> list[int]:
+    """Row d mod p for each divisor d of p: one row per orbit of the units."""
+    return [d % p for d in range(1, p + 1) if p % d == 0]
+
+
+def _has_action(b, p: int) -> bool:
+    """Whether b, one LaurentPoly per row k mod p, has the action of
+    _FMatrix: every coefficient order divides p, and sigma_u(b_d) = b_(d/u)
+    for each divisor row d and each unit u mod p.
+
+    That gives sigma_v(b_k) = b_(k/v) for every k and unit v, stabilisers
+    included: k = d/w with d = gcd(k, p) and w a unit, so b_k = sigma_w(b_d)
+    and sigma_v(b_k) = sigma_(vw)(b_d) = b_(d/(vw)) = b_(k/v).
+    """
+    if any(p % c.order for poly in b for c in poly.terms.values()):
+        return False
+    return all({e: c.galois(u) for e, c in b[d].terms.items()} == b[d * pow(u, -1, p) % p].terms
+               for d in _divisor_rows(p) for u in range(1, p) if math.gcd(u, p) == 1)
 
 
 def _weight(row) -> tuple[int, int]:
@@ -463,33 +483,35 @@ class RecoveredSkein:
 def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
     """Solve sum_c M[k][c] x_c = fpolys[k] for all k (signed-body convention).
 
-    fpolys must hold one Laurent polynomial per k = 0..p-1, in the same
-    normalization as f_link(...).signed_body.  The proven kernel of
-    [M | -b], an _FMatrix when M is one, decides: its vectors with last
-    component 0 are ker M whatever b is, so any of them raise RankDeficient;
-    otherwise its one vector (v, d) gives x = v / d.  b need not have M's
-    Galois action, and then the descended x may fail a row that is not a
-    divisor row, or not exist: so it stands only when M v = b d on every
-    row, exactly, and else the plain LaurentMatrix [M | -b] decides, an
-    empty kernel raising Inconsistent (b is outside the column span).
+    fpolys must hold one Laurent polynomial in z per k = 0..p-1, in the same
+    normalization as f_link(...).signed_body.  When b = fpolys has M's
+    action (_has_action), the proven kernel of the _FMatrix [M | -b]
+    decides: vectors with last component 0 span ker M and raise
+    RankDeficient; no vector raises Inconsistent, as the kernel has a basis
+    over Q(z), so none over Q(xi_p)(z) either; else its one vector (v, d)
+    gives x = v / d.  Otherwise ker M decides RankDeficient, and then the
+    plain LaurentMatrix [M | -b] decides over Q(xi_p)(z).
     """
     p = space.p
     fpolys = list(fpolys)
     if len(fpolys) != p:
         raise ValueError(f"need one polynomial per k = 0..{p - 1}, got {len(fpolys)}")
+    for k, fp in enumerate(fpolys):
+        if not isinstance(fp, LaurentPoly):
+            raise ValueError(f"right-hand side entry {k} is {fp!r}, not a LaurentPoly")
     matrix = build_f_matrix(space)
-    ncols = matrix.ncols
-    augmented = type(matrix)(tuple(row + (-fp,) for row, fp in zip(matrix.entries, fpolys)))
-    basis = _certified(augmented)
-    nullity = sum(1 for vec in basis if not vec.components[-1])
+    augmented = tuple(row + (-fp,) for row, fp in zip(matrix.entries, fpolys))
+    if isinstance(matrix, _FMatrix) and _has_action(fpolys, p):
+        basis = _certified(_FMatrix(augmented))
+        nullity = sum(1 for vec in basis if not vec.components[-1])
+    else:
+        plain = LaurentMatrix(augmented)  # refuses b in another variable before ker M is computed
+        nullity = len(_certified(matrix))
+        basis = [] if nullity else _certified(plain)
     if nullity:
         raise RankDeficient(
-            f"f-matrix of L({space.p},{space.q}) has rank {ncols - nullity} < {ncols}"
+            f"f-matrix of L({space.p},{space.q}) has rank {matrix.ncols - nullity} < {matrix.ncols}"
         )
-    if isinstance(augmented, _FMatrix) and not (basis and all(
-        not sum((entry * w for entry, w in zip(row, basis[0])), LaurentPoly("z")) for row in augmented.entries
-    )):
-        basis = _certified(LaurentMatrix(augmented.entries))
     if not basis:
         raise Inconsistent("right-hand side is not in the column span")
     *num, den = basis[0]

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -432,28 +433,24 @@ class TestCertifiedPivots:
 
     def test_typed_solution_must_solve_every_row(self, monkeypatch):
         # b = M x on the divisor rows 0, 1, 2 and 5 of p = 10 and changed on
-        # row 3: the descended rows see only the divisor rows, so they give
-        # x; the exact check on every row refuses it, and the plain matrix
-        # proves that no solution exists
+        # row 3: the descended rows of [M | -b] would see only the divisor
+        # rows and give x, so b, without M's action, is never typed.  The
+        # typed M alone proves full rank, and the plain [M | -b] proves
+        # that no solution exists
         space = LensSpace(10, 3)
         polys = [f_link(space, random_skein(10, random.Random(5)), k).signed_body for k in range(10)]
-        x = recover_skein(space, polys).z_components
         polys[3] = polys[3] + z({1: 1})
         calls = []
         certify = analysis._certified
 
         def spy(matrix):
-            calls.append((type(matrix), certify(matrix)))
-            return calls[-1][1]
+            calls.append((type(matrix), matrix.ncols, certify(matrix)))
+            return calls[-1][2]
 
         monkeypatch.setattr(analysis, "_certified", spy)
         with pytest.raises(Inconsistent):
             recover_skein(space, polys)
-        (typed, solution), (plain, empty) = calls
-        assert typed is analysis._FMatrix and plain is LaurentMatrix
-        *num, den = solution[0].components
-        assert len(solution) == 1 and tuple(RationalFunction(v, den) for v in num) == x
-        assert empty == []
+        assert calls == [(analysis._FMatrix, 6, []), (LaurentMatrix, 7, [])]
 
     def test_untyped_copy_gives_the_same_answers(self, monkeypatch):
         # a plain LaurentMatrix with the f-matrix's entries is refined on its
@@ -502,9 +499,10 @@ class TestCertifiedPivots:
         assert seen == [False]
 
     def test_incompatible_right_hand_side_falls_back(self, monkeypatch):
-        # x_c = xi_p: b = M x is not Galois-compatible and the solution is
-        # not rational, so the descended rows cannot give it and the plain
-        # matrix, refined over Q(xi_p)(z), decides
+        # x_c = xi_p: b = M x lacks M's action (_has_action) and the
+        # solution is not rational, so [M | -b] is not typed: the typed M
+        # alone proves full rank, and the plain [M | -b], refined over
+        # Q(xi_p)(z), decides
         for p, q in ((7, 3), (11, 2)):
             space = LensSpace(p, q)
             matrix = build_f_matrix(space)
@@ -597,14 +595,14 @@ class TestGaloisAction:
     every unit; and the descended rows have M's zero columns."""
 
     @staticmethod
-    def check(p, q):
-        matrix = build_f_matrix(LensSpace(p, q))
+    def check(matrix):
+        p = matrix.nrows
         assert type(matrix) is analysis._FMatrix
         for g in unit_generators(p):
             inverse = mod_inverse(g, p)
             for k, row in enumerate(matrix.entries):
                 for entry, image in zip(row, matrix.entries[k * inverse % p]):
-                    assert {e: c.galois(g) for e, c in entry.terms.items()} == image.terms, (p, q, g, k)
+                    assert {e: c.galois(g) for e, c in entry.terms.items()} == image.terms, (p, g, k)
         rows = term_rows(matrix)
         descended = analysis._descended(rows, p)
         cols = range(matrix.ncols)
@@ -621,11 +619,111 @@ class TestGaloisAction:
     def test_every_space_up_to_30(self):
         for p in range(2, 31):
             for q in valid_qs(p):
-                self.check(p, q)
+                self.check(build_f_matrix(LensSpace(p, q)))
 
     @pytest.mark.parametrize("p, q", [(49, 3), (81, 43), (98, 25)])
     def test_large_orders(self, p, q):
-        self.check(p, q)
+        self.check(build_f_matrix(LensSpace(p, q)))
+
+
+def link_polys(space, seed):
+    """The signed bodies f_link(J, k) of a seeded skein element J, k = 0..p-1."""
+    element = random_skein(space.p, random.Random(seed), max_exp=1, bound=2)
+    return [f_link(space, element, k).signed_body for k in range(space.p)]
+
+
+def changed(space, k, extra):
+    """link_polys(space, 5) with extra added to the polynomial of row k."""
+    polys = link_polys(space, 5)
+    polys[k] = polys[k] + extra
+    return polys
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class of the RankDeficient or Inconsistent it raises."""
+    try:
+        return fn(*args)
+    except (RankDeficient, Inconsistent) as err:
+        return type(err)
+
+
+# right-hand sides without M's action: a non-divisor row changed, a divisor
+# row off its stabiliser, a coefficient of an order that does not divide p,
+# and one at an order where M is deficient
+INCOMPATIBLE = {
+    "row 3 + z at L(10,3)": (LensSpace(10, 3), lambda s: changed(s, 3, z({1: 1}))),
+    "row 0 + xi_7 at L(7,3)": (LensSpace(7, 3), lambda s: changed(s, 0, z({0: root_of_unity(7)}))),
+    "row 5 + xi_10 at L(10,3)": (LensSpace(10, 3), lambda s: changed(s, 5, z({0: root_of_unity(10)}))),
+    "order 5 at L(7,3)": (LensSpace(7, 3), lambda s: changed(s, 0, z({0: root_of_unity(5)}))),
+    "row 1 + xi_9 at L(9,1)": (LensSpace(9, 1), lambda s: changed(s, 1, z({0: root_of_unity(9)}))),
+}
+# b_0 = z and every other b_k = 0: it has M's action and no solution
+COMPATIBLE_INCONSISTENT = [(5, 2), (7, 3), (10, 3), (13, 2)]
+
+
+def only_z(p):
+    return [z({1: 1})] + [z({})] * (p - 1)
+
+
+class TestRightHandSideAction:
+    """recover_skein types [M | -b] as an _FMatrix exactly when b has M's
+    action (analysis._has_action): then one proven kernel decides all;
+    otherwise the typed M decides rank deficiency and the plain [M | -b]
+    the rest."""
+
+    def test_link_invariants_have_the_action(self):
+        for p in range(2, 31):
+            assert analysis._has_action([z({})] * p, p), p
+            for q in valid_qs(p):
+                assert analysis._has_action(link_polys(LensSpace(p, q), p + q), p), (p, q)
+
+    @pytest.mark.parametrize("name", INCOMPATIBLE)
+    def test_incompatible_matches_all_rows(self, monkeypatch, name):
+        space, make = INCOMPATIBLE[name]
+        polys = make(space)
+        assert not analysis._has_action(polys, space.p)
+        assert analysis._has_action(link_polys(space, 5), space.p)
+        got = outcome(recover_skein, space, polys)
+        assert got == outcome(TestCertifiedPivots.all_rows, monkeypatch, recover_skein, space, polys)
+
+    def test_deficient_order_needs_no_cyclotomic_refinement(self, monkeypatch):
+        # ker M, proven on the descended int rows, decides RankDeficient
+        # before any elimination over Q(xi_p)
+        space, make = INCOMPATIBLE["row 1 + xi_9 at L(9,1)"]
+        polys = make(space)
+        seen = refinements(monkeypatch)
+        with pytest.raises(RankDeficient):
+            recover_skein(space, polys)
+        assert all(seen)
+
+    @pytest.mark.parametrize("p, q", COMPATIBLE_INCONSISTENT)
+    def test_compatible_inconsistent_in_one_typed_call(self, monkeypatch, p, q):
+        space, polys = LensSpace(p, q), only_z(p)
+        assert analysis._has_action(polys, p)
+        calls = []
+        certify = analysis._certified
+        with monkeypatch.context() as m:
+            m.setattr(analysis, "_certified", lambda matrix: calls.append(type(matrix)) or certify(matrix))
+            with pytest.raises(Inconsistent):
+                recover_skein(space, polys)
+        assert calls == [analysis._FMatrix]
+        with pytest.raises(Inconsistent):
+            TestCertifiedPivots.all_rows(monkeypatch, recover_skein, space, polys)
+
+    def test_every_typed_matrix_has_the_action(self, monkeypatch):
+        # every _FMatrix that the recovers above build, [M | -b] included,
+        # satisfies the lemma entry by entry
+        made = []
+        validate = LaurentMatrix.__post_init__
+        monkeypatch.setattr(analysis._FMatrix, "__post_init__", lambda matrix: validate(matrix) or made.append(matrix))
+        cases = [(space, make(space)) for space, make in INCOMPATIBLE.values()]
+        cases += [(LensSpace(p, q), only_z(p)) for p, q in COMPATIBLE_INCONSISTENT]
+        cases += [(LensSpace(p, q), link_polys(LensSpace(p, q), 5)) for p, q in ((7, 3), (10, 3), (9, 1))]
+        for space, polys in cases:
+            outcome(recover_skein, space, polys)
+        assert any(matrix.ncols == matrix.nrows // 2 + 2 for matrix in made)
+        for matrix in made:
+            TestGaloisAction.check(matrix)
 
 
 def basis_digest(basis) -> str:
@@ -932,6 +1030,16 @@ class TestRecoverSkein:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             recover_skein(LensSpace(5, 1), [LaurentPoly("z")] * 3)
+
+    @pytest.mark.parametrize("bad", [None, "x", 1, Fraction(1, 2)])
+    def test_entry_must_be_a_laurent_poly(self, bad):
+        # refused by its index before it is negated or read
+        polys = [LaurentPoly("z")] * 3
+        polys[2] = bad
+        with pytest.raises(ValueError, match=re.escape(f"right-hand side entry 2 is {bad!r}, not a LaurentPoly")):
+            recover_skein(LensSpace(3, 1), polys)
+        with pytest.raises(ValueError, match="entry 0 is"):
+            recover_skein(LensSpace(3, 1), [bad] * 3)
 
     def test_denominator_divisible_by_the_image_prime(self):
         # 1/l has no image mod l, the prime of the pivot-row image; each row

@@ -197,8 +197,7 @@ class TestRationalTraffic:
     multiply two irrational numbers (no _convolve) and never invert one.
     The f-matrix's type carries its Galois action, so they image no
     cyclotomic number mod l and refine only int rows: M's cyclotomic rows
-    are read to be descended, and by recover's check of its right-hand
-    side."""
+    are read only to be descended."""
 
     @pytest.fixture(autouse=True)
     def guard(self, monkeypatch):
@@ -254,10 +253,8 @@ class TestRationalTraffic:
 
 class TestIntRowProducts(TestRationalTraffic):
     """The same queries: on f-matrices the cyclotomic rows are read only by
-    the descent (analysis._descended) and by recover's check of its
-    right-hand side, a sum of LaurentPoly products, so every row that
-    _row_times multiplies, in back-substitution or refutation, is an int
-    row."""
+    the descent (analysis._descended), so every row that _row_times
+    multiplies, in back-substitution or refutation, is an int row."""
 
     @pytest.fixture(autouse=True)
     def guard(self, monkeypatch):
