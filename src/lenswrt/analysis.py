@@ -1,8 +1,8 @@
 """Exact linear algebra over Laurent polynomials and rational functions.
 
-Builds the p x ([p/2]+1) matrix of f-polynomial bodies and computes its
-rank and kernel, and recovers skein coefficients from a full set of link
-polynomials.  The matrix is read once, as rows of plain term dicts
+Builds the f-matrix, one read-only object per space that keeps the kernel
+basis rank proves, computes its rank and kernel, and recovers skein
+coefficients from link polynomials.  It is read once, as rows of term dicts
 (exponent -> coefficient, one dict per column), each row times the lcm of
 its coefficient denominators, and one certified flow runs on such rows:
 
@@ -28,7 +28,7 @@ its coefficient denominators, and one certified flow runs on such rows:
 A solution of M x = b is the proven kernel vector (v, d) of [M | -b],
 x = v / d.  b comes from outside: [M | -b] is an _FMatrix only when b
 has M's action (_has_action), and then one proven kernel decides; else
-ker M decides rank deficiency and the plain LaurentMatrix [M | -b] the rest.
+ker M (rank's, if kept) decides rank deficiency and plain [M | -b] the rest.
 
 Kernel vectors are normalized: common polynomial content removed, the
 highest-index nonzero component of valuation 0 and trailing coefficient
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from fractions import Fraction
 
 from .codec import coeff_terms_to_json
@@ -63,7 +64,7 @@ from .modular import _gauss_determinant, _image_pivot_rows
 from .numtheory import is_prime, mod_inverse
 from .record import record
 from .skein import SkeinElement
-from .wrt import LensSpace, f_poly
+from .wrt import LensSpace, _terms
 
 
 @record
@@ -128,13 +129,28 @@ class _FMatrix(LaurentMatrix):
 
     Proof.  Entry (k, c) is +-(z^(e+2(c+1)) G(qk, b_+) - z^(e-2(c+1))
     G(qk, b_-)), b_+- = qc + q +- 1, with e and the sign set by c alone
-    (wrt.f_poly), and G(a, b) = sum_(n mod p) xi_p^(a n^2 + b n).  Term by
+    (wrt._terms), and G(a, b) = sum_(n mod p) xi_p^(a n^2 + b n).  Term by
     term sigma_u G(a, b) = G(ua, ub), and n -> vn permutes Z/p for a unit
     v, so G(a, b) = G(av^2, bv).  With v = u^-1, sigma_u G(qk, b) =
     G(qk/u, b): each sum of entry (k, c) goes to the same sum of entry
     (k/u, c), and the monomials are fixed.  [M | -b] has the action iff b
     has it, sigma_u(b_k) = b_(k/u), which _has_action decides.
+
+    _basis, a slot outside the field, keeps the first kernel basis that rank
+    proves; kernel and recover_skein read it instead of proving M again.
     """
+
+    __slots__ = ("_basis",)
+
+    def __post_init__(self):
+        """Entries built or checked by the package are not validated again."""
+
+    def __reduce__(self):
+        return _FMatrix, (self.entries,)
+
+
+_F_MATRICES: dict[tuple[int, int], _FMatrix] = {}
+_KEEP = threading.Lock()  # rank's check-then-set of _basis
 
 
 def build_f_matrix(space: LensSpace) -> LaurentMatrix:
@@ -142,14 +158,20 @@ def build_f_matrix(space: LensSpace) -> LaurentMatrix:
 
     Entry (k, c) is (-1)^(c+1) body(p,q,c,k): the full polynomial divided
     by the global scalar i/sqrt(2p), so rank and kernel coincide with
-    those of the actual f-matrix.
+    those of the actual f-matrix, read from the Gauss table by wrt._terms,
+    f_poly's term formula.  Every call for a space (p, q) returns the same
+    read-only object, from any thread: dict.setdefault keeps the first one.
     """
-    p = space.p
-    cols = range(p // 2 + 1)
-    entries = tuple(
-        tuple(f_poly(space, c, k).signed_body for c in cols) for k in range(p)
-    )
-    return _FMatrix(entries=entries)
+    key = (space.p, space.q)
+    matrix = _F_MATRICES.get(key)
+    if matrix is None:
+        cols = range(space.p // 2 + 1)
+        entries = tuple(
+            tuple(LaurentPoly._make("z", _terms(space, c, k, -1 if c % 2 == 0 else 1)) for c in cols)
+            for k in range(space.p)
+        )
+        matrix = _F_MATRICES.setdefault(key, _FMatrix(entries))
+    return matrix
 
 
 # --- fraction-free elimination ------------------------------------------------
@@ -350,13 +372,26 @@ def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
 
 
 def rank(matrix: LaurentMatrix) -> int:
-    """Exact rank over the rational-function field."""
-    return matrix.ncols - len(_certified(matrix))
+    """Exact rank over the rational-function field; see _FMatrix._basis."""
+    basis = _certified(matrix)
+    if isinstance(matrix, _FMatrix):
+        with _KEEP:
+            if not hasattr(matrix, "_basis"):
+                object.__setattr__(matrix, "_basis", tuple(basis))
+    return matrix.ncols - len(basis)
+
+
+def _carried(matrix: LaurentMatrix):
+    """The proven kernel basis that rank left on the matrix, else _certified's."""
+    try:
+        return matrix._basis
+    except AttributeError:
+        return _certified(matrix)
 
 
 def kernel(space: LensSpace) -> list[RationalFunctionVector]:
     """Basis of { v : sum_c M[k][c] v_c = 0 for all k }, normalized."""
-    return _certified(build_f_matrix(space))
+    return list(_carried(build_f_matrix(space)))
 
 
 def _int_normalized(x: list[dict]) -> RationalFunctionVector | None:
@@ -483,14 +518,14 @@ class RecoveredSkein:
 def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
     """Solve sum_c M[k][c] x_c = fpolys[k] for all k (signed-body convention).
 
-    fpolys must hold one Laurent polynomial in z per k = 0..p-1, in the same
-    normalization as f_link(...).signed_body.  When b = fpolys has M's
-    action (_has_action), the proven kernel of the _FMatrix [M | -b]
-    decides: vectors with last component 0 span ker M and raise
+    fpolys must hold one Laurent polynomial in z per k = 0..p-1, in the
+    normalization of f_link(...).signed_body, checked here once.  When b =
+    fpolys has M's action (_has_action), the proven kernel of the _FMatrix
+    [M | -b] decides: vectors with last component 0 span ker M and raise
     RankDeficient; no vector raises Inconsistent, as the kernel has a basis
     over Q(z), so none over Q(xi_p)(z) either; else its one vector (v, d)
-    gives x = v / d.  Otherwise ker M decides RankDeficient, and then the
-    plain LaurentMatrix [M | -b] decides over Q(xi_p)(z).
+    gives x = v / d.  Otherwise ker M (the basis rank kept, if any) decides
+    RankDeficient, and then the plain LaurentMatrix [M | -b] over Q(xi_p)(z).
     """
     p = space.p
     fpolys = list(fpolys)
@@ -499,15 +534,16 @@ def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
     for k, fp in enumerate(fpolys):
         if not isinstance(fp, LaurentPoly):
             raise ValueError(f"right-hand side entry {k} is {fp!r}, not a LaurentPoly")
+        if fp and fp.var != "z":
+            raise ValueError(f"right-hand side entry {k} is in {fp.var}, not z")
     matrix = build_f_matrix(space)
     augmented = tuple(row + (-fp,) for row, fp in zip(matrix.entries, fpolys))
     if isinstance(matrix, _FMatrix) and _has_action(fpolys, p):
         basis = _certified(_FMatrix(augmented))
         nullity = sum(1 for vec in basis if not vec.components[-1])
     else:
-        plain = LaurentMatrix(augmented)  # refuses b in another variable before ker M is computed
-        nullity = len(_certified(matrix))
-        basis = [] if nullity else _certified(plain)
+        nullity = len(_carried(matrix))
+        basis = [] if nullity else _certified(LaurentMatrix(augmented))
     if nullity:
         raise RankDeficient(
             f"f-matrix of L({space.p},{space.q}) has rank {matrix.ncols - nullity} < {matrix.ncols}"

@@ -1,9 +1,9 @@
 """Generalized Gauss sums over Z/p, exactly, in Q(xi_p).
 
 gauss_sum sums xi_p^(a n^2 + b n) directly, by counting the exponents mod
-p, afresh on every call.  g_pm, the one Gauss-sum entry point of the
-f-polynomials and the submatrix certificates, builds no GaussSumSpec and
-takes each sum from one table keyed by (p, a mod p, b mod p), which that
+p, afresh on every call.  The f-polynomials (wrt._terms) and, through
+g_pm, the submatrix certificates build no GaussSumSpec and take each sum
+from _tabled_sum, one table keyed by (p, a mod p, b mod p), which that
 counter fills: the spaces of one order, and the colliding b's of one
 space, share each sum.  The table holds at most p^2 sums per order, and
 gauss_sum never reads or fills it.  gauss_closed_form evaluates
@@ -54,7 +54,7 @@ def _counted_sum(p: int, a: int, b: int) -> CyclotomicNumber:
     return _make(p, _reduce(p, counts), 1)
 
 
-# the g_pm table: (p, a mod p, b mod p) -> the counted sum
+# the Gauss table: (p, a mod p, b mod p) -> the counted sum
 _tabled_sum = functools.lru_cache(maxsize=None)(_counted_sum)
 
 

@@ -20,7 +20,7 @@ function wraps its value in an mpmath.mpc once, on return.
 from __future__ import annotations
 
 from .cyclotomic import _libmp, _to_mpc, _unit_parts, check_precision
-from .gauss import g_pm
+from .gauss import _tabled_sum
 from .laurent import LaurentPoly
 from .numtheory import dedekind_sum, lens_matrix, rademacher_phi
 from .record import record
@@ -61,12 +61,12 @@ class FPolynomial:
     """prefactor_sign * (i / sqrt(2p)) * body(z), body over Q(xi_p).
 
     The scalar i / sqrt(2p) is kept symbolic; it is only multiplied in by
-    eval_meridian.  signed_body is built once per polynomial, by f_poly or
-    on first use, and kept in a slot outside the fields, so that hash, repr,
-    copies and pickles see the three fields only.
+    eval_meridian.  signed_body, the body with the sign folded in, is set at
+    construction in a slot outside the fields, so that hash and repr see the
+    three fields only; a copy or pickle is rebuilt from them.
     """
 
-    __slots__ = ("__dict__", "_signed_body")
+    __slots__ = ("__dict__", "signed_body")
 
     p: int
     prefactor_sign: int
@@ -75,19 +75,10 @@ class FPolynomial:
     def __post_init__(self):
         if self.prefactor_sign not in (1, -1):
             raise ValueError(f"prefactor sign must be +-1, got {self.prefactor_sign}")
+        object.__setattr__(self, "signed_body", self.body if self.prefactor_sign == 1 else -self.body)
 
-    def __getstate__(self):
-        return vars(self)
-
-    @property
-    def signed_body(self) -> LaurentPoly:
-        """body with the (-1)^(c+1) sign folded in; the full value divided by i/sqrt(2p)."""
-        try:
-            return self._signed_body
-        except AttributeError:
-            signed = self.body if self.prefactor_sign == 1 else -self.body
-            object.__setattr__(self, "_signed_body", signed)
-            return signed
+    def __reduce__(self):
+        return FPolynomial, (self.p, self.prefactor_sign, self.body)
 
     def is_zero(self) -> bool:
         return self.body.is_zero()
@@ -107,27 +98,30 @@ def f_poly(space: LensSpace, c: int, k: int) -> FPolynomial:
     Cached by (p, q, c, k); repeated calls return the same object, from any
     thread: dict.setdefault keeps the first insertion of a key.
     """
-    p, q = space.p, space.q
+    p = space.p
     if not 0 <= k < p:
         raise ValueError(f"k must lie in [0, {p}), got {k}")
-    key = (p, q, c, k)
+    key = (p, space.q, c, k)
     cached = _F_CACHE.get(key)
     if cached is not None:
         return cached
-    s = space.dedekind  # 12 p s is an integer, so the floor division is exact
-    e0 = 12 * p * s.numerator // s.denominator + q * (c * c + 2 * c)
-    gp = g_pm(p, q, c, k, +1)
-    gm = g_pm(p, q, c, k, -1)
-    off = 2 * (c + 1)
-    # G_+ z^(e0+off) - G_- z^(e0-off); the exponents meet only at c = -1
-    terms = {e0 + off: gp, e0 - off: -gm} if off else {e0: gp - gm}
-    body = LaurentPoly._make("z", {e: g for e, g in terms.items() if g})
-    sign = -1 if c % 2 == 0 else 1  # (-1)^(c+1)
-    result = FPolynomial(p=p, prefactor_sign=sign, body=body)
-    if sign == -1:  # an even c, so off != 0: the signed body -body, each sum negated once
-        signed = {e0 + off: -gp, e0 - off: gm}
-        object.__setattr__(result, "_signed_body", LaurentPoly._make("z", {e: g for e, g in signed.items() if g}))
+    body = LaurentPoly._make("z", _terms(space, c, k, 1))
+    result = FPolynomial(p=p, prefactor_sign=-1 if c % 2 == 0 else 1, body=body)  # (-1)^(c+1)
     return _F_CACHE.setdefault(key, result)
+
+
+def _terms(space: LensSpace, c: int, k: int, sign: int) -> dict:
+    """sign (G_+ z^(e0+off) - G_- z^(e0-off)), f(p,q,c,k)'s body times sign, as terms
+    read from the Gauss table, each negated once at most, zero sums dropped."""
+    p, q, s = space.p, space.q, space.dedekind  # 12 p s is an integer, so the floor division is exact
+    e0 = 12 * p * s.numerator // s.denominator + q * (c * c + 2 * c)
+    a, b = q * k % p, q * c + q
+    gp, gm = _tabled_sum(p, a, (b + 1) % p), _tabled_sum(p, a, (b - 1) % p)
+    off = 2 * (c + 1)
+    terms = {e0 + off: gp, e0 - off: -gm} if sign == 1 else {e0 + off: -gp, e0 - off: gm}
+    if not off:  # c = -1: both sums at one exponent
+        terms = {e0: gp - gm if sign == 1 else gm - gp}
+    return {e: g for e, g in terms.items() if g}
 
 
 def f_link(space: LensSpace, element: SkeinElement, k: int) -> FPolynomial:

@@ -4,6 +4,7 @@ ordinary-lattice membership decision."""
 import functools
 import hashlib
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -198,8 +199,11 @@ refined = analysis._refined
 def all_rows_kernel(p, q):
     """The reference kernel: elimination over Q(xi_p)(z) on every row, with
     no image and no descent; computed once per (p, q) and shared.  With
-    every row selected, no row can refute it."""
-    return tuple(refined(term_rows(build_f_matrix(LensSpace(p, q))), range(p)))
+    every row selected, no row can refute it.  Its matrix is assembled from
+    f_poly, not read from the memo of build_f_matrix."""
+    space = LensSpace(p, q)
+    matrix = LaurentMatrix(tuple(tuple(f_poly(space, c, k).signed_body for c in range(p // 2 + 1)) for k in range(p)))
+    return tuple(refined(term_rows(matrix), range(p)))
 
 
 def term_rows(matrix):
@@ -216,9 +220,11 @@ def integral(rows):
 
 def refinements(monkeypatch):
     """Record, per call of analysis._refined, whether it ran on the descended
-    int rows."""
+    int rows; the f-matrices are built afresh, with no kernel basis that a
+    rank before the spy proved."""
     seen = []
     refine = analysis._refined
+    monkeypatch.setattr(analysis, "_F_MATRICES", {})
 
     def spy(rows, selection):
         seen.append(integral(rows))
@@ -273,10 +279,21 @@ class TestCertifiedPivots:
 
     @staticmethod
     def all_rows(monkeypatch, fn, *args):
-        # eliminate on every row: no image, so no full-column-rank shortcut
+        # eliminate on every row: no image, so no full-column-rank shortcut;
+        # fresh f-matrices, so no kernel basis that rank proved is read
+        ran = []
+
+        def slow(mat):
+            ran.append(mat)
+            return refined(term_rows(mat), range(mat.nrows))
+
         with monkeypatch.context() as m:
-            m.setattr(analysis, "_certified", lambda mat: refined(term_rows(mat), range(mat.nrows)))
-            return fn(*args)
+            m.setattr(analysis, "_certified", slow)
+            m.setattr(analysis, "_F_MATRICES", {})
+            try:
+                return fn(*args)
+            finally:
+                assert ran, "the all-rows elimination never ran"
 
     def test_rank_and_kernel_match_all_rows(self, monkeypatch):
         seen = refinements(monkeypatch)
@@ -626,6 +643,58 @@ class TestGaloisAction:
         self.check(build_f_matrix(LensSpace(p, q)))
 
 
+class TestFMatrixMemo:
+    """build_f_matrix returns one read-only _FMatrix per space, read from
+    the Gauss table through the term formula of f_poly; rank leaves its
+    proven kernel basis on it for kernel and recover_skein."""
+
+    @staticmethod
+    def check_entries(p, q):
+        space = LensSpace(p, q)
+        matrix = build_f_matrix(space)
+        assert (matrix.nrows, matrix.ncols) == (p, p // 2 + 1)
+        for k, row in enumerate(matrix.entries):
+            for c, entry in enumerate(row):
+                want = f_poly(space, c, k).signed_body
+                assert entry.var == want.var == "z", (p, q, c, k)
+                assert [(e, x, x.order) for e, x in entry.terms.items()] == [
+                    (e, x, x.order) for e, x in want.terms.items()
+                ], (p, q, c, k)
+        return p * matrix.ncols
+
+    def test_entries_are_the_signed_bodies(self):
+        count = sum(self.check_entries(p, q) for p in range(2, 31) for q in valid_qs(p))
+        count += sum(self.check_entries(p, q) for p, q in ((49, 3), (81, 43), (98, 25)))
+        assert count == 76724
+
+    def test_one_proof_per_space(self, monkeypatch):
+        # rank proves M's kernel; kernel and the ker M step of an
+        # incompatible recover read it: one _certified call on M in all
+        space, make = INCOMPATIBLE["row 1 + xi_9 at L(9,1)"]
+        polys = make(space)
+        calls = []
+        certify = analysis._certified
+        monkeypatch.setattr(analysis, "_certified", lambda matrix: calls.append(matrix) or certify(matrix))
+        matrix = build_f_matrix(space)
+        assert rank(matrix) == 4
+        assert tuple(kernel(space)) == all_rows_kernel(9, 1)
+        with pytest.raises(RankDeficient):
+            recover_skein(space, polys)
+        assert len(calls) == 1 and calls[0] is matrix
+
+    def test_memo_is_read_only(self):
+        space = LensSpace(9, 4)
+        matrix = build_f_matrix(space)
+        entries = repr(matrix)
+        assert build_f_matrix(LensSpace(9, 4)) is matrix
+        rank(matrix)
+        basis = kernel(space)
+        basis.append(None)  # the caller's list, not the carried basis
+        assert kernel(space) == [RationalFunctionVector(KERNEL_9_4)] and repr(matrix) == entries
+        copied = pickle.loads(pickle.dumps(matrix))
+        assert copied == matrix and not hasattr(copied, "_basis")
+
+
 def link_polys(space, seed):
     """The signed bodies f_link(J, k) of a seeded skein element J, k = 0..p-1."""
     element = random_skein(space.p, random.Random(seed), max_exp=1, bound=2)
@@ -694,7 +763,7 @@ class TestRightHandSideAction:
         seen = refinements(monkeypatch)
         with pytest.raises(RankDeficient):
             recover_skein(space, polys)
-        assert all(seen)
+        assert seen and all(seen)
 
     @pytest.mark.parametrize("p, q", COMPATIBLE_INCONSISTENT)
     def test_compatible_inconsistent_in_one_typed_call(self, monkeypatch, p, q):
@@ -747,8 +816,11 @@ class TestRowOrder:
     @staticmethod
     def shuffle(monkeypatch, seed, sort):
         """_descended returns its rows in a seeded shuffle.  Without sort,
-        _weight is constant, so _certified's stable sort keeps the shuffle."""
+        _weight is constant, so _certified's stable sort keeps the shuffle.
+        The f-matrices are built afresh, so that kernel reads no basis that
+        rank proved before the shuffle."""
         descend, rng = analysis._descended, random.Random(seed)
+        monkeypatch.setattr(analysis, "_F_MATRICES", {})
 
         def shuffled(rows, n):
             out = descend(rows, n)

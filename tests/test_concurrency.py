@@ -3,7 +3,11 @@ happens at most once per key."""
 
 import concurrent.futures
 import random
+import sys
+import threading
+import time
 
+from lenswrt import analysis
 from lenswrt.cyclotomic import CyclotomicNumber, root_of_unity
 from lenswrt.wrt import LensSpace, f_poly
 
@@ -39,6 +43,53 @@ def test_fpoly_cache_single_insertion():
     for snap in snapshots[1:]:
         for a, b in zip(first, snap):
             assert a is b  # every thread sees the same cached object
+
+
+def test_f_matrix_memo_single_insertion():
+    # eight threads build the same fresh spaces: one object per space, the
+    # one the memo holds
+    spaces = [(7, 3), (9, 1), (12, 5), (13, 2)]
+
+    def fetch(_):
+        return [analysis.build_f_matrix(LensSpace(p, q)) for p, q in spaces]
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+        snapshots = list(pool.map(fetch, range(12)))
+    assert sorted(analysis._F_MATRICES) == sorted(spaces)
+    for snap in snapshots:
+        for key, matrix in zip(spaces, snap):
+            assert matrix is analysis._F_MATRICES[key]
+
+
+def test_rank_keeps_the_first_basis(monkeypatch):
+    # eight threads rank one fresh f-matrix at once, switching as often as
+    # the interpreter allows, and rank's check for a kept basis sleeps
+    # before it answers: each thread reads back the basis kept on the
+    # matrix right after its own rank, and a second basis written over the
+    # first shows as a second object
+    def slow_hasattr(obj, name):
+        found = hasattr(obj, name)
+        time.sleep(0.001)
+        return found
+
+    monkeypatch.setattr(analysis, "hasattr", slow_hasattr, raising=False)
+    barrier = threading.Barrier(8)
+
+    def work(matrix):
+        barrier.wait(timeout=60)
+        analysis.rank(matrix)
+        return matrix._basis
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            for p, q in ((4, 1), (5, 2), (9, 1)):
+                matrix = analysis.build_f_matrix(LensSpace(p, q))
+                kept = list(pool.map(work, [matrix] * 8, timeout=60))
+                assert all(basis is kept[0] for basis in kept), (p, q)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_concurrent_arithmetic_is_pure():

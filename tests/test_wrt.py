@@ -1,6 +1,7 @@
 """The f-polynomial family, numeric invariants, and the independent oracle."""
 
 import ast
+import copy
 import math
 import pathlib
 import pickle
@@ -131,6 +132,17 @@ class TestFPolynomial:
         fp = f_poly(LensSpace(7, 3), 2, 1)  # its signed body is built and kept; a pickle keeps the fields
         copied = pickle.loads(pickle.dumps(fp))
         assert vars(copied) == vars(fp) and copied.signed_body == fp.signed_body
+
+    def test_signed_body_is_set_at_construction(self):
+        # a slot that __post_init__ fills for either sign, not a property
+        # filled on first use; a copy is rebuilt from the three fields
+        assert not isinstance(wrt.FPolynomial.__dict__["signed_body"], property)
+        body = LaurentPoly("z", {1: 1, 3: CyclotomicNumber(5, [0, 1, 0, 0])})
+        for sign in (1, -1):
+            fp = wrt.FPolynomial(p=5, prefactor_sign=sign, body=body)
+            assert fp.signed_body == (body if sign == 1 else -body)
+            for copied in (copy.copy(fp), copy.deepcopy(fp)):
+                assert vars(copied) == vars(fp) and copied.signed_body == fp.signed_body
 
     def test_cache_returns_identical_object(self):
         space = LensSpace(7, 2)
