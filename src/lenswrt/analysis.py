@@ -1,45 +1,25 @@
 """Exact linear algebra over Laurent polynomials and rational functions.
 
-Builds the f-matrix, one read-only object per space that keeps the kernel
-basis rank proves, computes its rank and kernel, and recovers skein
-coefficients from link polynomials.  It is read once, as rows of term dicts
-(exponent -> coefficient, one dict per column), each row times the lcm of
-its coefficient denominators, and one certified flow runs on such rows:
+Builds the f-matrix, one read-only object per space that keeps the first
+kernel basis proven on it, computes its rank and kernel, and recovers skein
+coefficients from link polynomials.  One certified flow (_certified) runs
+on rows of term dicts (exponent -> coefficient, one dict per column):
 
-- the rows: build_f_matrix's _FMatrix carries the Galois action in its
-  type (xi -> xi^u maps row k to row k/u and fixes z), so it trades its
-  rows for the descended ones: the power-basis coordinates of one row
-  per divisor of p, at most tau(p) phi(p) int rows over Z[z, 1/z],
-  sparsest first (Markowitz).  Any other LaurentMatrix keeps its own
-  rows, over Q(xi_p)(z);
-- one image test mod l (modular._image_pivot_rows): the pivot rows of
-  the rows' image in F_l, whose nonzero minor proves them independent;
-  when they number ncols less the zero columns (an odd color c when
-  p = 0 mod 4), the unit vectors e_c of those columns are the kernel;
-- one refinement loop: fraction-free (Bareiss) elimination on the
-  selected rows, then fraction-free back-substitution, with one exact
-  division (laurent.terms_divmod) for int and CyclotomicNumber terms.
-  With D the last pivot, each kernel vector has D at its free column;
-  then the proof, exact on every row the loop was given: a row that a
-  vector fails (one laurent.terms_mul per pair) joins the selection,
-  which is eliminated again.  A basis that every row annihilates, one
-  vector per free column, spans the kernel.
+- the rows: build_f_matrix's lazy _FMatrix (entries built when read) carries
+  the Galois action in its type, so the proof reads its descended rows
+  (_descended), int rows over Z[z, 1/z] read straight from the Gauss table
+  for its tau(p) rows d | p; any other LaurentMatrix gives its own rows;
+- one image test mod l (modular._image_pivot_rows), its pivot rows independent;
+- one refinement loop (_refined): fraction-free elimination on the selected
+  rows, then the exact proof on every row, which a refuting row joins.
 
 A solution of M x = b is the proven kernel vector (v, d) of [M | -b],
-x = v / d.  b comes from outside: [M | -b] is an _FMatrix only when b
-has M's action (_has_action), and then one proven kernel decides; else
-ker M (rank's, if kept) decides rank deficiency and plain [M | -b] the rest.
-
-Kernel vectors are normalized: common polynomial content removed, the
-highest-index nonzero component of valuation 0 and trailing coefficient
-1; a vector is proven before it is normalized, an int one (every
-descended one) in Z[z, 1/z] by a heuristic gcd proven by exact division
-(laurent.terms_gcd), any other by Euclid (laurent_gcd).  The module also
-produces the explicit nonsingular-submatrix certificates for p prime or
-twice an odd prime, their determinants computed in modular, with no
-arithmetic in Q(xi_p), and decides whether a rational-function skein
-class is a unit multiple of an ordinary one (integer coefficients in
-A = -z^p).
+x = v / d; [M | -b] is an _FMatrix when b has M's action (_has_action).
+Kernel vectors are proven, then normalized.  The module also produces the
+explicit nonsingular-submatrix certificates for p prime or twice an odd
+prime, their determinants computed in modular, with no arithmetic in
+Q(xi_p), and decides whether a rational-function skein class is a unit
+multiple of an ordinary one (integer coefficients in A = -z^p).
 """
 
 from __future__ import annotations
@@ -64,7 +44,7 @@ from .modular import _gauss_determinant, _image_pivot_rows
 from .numtheory import is_prime, mod_inverse
 from .record import record
 from .skein import SkeinElement
-from .wrt import LensSpace, _terms
+from .wrt import LensSpace, _gauss_terms, _terms
 
 
 @record
@@ -123,9 +103,9 @@ class RationalFunctionVector:
 
 
 class _FMatrix(LaurentMatrix):
-    """A matrix built by build_f_matrix: its type asserts that sigma_u, the
-    map xi_p -> xi_p^u fixing z, sends row k to row k/u for every unit u
-    mod p, sigma_u(M_k) = M_(k/u).
+    """M, the f-matrix of a space, or [M | -b] for a b with M's action: its
+    type asserts that sigma_u, the map xi_p -> xi_p^u fixing z, sends row k
+    to row k/u for every unit u mod p, sigma_u(M_k) = M_(k/u).
 
     Proof.  Entry (k, c) is +-(z^(e+2(c+1)) G(qk, b_+) - z^(e-2(c+1))
     G(qk, b_-)), b_+- = qc + q +- 1, with e and the sign set by c alone
@@ -136,42 +116,56 @@ class _FMatrix(LaurentMatrix):
     (k/u, c), and the monomials are fixed.  [M | -b] has the action iff b
     has it, sigma_u(b_k) = b_(k/u), which _has_action decides.
 
-    _basis, a slot outside the field, keeps the first kernel basis that rank
-    proves; kernel and recover_skein read it instead of proving M again.
+    It keeps its space and b; the first read of .entries, from any thread,
+    builds them (dict.setdefault keeps one tuple), for == and repr, and a
+    pickle carries space and b.  _basis keeps the first basis proven (_kept).
     """
 
-    __slots__ = ("_basis",)
+    __slots__ = ("_basis", "_space", "_rhs", "ncols")  # ncols: a slot in place of the entries' count
+
+    def __init__(self, space: LensSpace, rhs: tuple[LaurentPoly, ...] | None = None):
+        object.__setattr__(self, "_space", space)
+        object.__setattr__(self, "_rhs", rhs)
+        object.__setattr__(self, "ncols", space.p // 2 + 1 + (rhs is not None))
+        self.__post_init__()
 
     def __post_init__(self):
-        """Entries built or checked by the package are not validated again."""
+        """Entries built by the package are not validated."""
+
+    def __getattr__(self, name):
+        if name != "entries":
+            raise AttributeError(name)
+        space, rhs, cols = self._space, self._rhs, range(self._space.p // 2 + 1)
+        if rhs is not None:
+            entries = tuple(row + (-fp,) for row, fp in zip(build_f_matrix(space).entries, rhs))
+        else:  # entry (k, c) is (-1)^(c+1) times f(p,q,c,k)'s body
+            entries = tuple(tuple(LaurentPoly._make("z", _terms(space, c, k, -1 if c % 2 == 0 else 1)) for c in cols)
+                            for k in range(space.p))
+        return self.__dict__.setdefault("entries", entries)
+
+    def __eq__(self, other):
+        return self.entries == other.entries if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"_FMatrix(entries={self.entries!r})"
 
     def __reduce__(self):
-        return _FMatrix, (self.entries,)
+        return _FMatrix, (self._space, self._rhs)
 
 
 _F_MATRICES: dict[tuple[int, int], _FMatrix] = {}
-_KEEP = threading.Lock()  # rank's check-then-set of _basis
+_KEEP = threading.Lock()  # the check-then-set of _basis
 
 
 def build_f_matrix(space: LensSpace) -> LaurentMatrix:
-    """The p x ([p/2]+1) matrix of signed f-polynomial bodies, an _FMatrix.
+    """The p x ([p/2]+1) matrix of signed f-polynomial bodies, a lazy _FMatrix.
 
-    Entry (k, c) is (-1)^(c+1) body(p,q,c,k): the full polynomial divided
-    by the global scalar i/sqrt(2p), so rank and kernel coincide with
-    those of the actual f-matrix, read from the Gauss table by wrt._terms,
-    f_poly's term formula.  Every call for a space (p, q) returns the same
-    read-only object, from any thread: dict.setdefault keeps the first one.
+    Entry (k, c) is (-1)^(c+1) body(p,q,c,k), the full polynomial over the
+    scalar i/sqrt(2p), so rank and kernel are the f-matrix's.  The entries
+    are built on first read; the proof reads only the tau(p) rows d | p.
+    Every call for (p, q) returns the same object, from any thread.
     """
-    key = (space.p, space.q)
-    matrix = _F_MATRICES.get(key)
-    if matrix is None:
-        cols = range(space.p // 2 + 1)
-        entries = tuple(
-            tuple(LaurentPoly._make("z", _terms(space, c, k, -1 if c % 2 == 0 else 1)) for c in cols)
-            for k in range(space.p)
-        )
-        matrix = _F_MATRICES.setdefault(key, _FMatrix(entries))
-    return matrix
+    return _F_MATRICES.get((space.p, space.q)) or _F_MATRICES.setdefault((space.p, space.q), _FMatrix(space))
 
 
 # --- fraction-free elimination ------------------------------------------------
@@ -283,30 +277,33 @@ def _refined(rows, selection) -> list[RationalFunctionVector]:
             return basis
 
 
-def _descended(rows, n: int) -> list[list[dict]]:
-    """The descended rows: the power-basis coordinates in Z[xi_n] of row d
-    mod p, for each divisor d of p = len(rows) and integral rows whose
-    coefficient orders divide n, as int term dicts read from the numerators
-    lifted to order n.
+def _descended(matrix: _FMatrix) -> list[list[dict]]:
+    """The descended rows: the power-basis coordinates in Z[xi_p] of row d
+    times the lcm of b_d's denominators, for each divisor d of p, as int
+    term dicts read from the Gauss-table numerators (wrt._gauss_terms).
 
-    For rows with the action of _FMatrix they annihilate exactly the
-    rational vectors that all p rows do.  Each k is d u, d = gcd(k, p) and
-    u a unit mod p, so row k is sigma_(1/u) of row d, and sigma fixes a
-    vector v over Q(z): row k annihilates v iff row d does.  Row d times v
-    is sum_j s_j xi_n^j, s_j its j-th coordinate row times v, and the power
-    basis xi_n^j, j < phi(n), stays independent over Q(z) (Phi_n is
-    irreducible there): row d annihilates v iff every s_j is zero.
+    They annihilate exactly the rational vectors that all p rows do.  Each
+    k is d u, d = gcd(k, p) and u a unit mod p, so row k is sigma_(1/u) of
+    row d, and sigma fixes a vector v over Q(z): row k annihilates v iff
+    row d does.  Row d times v is sum_j s_j xi_p^j, s_j its j-th coordinate
+    row times v, and the xi_p^j, j < phi(p), stay independent over Q(z)
+    (Phi_p is irreducible there): row d annihilates v iff every s_j is 0.
     """
-    rational = []
-    for k in _divisor_rows(len(rows)):
+    space, rhs, ncols, descended = matrix._space, matrix._rhs, matrix.ncols, []
+    for d in _divisor_rows(space.p):
+        scale = 1 if rhs is None else math.lcm(*(x.denominator for x in rhs[d].terms.values()))
+        # (column, exponent, factor, numerator) of each term of row d, as entry (d, c) orders them
+        terms = [(c, e, (-1) ** (c + 1) * sign * scale, g._num)
+                 for c in range(space.p // 2 + 1) for sign, (e, g) in zip((1, -1), _gauss_terms(space, c, d))]
+        if rhs is not None:
+            terms += [(ncols - 1, e, 1, (x * -scale).lift(space.p)._num) for e, x in rhs[d].terms.items()]
         coords: dict[int, list[dict]] = {}
-        for col, entry in enumerate(rows[k]):
-            for e, c in entry.items():
-                for j, v in enumerate(c.lift(n)._num):
-                    if v:
-                        coords.setdefault(j, [{} for _ in rows[k]])[col][e] = v
-        rational.extend(coords[j] for j in sorted(coords))
-    return rational
+        for col, e, factor, num in terms:
+            for j, v in enumerate(num):
+                if v:
+                    coords.setdefault(j, [{} for _ in range(ncols)])[col][e] = factor * v
+        descended.extend(coords[j] for j in sorted(coords))
+    return descended
 
 
 def _divisor_rows(p: int) -> list[int]:
@@ -337,16 +334,14 @@ def _weight(row) -> tuple[int, int]:
 def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     """The normalized kernel basis, proven: the rank is ncols - len(basis).
 
-    Denominators are cleared first: in the pass that takes n, the lcm of
-    the coefficient orders, each row becomes term dicts times the lcm of
-    its coefficient denominators, which spans the same line.  An _FMatrix
-    then trades its rows for the descended ones, sparsest first (fewest
-    terms, then shortest largest coefficient) so that the image picks the
+    An _FMatrix gives its descended rows, sparsest first (fewest terms,
+    then shortest largest coefficient) so that the image picks the
     cheapest.  They annihilate the same rational vectors as M (_descended),
     and sigma_u maps ker M onto itself, so ker M has a basis over Q(z)
     (Speiser's lemma): a basis of their kernel over Q(z) is one of ker M.
     A column is zero in row k iff in row k/u, so they also have M's zero
-    columns.  Any other matrix keeps its own rows, over Q(xi_n)(z).
+    columns.  Any other matrix gives its rows over Q(xi_n)(z), n the lcm of
+    the coefficient orders, each times the lcm of its denominators.
 
     On those rows the image pivot rows are independent; when they number
     ncols less the zero columns, the e_c of the zero columns are the
@@ -354,14 +349,15 @@ def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     has one vector per free column of its echelon form, so it spans the
     kernel.  Row order never moves the proven, normalized basis.
     """
-    rows, n = [], 1
-    for row in matrix.entries:
-        coeffs = [c for entry in row for c in entry.terms.values()]
-        n = math.lcm(n, *(c.order for c in coeffs))
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        rows.append([{e: c * scale for e, c in entry.terms.items()} if scale != 1 else entry.terms for entry in row])
     if isinstance(matrix, _FMatrix):
-        rows = sorted(_descended(rows, n), key=_weight)
+        rows, n = sorted(_descended(matrix), key=_weight), matrix._space.p
+    else:
+        rows, n = [], 1
+        for row in matrix.entries:
+            coeffs = [c for entry in row for c in entry.terms.values()]
+            n = math.lcm(n, *(c.order for c in coeffs))
+            scale = math.lcm(*(c.denominator for c in coeffs))
+            rows.append([{e: c * scale for e, c in entry.terms.items()} if scale != 1 else entry.terms for entry in row])
     ncols = matrix.ncols
     zero = [c for c in range(ncols) if not any(row[c] for row in rows)]
     selection = _image_pivot_rows(rows, n)
@@ -371,27 +367,28 @@ def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     return _refined(rows, selection)
 
 
-def rank(matrix: LaurentMatrix) -> int:
-    """Exact rank over the rational-function field; see _FMatrix._basis."""
-    basis = _certified(matrix)
+def _kept(matrix: LaurentMatrix, basis):
+    """The first basis kept on an _FMatrix (check-then-set under _KEEP); any other matrix's basis."""
     if isinstance(matrix, _FMatrix):
         with _KEEP:
             if not hasattr(matrix, "_basis"):
                 object.__setattr__(matrix, "_basis", tuple(basis))
-    return matrix.ncols - len(basis)
-
-
-def _carried(matrix: LaurentMatrix):
-    """The proven kernel basis that rank left on the matrix, else _certified's."""
-    try:
         return matrix._basis
-    except AttributeError:
-        return _certified(matrix)
+    return basis
+
+
+def rank(matrix: LaurentMatrix) -> int:
+    """Exact rank over the rational-function field; its proof is kept (_kept)."""
+    return matrix.ncols - len(_kept(matrix, _certified(matrix)))
 
 
 def kernel(space: LensSpace) -> list[RationalFunctionVector]:
-    """Basis of { v : sum_c M[k][c] v_c = 0 for all k }, normalized."""
-    return list(_carried(build_f_matrix(space)))
+    """Basis of { v : sum_c M[k][c] v_c = 0 for all k }, normalized: the one kept, else proven and kept."""
+    matrix = build_f_matrix(space)
+    try:
+        return list(matrix._basis)
+    except AttributeError:
+        return list(_kept(matrix, _certified(matrix)))
 
 
 def _int_normalized(x: list[dict]) -> RationalFunctionVector | None:
@@ -524,7 +521,7 @@ def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
     [M | -b] decides: vectors with last component 0 span ker M and raise
     RankDeficient; no vector raises Inconsistent, as the kernel has a basis
     over Q(z), so none over Q(xi_p)(z) either; else its one vector (v, d)
-    gives x = v / d.  Otherwise ker M (the basis rank kept, if any) decides
+    gives x = v / d.  Otherwise ker M (the basis kept, if any) decides
     RankDeficient, and then the plain LaurentMatrix [M | -b] over Q(xi_p)(z).
     """
     p = space.p
@@ -537,12 +534,12 @@ def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
         if fp and fp.var != "z":
             raise ValueError(f"right-hand side entry {k} is in {fp.var}, not z")
     matrix = build_f_matrix(space)
-    augmented = tuple(row + (-fp,) for row, fp in zip(matrix.entries, fpolys))
     if isinstance(matrix, _FMatrix) and _has_action(fpolys, p):
-        basis = _certified(_FMatrix(augmented))
+        basis = _certified(_FMatrix(space, tuple(fpolys)))
         nullity = sum(1 for vec in basis if not vec.components[-1])
     else:
-        nullity = len(_carried(matrix))
+        nullity = len(kernel(space))
+        augmented = tuple(row + (-fp,) for row, fp in zip(matrix.entries, fpolys))
         basis = [] if nullity else _certified(LaurentMatrix(augmented))
     if nullity:
         raise RankDeficient(

@@ -110,17 +110,20 @@ def f_poly(space: LensSpace, c: int, k: int) -> FPolynomial:
     return _F_CACHE.setdefault(key, result)
 
 
-def _terms(space: LensSpace, c: int, k: int, sign: int) -> dict:
-    """sign (G_+ z^(e0+off) - G_- z^(e0-off)), f(p,q,c,k)'s body times sign, as terms
-    read from the Gauss table, each negated once at most, zero sums dropped."""
+def _gauss_terms(space: LensSpace, c: int, k: int) -> tuple:
+    """((e0 + off, G_+), (e0 - off, G_-)) of f(p,q,c,k)'s body G_+ z^(e0+off) - G_- z^(e0-off)."""
     p, q, s = space.p, space.q, space.dedekind  # 12 p s is an integer, so the floor division is exact
     e0 = 12 * p * s.numerator // s.denominator + q * (c * c + 2 * c)
-    a, b = q * k % p, q * c + q
-    gp, gm = _tabled_sum(p, a, (b + 1) % p), _tabled_sum(p, a, (b - 1) % p)
-    off = 2 * (c + 1)
-    terms = {e0 + off: gp, e0 - off: -gm} if sign == 1 else {e0 + off: -gp, e0 - off: gm}
-    if not off:  # c = -1: both sums at one exponent
-        terms = {e0: gp - gm if sign == 1 else gm - gp}
+    a, b, off = q * k % p, q * c + q, 2 * (c + 1)
+    return (e0 + off, _tabled_sum(p, a, (b + 1) % p)), (e0 - off, _tabled_sum(p, a, (b - 1) % p))
+
+
+def _terms(space: LensSpace, c: int, k: int, sign: int) -> dict:
+    """f(p,q,c,k)'s body times sign as terms, each sum negated once at most, zero sums dropped."""
+    (hi, gp), (lo, gm) = _gauss_terms(space, c, k)
+    terms = {hi: gp, lo: -gm} if sign == 1 else {hi: -gp, lo: gm}
+    if hi == lo:  # c = -1: both sums at one exponent
+        terms = {hi: gp - gm if sign == 1 else gm - gp}
     return {e: g for e, g in terms.items() if g}
 
 

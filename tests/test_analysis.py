@@ -12,7 +12,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from lenswrt import analysis, modular
+from lenswrt import analysis, modular, selftest
 from lenswrt.analysis import (
     LaurentMatrix,
     RationalFunctionVector,
@@ -339,12 +339,13 @@ class TestCertifiedPivots:
         rng = random.Random(31)
         for p in range(2, 31):
             for q in valid_qs(p)[:2]:
-                rows = term_rows(build_f_matrix(LensSpace(p, q)))
+                matrix = build_f_matrix(LensSpace(p, q))
+                rows = term_rows(matrix)
                 scaled = [[{e: c * Fraction(rng.randint(1, 6), rng.randint(1, 6)) for e, c in entry.items()}
                            for entry in row] for row in rows]
                 mixed = [[{e: c.lift(2 * p) if (k + e) % 2 else c for e, c in entry.items()} for entry in row]
                          for k, row in enumerate(scaled)]
-                for case, n in ((rows, p), (analysis._descended(rows, p), p), (scaled, p), (mixed, 2 * p)):
+                for case, n in ((rows, p), (analysis._descended(matrix), p), (scaled, p), (mixed, 2 * p)):
                     assert analysis._image_pivot_rows(case, n) == untabled_image_pivot_rows(case, n), (p, q, n)
 
     def test_recover_matches_all_rows(self, monkeypatch):
@@ -621,7 +622,7 @@ class TestGaloisAction:
                 for entry, image in zip(row, matrix.entries[k * inverse % p]):
                     assert {e: c.galois(g) for e, c in entry.terms.items()} == image.terms, (p, g, k)
         rows = term_rows(matrix)
-        descended = analysis._descended(rows, p)
+        descended = analysis._descended(matrix)
         cols = range(matrix.ncols)
         assert [c for c in cols if not any(row[c] for row in descended)] == [c for c in cols if not any(row[c] for row in rows)]
 
@@ -682,6 +683,18 @@ class TestFMatrixMemo:
             recover_skein(space, polys)
         assert len(calls) == 1 and calls[0] is matrix
 
+    def test_kernel_keeps_its_proof(self, monkeypatch):
+        # kernel keeps the basis it proves, as rank does: selftest criteria
+        # 8 and 9 read the kernels of L(9,1) and L(9,4) twice each and prove
+        # each once
+        calls = []
+        certify = analysis._certified
+        monkeypatch.setattr(analysis, "_certified", lambda matrix: calls.append(matrix) or certify(matrix))
+        for number in (8, 9):
+            ok, detail = next(fn for n, _, fn in selftest.CRITERIA if n == number)()
+            assert ok, detail
+        assert calls == [build_f_matrix(LensSpace(9, 1)), build_f_matrix(LensSpace(9, 4))]
+
     def test_memo_is_read_only(self):
         space = LensSpace(9, 4)
         matrix = build_f_matrix(space)
@@ -694,6 +707,25 @@ class TestFMatrixMemo:
         copied = pickle.loads(pickle.dumps(matrix))
         assert copied == matrix and not hasattr(copied, "_basis")
 
+
+    def test_lazy_matrix_is_a_record(self):
+        # == and repr read the entries, as a LaurentMatrix's do; a
+        # pickle carries the space and b, and its copy builds them afresh
+        space = LensSpace(10, 3)
+        polys = tuple(link_polys(space, 5))
+        matrix, augmented = build_f_matrix(space), analysis._FMatrix(space, polys)
+        for made, args in ((matrix, (space, None)), (augmented, (space, polys))):
+            assert "entries" not in vars(made) and made.__reduce__() == (analysis._FMatrix, args)
+            plain = LaurentMatrix(made.entries)
+            assert repr(made) == "_FMatrix" + repr(plain)[len("LaurentMatrix"):]
+            assert made != plain
+            for unhashable in (made, plain):  # LaurentPoly entries have no hash
+                with pytest.raises(TypeError):
+                    hash(unhashable)
+            copied = pickle.loads(pickle.dumps(made))
+            assert "entries" not in vars(copied) and copied == made
+        assert augmented.entries == tuple(row + (-fp,) for row, fp in zip(matrix.entries, polys))
+        assert augmented != matrix
 
 def link_polys(space, seed):
     """The signed bodies f_link(J, k) of a seeded skein element J, k = 0..p-1."""
@@ -795,6 +827,103 @@ class TestRightHandSideAction:
             TestGaloisAction.check(matrix)
 
 
+def entries_descended(matrix):
+    """The reference descent, from every row of the materialized entries:
+    each row times the lcm of its coefficient denominators, then the
+    power-basis coordinates of each divisor row d, lifted to n, the lcm of
+    all coefficient orders, which must be p."""
+    rows, n = [], 1
+    for row in matrix.entries:
+        coeffs = [c for entry in row for c in entry.terms.values()]
+        n = math.lcm(n, *(c.order for c in coeffs))
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        rows.append([{e: c * scale for e, c in entry.terms.items()} for entry in row])
+    assert n == len(rows)
+    descended = []
+    for k in analysis._divisor_rows(len(rows)):
+        coords = {}
+        for col, entry in enumerate(rows[k]):
+            for e, c in entry.items():
+                for j, v in enumerate(c.lift(n)._num):
+                    if v:
+                        coords.setdefault(j, [{} for _ in rows[k]])[col][e] = v
+        descended.extend(coords[j] for j in sorted(coords))
+    return descended
+
+
+def ordered(rows):
+    """Rows of term dicts as lists of (exponent, coefficient) lists, in order."""
+    return [[list(entry.items()) for entry in row] for row in rows]
+
+
+def scaled_first_column(space, ell):
+    """b_k = M[k][0] / ell: M's action, and a 1/ell denominator on every row."""
+    return [f_poly(space, 0, k).signed_body.scale(Fraction(1, ell)) for k in range(space.p)]
+
+
+class TestDivisorRows:
+    """An _FMatrix gives _certified the descended rows of its tau(p)
+    divisor rows, read from the Gauss table: the rows, in the order, that
+    the descent of all p materialized rows gives; rank, kernel and a
+    recover whose b has M's action never build the entries."""
+
+    @staticmethod
+    def check(matrix):
+        assert ordered(analysis._descended(matrix)) == ordered(entries_descended(matrix))
+
+    def test_every_space_up_to_30(self):
+        for p in range(2, 31):
+            for q in valid_qs(p):
+                self.check(analysis._FMatrix(LensSpace(p, q)))
+
+    @pytest.mark.parametrize("p, q", [(49, 3), (81, 43), (98, 25)])
+    def test_large_orders(self, p, q):
+        self.check(analysis._FMatrix(LensSpace(p, q)))
+
+    def test_right_hand_sides(self):
+        # rational, order-1 and zero coefficients in the -b column
+        for p in range(2, 31):
+            space = LensSpace(p, first_q(p) if p > 2 else 1)
+            ell = modular._modulus(p)[0]
+            for polys in (link_polys(space, p), only_z(p), [z({})] * p, scaled_first_column(space, ell)):
+                self.check(analysis._FMatrix(space, tuple(polys)))
+
+    @pytest.fixture
+    def unbuilt(self, monkeypatch):
+        """A read of an _FMatrix's entries fails the test; the test ends by
+        checking that no _FMatrix made meanwhile holds them."""
+        lazy = analysis._FMatrix.__getattr__
+
+        def guard(matrix, name):
+            if name == "entries":
+                raise AssertionError("the entries of an f-matrix were built")
+            return lazy(matrix, name)
+
+        made = []
+        monkeypatch.setattr(analysis._FMatrix, "__getattr__", guard)
+        monkeypatch.setattr(analysis._FMatrix, "__post_init__", lambda matrix: made.append(matrix))
+        return made
+
+    @pytest.mark.parametrize("p, q", [(9, 1), (12, 5), (13, 2), (14, 5), (15, 2), (16, 3)])
+    def test_rank_and_kernel_build_no_entries(self, unbuilt, p, q):
+        space = LensSpace(p, q)
+        assert rank(build_f_matrix(space)) + len(kernel(space)) == p // 2 + 1
+        assert rank(analysis._FMatrix(space)) == rank(build_f_matrix(space))
+        assert len(unbuilt) == 2 and not any("entries" in vars(matrix) for matrix in unbuilt)
+
+    @pytest.mark.parametrize("p, q", [(7, 3), (10, 3), (11, 1), (14, 5)])
+    def test_typed_recover_builds_no_entries(self, unbuilt, p, q):
+        space, ell = LensSpace(p, q), modular._modulus(p)[0]
+        element = random_skein(p, random.Random(p), max_exp=1, bound=2)
+        assert recover_skein(space, [f_link(space, element, k).signed_body for k in range(p)]).a_form == element
+        solution = recover_skein(space, scaled_first_column(space, ell)).z_components
+        assert solution == (RationalFunction(z({0: Fraction(1, ell)})),) + (RationalFunction(z({})),) * (p // 2)
+        assert outcome(recover_skein, space, only_z(p)) is Inconsistent
+        assert outcome(recover_skein, LensSpace(9, 1), [z({})] * 9) is RankDeficient
+        assert any(matrix.ncols == p // 2 + 2 for matrix in unbuilt)
+        assert not any("entries" in vars(matrix) for matrix in unbuilt)
+
+
 def basis_digest(basis) -> str:
     """SHA-256 of the basis reprs, as test_exact_answers_keep_their_digest
     hashes them: the large-order pins were recorded before the kernel
@@ -822,8 +951,8 @@ class TestRowOrder:
         descend, rng = analysis._descended, random.Random(seed)
         monkeypatch.setattr(analysis, "_F_MATRICES", {})
 
-        def shuffled(rows, n):
-            out = descend(rows, n)
+        def shuffled(matrix):
+            out = descend(matrix)
             rng.shuffle(out)
             return out
 
@@ -1383,6 +1512,7 @@ def euclid_only(monkeypatch) -> list:
 @pytest.mark.parametrize("p, q", [(9, 1), (16, 3), (21, 2)])
 def test_euclidean_normalization_keeps_the_kernel(monkeypatch, p, q):
     want = repr(kernel(LensSpace(p, q)))
+    analysis._F_MATRICES.clear()  # kernel keeps its basis: prove it again
     calls = euclid_only(monkeypatch)
     assert repr(kernel(LensSpace(p, q))) == want
     assert calls

@@ -92,6 +92,38 @@ def test_rank_keeps_the_first_basis(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+
+def test_entries_are_built_into_one_tuple(monkeypatch):
+    # eight threads read the entries of one fresh f-matrix, and of one
+    # fresh [M | -b], at once; every term read from the Gauss table yields
+    # the interpreter, so that the builds overlap: each thread gets the
+    # tuple that the matrix keeps
+    terms = analysis._terms
+
+    def slow_terms(*args):
+        time.sleep(0)
+        return terms(*args)
+
+    monkeypatch.setattr(analysis, "_terms", slow_terms)
+    barrier = threading.Barrier(8)
+
+    def work(matrix):
+        barrier.wait(timeout=60)
+        return matrix.entries
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            for p, q in ((5, 2), (9, 1), (12, 5)):
+                space = LensSpace(p, q)
+                rhs = tuple(f_poly(space, 0, k).signed_body for k in range(p))
+                for matrix in (analysis._FMatrix(space), analysis._FMatrix(space, rhs)):
+                    read = list(pool.map(work, [matrix] * 8, timeout=60))
+                    assert all(entries is matrix.entries for entries in read), (p, q, matrix.ncols)
+    finally:
+        sys.setswitchinterval(interval)
+
 def test_concurrent_arithmetic_is_pure():
     base = CyclotomicNumber(9, [1, 2, 0, -1, 0, 0, 3, 0, 0])
 
