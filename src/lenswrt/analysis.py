@@ -1,9 +1,10 @@
 """Exact linear algebra over Laurent polynomials and rational functions.
 
 Builds the f-matrix, one read-only object per space that keeps the first
-kernel basis proven on it, computes its rank and kernel, and recovers skein
-coefficients from link polynomials.  One certified flow (_certified) runs
-on rows of term dicts (exponent -> coefficient, one dict per column):
+kernel basis proven on it (_proof, which rank, kernel and recover_skein
+read), computes its rank and kernel, and recovers skein coefficients from
+link polynomials.  One certified flow (_certified) runs on rows of term
+dicts (exponent -> coefficient, one dict per column):
 
 - the rows: build_f_matrix's lazy _FMatrix (entries built when read) carries
   the Galois action in its type, so the proof reads its descended rows
@@ -13,8 +14,9 @@ on rows of term dicts (exponent -> coefficient, one dict per column):
 - one refinement loop (_refined): fraction-free elimination on the selected
   rows, then the exact proof on every row, which a refuting row joins.
 
-A solution of M x = b is the proven kernel vector (v, d) of [M | -b],
-x = v / d; [M | -b] is an _FMatrix when b has M's action (_has_action).
+M's proof decides rank deficiency; a solution of M x = b is then the
+proven kernel vector (v, d) of [M | -b], x = v / d, an _FMatrix when b has
+M's action (_has_action).
 Kernel vectors are proven, then normalized.  The module also produces the
 explicit nonsingular-submatrix certificates for p prime or twice an odd
 prime, their determinants computed in modular, with no arithmetic in
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from fractions import Fraction
 
 from .codec import coeff_terms_to_json
@@ -118,10 +119,11 @@ class _FMatrix(LaurentMatrix):
 
     It keeps its space and b; the first read of .entries, from any thread,
     builds them (dict.setdefault keeps one tuple), for == and repr, and a
-    pickle carries space and b.  _basis keeps the first basis proven (_kept).
+    pickle carries space and b.  _proof keeps the first kernel basis proven
+    on it the same way, under "_basis".
     """
 
-    __slots__ = ("_basis", "_space", "_rhs", "ncols")  # ncols: a slot in place of the entries' count
+    __slots__ = ("_space", "_rhs", "ncols")  # ncols: a slot in place of the entries' count
 
     def __init__(self, space: LensSpace, rhs: tuple[LaurentPoly, ...] | None = None):
         object.__setattr__(self, "_space", space)
@@ -154,7 +156,6 @@ class _FMatrix(LaurentMatrix):
 
 
 _F_MATRICES: dict[tuple[int, int], _FMatrix] = {}
-_KEEP = threading.Lock()  # the check-then-set of _basis
 
 
 def build_f_matrix(space: LensSpace) -> LaurentMatrix:
@@ -367,28 +368,25 @@ def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     return _refined(rows, selection)
 
 
-def _kept(matrix: LaurentMatrix, basis):
-    """The first basis kept on an _FMatrix (check-then-set under _KEEP); any other matrix's basis."""
-    if isinstance(matrix, _FMatrix):
-        with _KEEP:
-            if not hasattr(matrix, "_basis"):
-                object.__setattr__(matrix, "_basis", tuple(basis))
-        return matrix._basis
-    return basis
+def _proof(matrix: LaurentMatrix) -> tuple[RationalFunctionVector, ...]:
+    """The proven, normalized kernel basis (_certified).  An _FMatrix keeps
+    the first one proven on it, as it keeps its entries: racing proofs give
+    the same basis, and dict.setdefault keeps one tuple.  Any other matrix
+    is proven on every call."""
+    if not isinstance(matrix, _FMatrix):
+        return tuple(_certified(matrix))
+    basis = vars(matrix).get("_basis")
+    return basis if basis is not None else vars(matrix).setdefault("_basis", tuple(_certified(matrix)))
 
 
 def rank(matrix: LaurentMatrix) -> int:
-    """Exact rank over the rational-function field; its proof is kept (_kept)."""
-    return matrix.ncols - len(_kept(matrix, _certified(matrix)))
+    """Exact rank over the rational-function field: ncols less the nullity of its proof (_proof)."""
+    return matrix.ncols - len(_proof(matrix))
 
 
 def kernel(space: LensSpace) -> list[RationalFunctionVector]:
-    """Basis of { v : sum_c M[k][c] v_c = 0 for all k }, normalized: the one kept, else proven and kept."""
-    matrix = build_f_matrix(space)
-    try:
-        return list(matrix._basis)
-    except AttributeError:
-        return list(_kept(matrix, _certified(matrix)))
+    """Basis of { v : sum_c M[k][c] v_c = 0 for all k }, normalized and proven (_proof)."""
+    return list(_proof(build_f_matrix(space)))
 
 
 def _int_normalized(x: list[dict]) -> RationalFunctionVector | None:
@@ -516,13 +514,13 @@ def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
     """Solve sum_c M[k][c] x_c = fpolys[k] for all k (signed-body convention).
 
     fpolys must hold one Laurent polynomial in z per k = 0..p-1, in the
-    normalization of f_link(...).signed_body, checked here once.  When b =
-    fpolys has M's action (_has_action), the proven kernel of the _FMatrix
-    [M | -b] decides: vectors with last component 0 span ker M and raise
-    RankDeficient; no vector raises Inconsistent, as the kernel has a basis
-    over Q(z), so none over Q(xi_p)(z) either; else its one vector (v, d)
-    gives x = v / d.  Otherwise ker M (the basis kept, if any) decides
-    RankDeficient, and then the plain LaurentMatrix [M | -b] over Q(xi_p)(z).
+    normalization of f_link(...).signed_body, checked here once.  M's
+    proof (_proof, the basis kept on it, if any) decides RankDeficient,
+    whatever b = fpolys is.  Then M has full column rank, so ker [M | -b]
+    is at most a line, and no vector on it has last component 0: [M | -b]
+    is an _FMatrix when b has M's action (_has_action), else the plain
+    LaurentMatrix over Q(xi_p)(z).  No vector of its proven kernel raises
+    Inconsistent; else its one vector (v, d) gives x = v / d.
     """
     p = space.p
     fpolys = list(fpolys)
@@ -534,17 +532,15 @@ def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
         if fp and fp.var != "z":
             raise ValueError(f"right-hand side entry {k} is in {fp.var}, not z")
     matrix = build_f_matrix(space)
-    if isinstance(matrix, _FMatrix) and _has_action(fpolys, p):
-        basis = _certified(_FMatrix(space, tuple(fpolys)))
-        nullity = sum(1 for vec in basis if not vec.components[-1])
-    else:
-        nullity = len(kernel(space))
-        augmented = tuple(row + (-fp,) for row, fp in zip(matrix.entries, fpolys))
-        basis = [] if nullity else _certified(LaurentMatrix(augmented))
+    nullity = len(_proof(matrix))
     if nullity:
         raise RankDeficient(
             f"f-matrix of L({space.p},{space.q}) has rank {matrix.ncols - nullity} < {matrix.ncols}"
         )
+    if isinstance(matrix, _FMatrix) and _has_action(fpolys, p):
+        basis = _certified(_FMatrix(space, tuple(fpolys)))
+    else:
+        basis = _certified(LaurentMatrix(tuple(row + (-fp,) for row, fp in zip(matrix.entries, fpolys))))
     if not basis:
         raise Inconsistent("right-hand side is not in the column span")
     *num, den = basis[0]

@@ -110,6 +110,13 @@ class TestRank:
             assert r < 1 + p // 2
             assert r <= 1 + count_squares_mod(p)
 
+    def test_rank_is_the_number_of_squares(self):
+        # rank M(p,q) = #squares mod p, with equality, at all 277 spaces
+        # with p <= 30; criterion 6 checks only the paper's bound
+        ranks = {(p, q): rank(build_f_matrix(LensSpace(p, q))) for p in range(2, 31) for q in valid_qs(p)}
+        assert len(ranks) == 277
+        assert {key: r for key, r in ranks.items() if r != count_squares_mod(key[0])} == {}
+
     def test_order_nine(self):
         assert rank(build_f_matrix(LensSpace(9, 1))) == 4
         assert rank(build_f_matrix(LensSpace(9, 4))) == 4
@@ -397,8 +404,11 @@ class TestCertifiedPivots:
                 m.setattr(analysis, "_image_pivot_rows", drop_a_row)
                 calls.clear()
                 assert tuple(kernel(space)) == expected
-                assert rank(matrix) == matrix.ncols - len(expected)
-                # one image per query, of the descended int rows; M's own
+                # the memo's matrix keeps kernel's proof, so rank asks a
+                # fresh, unmemoized f-matrix, which it proves again
+                fresh = analysis._FMatrix(space)
+                assert rank(fresh) == fresh.ncols - len(expected)
+                # one image per proof, of the descended int rows; M's own
                 # cyclotomic rows are never imaged
                 assert len(calls) == 2
                 assert all(integral(rows) for rows in calls)
@@ -767,10 +777,9 @@ def only_z(p):
 
 
 class TestRightHandSideAction:
-    """recover_skein types [M | -b] as an _FMatrix exactly when b has M's
-    action (analysis._has_action): then one proven kernel decides all;
-    otherwise the typed M decides rank deficiency and the plain [M | -b]
-    the rest."""
+    """recover_skein asks M's proof whether M is rank deficient, whatever b
+    is; then it types [M | -b] as an _FMatrix exactly when b has M's action
+    (analysis._has_action), and otherwise the plain [M | -b] decides."""
 
     def test_link_invariants_have_the_action(self):
         for p in range(2, 31):
@@ -804,12 +813,51 @@ class TestRightHandSideAction:
         calls = []
         certify = analysis._certified
         with monkeypatch.context() as m:
-            m.setattr(analysis, "_certified", lambda matrix: calls.append(type(matrix)) or certify(matrix))
+            m.setattr(analysis, "_certified", lambda matrix: calls.append(matrix) or certify(matrix))
             with pytest.raises(Inconsistent):
                 recover_skein(space, polys)
-        assert calls == [analysis._FMatrix]
+        # M's proof, then one typed [M | -b]
+        matrix = build_f_matrix(space)
+        assert len(calls) == 2 and calls[0] is matrix
+        assert type(calls[1]) is analysis._FMatrix and calls[1].ncols == matrix.ncols + 1
         with pytest.raises(Inconsistent):
             TestCertifiedPivots.all_rows(monkeypatch, recover_skein, space, polys)
+
+    @pytest.mark.parametrize("p, q, r", [(9, 1, 4), (12, 5, 4)])
+    def test_proof_of_m_decides_rank_deficiency(self, monkeypatch, p, q, r):
+        # with or without M's action, b meets one rule: M's proof, one
+        # _certified call on M, raises RankDeficient, and no [M | -b] of
+        # either type is made
+        space = LensSpace(p, q)
+        compatible, incompatible = link_polys(space, 5), changed(space, 1, z({0: root_of_unity(p)}))
+        assert analysis._has_action(compatible, p) and not analysis._has_action(incompatible, p)
+        certify = analysis._certified
+        for polys in (compatible, incompatible):
+            calls, made = [], []
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "_F_MATRICES", {})
+                m.setattr(analysis, "_certified", lambda matrix: calls.append(matrix) or certify(matrix))
+                for cls in (LaurentMatrix, analysis._FMatrix):
+                    m.setattr(cls, "__post_init__", lambda matrix: made.append(matrix))
+                with pytest.raises(RankDeficient) as err:
+                    recover_skein(space, polys)
+                matrix = build_f_matrix(space)
+            assert str(err.value) == f"f-matrix of L({p},{q}) has rank {r} < {p // 2 + 1}"
+            assert len(calls) == 1 and calls[0] is matrix
+            assert len(made) == 1 and made[0] is matrix  # M alone: no [M | -b]
+
+    def test_queries_prove_m_once(self, monkeypatch):
+        # rank, kernel, rank again and a recover at a full-rank space read
+        # one proof of M; the recover proves only its [M | -b]
+        space = LensSpace(7, 3)
+        element = random_skein(7, random.Random(5), max_exp=1, bound=2)
+        calls = []
+        certify = analysis._certified
+        monkeypatch.setattr(analysis, "_certified", lambda matrix: calls.append(matrix) or certify(matrix))
+        matrix = build_f_matrix(space)
+        assert rank(matrix) == 4 and kernel(space) == [] and rank(matrix) == 4
+        assert recover_skein(space, link_polys(space, 5)).a_form == element
+        assert len(calls) == 2 and calls[0] is matrix and calls[1].ncols == matrix.ncols + 1
 
     def test_every_typed_matrix_has_the_action(self, monkeypatch):
         # every _FMatrix that the recovers above build, [M | -b] included,

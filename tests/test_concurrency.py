@@ -62,23 +62,31 @@ def test_f_matrix_memo_single_insertion():
 
 
 def test_rank_keeps_the_first_basis(monkeypatch):
-    # eight threads rank one fresh f-matrix at once, switching as often as
-    # the interpreter allows, and rank's check for a kept basis sleeps
-    # before it answers: each thread reads back the basis kept on the
-    # matrix right after its own rank, and a second basis written over the
-    # first shows as a second object
-    def slow_hasattr(obj, name):
-        found = hasattr(obj, name)
-        time.sleep(0.001)
-        return found
+    # eight threads rank or read the kernel of one fresh f-matrix at once,
+    # switching as often as the interpreter allows, and no proof answers
+    # before all eight have started theirs, so that every query proves:
+    # each thread reads back the basis kept on the matrix right after its
+    # own query, and a second basis written over the first shows as a
+    # second object
+    certify = analysis._certified
+    proving = threading.Barrier(8)
 
-    monkeypatch.setattr(analysis, "hasattr", slow_hasattr, raising=False)
+    def overlapping(matrix):
+        basis = certify(matrix)
+        proving.wait(timeout=60)
+        return basis
+
+    monkeypatch.setattr(analysis, "_certified", overlapping)
     barrier = threading.Barrier(8)
 
-    def work(matrix):
+    def work(query):
+        matrix, i = query
         barrier.wait(timeout=60)
-        analysis.rank(matrix)
-        return matrix._basis
+        if i % 2:
+            analysis.kernel(matrix._space)
+        else:
+            analysis.rank(matrix)
+        return vars(matrix)["_basis"]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -86,7 +94,7 @@ def test_rank_keeps_the_first_basis(monkeypatch):
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             for p, q in ((4, 1), (5, 2), (9, 1)):
                 matrix = analysis.build_f_matrix(LensSpace(p, q))
-                kept = list(pool.map(work, [matrix] * 8, timeout=60))
+                kept = list(pool.map(work, [(matrix, i) for i in range(8)], timeout=60))
                 assert all(basis is kept[0] for basis in kept), (p, q)
     finally:
         sys.setswitchinterval(interval)
