@@ -250,10 +250,12 @@ def _refined(rows, selection) -> list[RationalFunctionVector]:
     Each free column f gets the vector with v_f = D, the last pivot, and 0
     at the other free columns; its support is the pivots < f and f.  A row
     that a vector fails exactly is not in the selection's span: it joins
-    the selection, which is eliminated again.  The proof runs on the raw
-    back-substituted vector (scaling v moves neither M v = 0 nor the first
-    refuting row), so only a vector that passes pays the normalizing gcd:
-    over Z for an int vector (_int_normalized), else by Euclid.
+    the selection, which is eliminated again.  A free column zero in every
+    row gets e_f (_unit), proven by that scan, with no back-substitution.
+    The proof runs on the raw back-substituted vector (scaling v moves
+    neither M v = 0 nor the first refuting row), so only a vector that
+    passes pays the normalizing gcd: over Z for an int vector
+    (_int_normalized), else by Euclid.
     """
     ncols = len(rows[0]) if rows else 0
     while True:
@@ -264,6 +266,9 @@ def _refined(rows, selection) -> list[RationalFunctionVector]:
         basis = []
         for f in range(ncols):
             if f in pivot_cols:
+                continue
+            if not any(row[f] for row in rows):
+                basis.append(_unit(f, ncols))
                 continue
             x = [{}] * ncols
             x[f] = det
@@ -302,7 +307,7 @@ def _descended(matrix: _FMatrix) -> list[list[dict]]:
         for col, e, factor, num in terms:
             for j, v in enumerate(num):
                 if v:
-                    coords.setdefault(j, [{} for _ in range(ncols)])[col][e] = factor * v
+                    (coords.get(j) or coords.setdefault(j, [{} for _ in range(ncols)]))[col][e] = factor * v
         descended.extend(coords[j] for j in sorted(coords))
     return descended
 
@@ -341,8 +346,9 @@ def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     and sigma_u maps ker M onto itself, so ker M has a basis over Q(z)
     (Speiser's lemma): a basis of their kernel over Q(z) is one of ker M.
     A column is zero in row k iff in row k/u, so they also have M's zero
-    columns.  Any other matrix gives its rows over Q(xi_n)(z), n the lcm of
-    the coefficient orders, each times the lcm of its denominators.
+    columns, and they are int rows: n = 1, one image prime for all orders.
+    Any other matrix gives its rows over Q(xi_n)(z), n the lcm of the
+    coefficient orders, each times the lcm of its denominators.
 
     On those rows the image pivot rows are independent; when they number
     ncols less the zero columns, the e_c of the zero columns are the
@@ -351,7 +357,7 @@ def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     kernel.  Row order never moves the proven, normalized basis.
     """
     if isinstance(matrix, _FMatrix):
-        rows, n = sorted(_descended(matrix), key=_weight), matrix._space.p
+        rows, n = sorted(_descended(matrix), key=_weight), 1
     else:
         rows, n = [], 1
         for row in matrix.entries:
@@ -363,9 +369,13 @@ def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     zero = [c for c in range(ncols) if not any(row[c] for row in rows)]
     selection = _image_pivot_rows(rows, n)
     if len(selection) == ncols - len(zero):
-        one, nil = LaurentPoly.one("z"), LaurentPoly("z")
-        return [RationalFunctionVector(tuple(one if j == c else nil for j in range(ncols))) for c in zero]
+        return [_unit(c, ncols) for c in zero]
     return _refined(rows, selection)
+
+
+def _unit(c: int, ncols: int) -> RationalFunctionVector:
+    """e_c, the normalized kernel vector of a column that is zero in every row."""
+    return RationalFunctionVector(tuple(LaurentPoly("z", {0: 1} if j == c else {}) for j in range(ncols)))
 
 
 def _proof(matrix: LaurentMatrix) -> tuple[RationalFunctionVector, ...]:

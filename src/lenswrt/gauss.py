@@ -5,13 +5,14 @@ p, afresh on every call.  The f-polynomials (wrt._terms) and, through
 g_pm, the submatrix certificates build no GaussSumSpec and take each sum
 from _tabled_sum, one table keyed by (p, a mod p, b mod p), which that
 counter fills: the spaces of one order, and the colliding b's of one
-space, share each sum.  The table holds at most p^2 sums per order, and
-gauss_sum never reads or fills it.  gauss_closed_form evaluates
-the same sums through Jacobi-symbol formulas in the cases where such
-formulas exist (a multiple of p; p an odd prime; p twice an odd prime),
-expressed entirely inside Z[xi_p] by writing eps(p) sqrt(p) as the
-quadratic sum gauss_sum(p, 1, 0), summed directly once per odd prime p
-and cached.  For an odd prime p the closed form (a/p) xi_p^e Q is that
+space, share each sum.  A key with gcd(a, p) not dividing b holds 0
+uncounted (the proof is in modular._hadamard_square).  The table holds
+at most p^2 sums per order, and gauss_sum never reads or fills it.
+gauss_closed_form evaluates the same sums through Jacobi-symbol formulas
+in the cases where such formulas exist (a multiple of p; p an odd prime;
+p twice an odd prime), expressed entirely inside Z[xi_p] by writing
+eps(p) sqrt(p) as the quadratic sum gauss_sum(p, 1, 0), summed directly
+once per odd prime p and cached.  For an odd prime p the closed form (a/p) xi_p^e Q is that
 sum's numerator rotated by e places and signed, reduced once modulo Phi_p.
 """
 
@@ -54,8 +55,11 @@ def _counted_sum(p: int, a: int, b: int) -> CyclotomicNumber:
     return _make(p, _reduce(p, counts), 1)
 
 
-# the Gauss table: (p, a mod p, b mod p) -> the counted sum
-_tabled_sum = functools.lru_cache(maxsize=None)(_counted_sum)
+@functools.lru_cache(maxsize=None)
+def _tabled_sum(p: int, a: int, b: int) -> CyclotomicNumber:
+    """The Gauss table, (p, a mod p, b mod p) -> G(a, b; p): 0 unless
+    gcd(a, p) | b (proved in modular._hadamard_square), else the counted sum."""
+    return _counted_sum(p, a, b) if b % math.gcd(a, p) == 0 else CyclotomicNumber.zero(p)
 
 
 def g_pm(p: int, q: int, c: int, k: int, sign: int) -> CyclotomicNumber:

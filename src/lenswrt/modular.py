@@ -5,8 +5,9 @@ Z[xi_n] to F_l: the image of the conjugate sigma_u.  Both uses of the
 images eliminate mod l through one routine, _echelon_mod:
 
 - the image test of analysis: with z -> a fixed point t as well, the
-  pivot rows of the f-matrix's image are exactly independent (a nonzero
-  r x r image minor proves rank >= r);
+  pivot rows of the image are exactly independent (a nonzero r x r image
+  minor proves rank >= r); the f-matrix's descended rows are int rows,
+  so n = 1 and one prime serves every order;
 - the certificate determinants: a Vandermonde solve on the determinants
   of the images gives the power-basis coordinates mod l, and CRT up to a
   bound proven from |G(a, b; p)|^2 <= 2p gcd(a, p) gives them over Z.
@@ -40,10 +41,12 @@ def _modulus(n: int, index: int = 0) -> tuple[int, int, int]:
 
 
 def _image_pivot_rows(rows, n: int) -> list[int]:
-    """Indices of the pivot rows of the image in F_l of rows of term dicts
-    whose coefficient orders divide n: integral rows, as analysis._certified
-    clears them (image_mod inverts a denominator prime to l).  The images
-    of xi_order (omega^(n/order)) and of z^e (t^e) are tabled for this call.
+    """Indices of the pivot rows of the image in F_l, l from _modulus(n), of
+    rows of term dicts whose coefficient orders divide n: integral rows, as
+    analysis._certified clears them (image_mod inverts a denominator prime
+    to l).  Int rows take n = 1: any prime works, and the one search is
+    cached.  The images of xi_order (omega^(n/order)) and of z^e (t^e) are
+    tabled for this call.
     """
     ell, omega, t = _modulus(n)
     roots: dict[int, int] = {}  # order -> omega^(n/order)

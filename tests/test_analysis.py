@@ -448,6 +448,38 @@ class TestCertifiedPivots:
                         else:
                             assert recover_skein(space, polys).z_components == solution.z_components
 
+    @pytest.mark.parametrize("p, q", [(12, 5), (16, 3), (20, 3)])
+    def test_zero_columns_skip_the_elimination(self, monkeypatch, p, q):
+        # a free column that is zero in every row gets e_f, proven by that
+        # scan; only the other free columns are back-substituted
+        space, expected = LensSpace(p, q), all_rows_kernel(p, q)
+        rows = analysis._descended(analysis._FMatrix(space))
+        zero = {c for c in range(p // 2 + 1) if not any(row[c] for row in rows)}
+        solved = []  # the free column of each back-substituted vector: x arrives with D there alone
+        substitute, find = analysis._back_substitute, analysis._image_pivot_rows
+        monkeypatch.setattr(analysis, "_back_substitute",
+                            lambda rows, pivots, x: solved.append(next(c for c, t in enumerate(x) if t))
+                            or substitute(rows, pivots, x))
+        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda rows, n: find(rows, n)[:-1])
+        monkeypatch.setattr(analysis, "_F_MATRICES", {})
+        assert tuple(kernel(space)) == expected
+        assert zero and solved and not zero & set(solved), (zero, solved)
+
+    def test_one_image_prime_for_every_order(self, monkeypatch):
+        # the descended rows are int, so every order's image is taken mod
+        # the one prime of _modulus(1)
+        searched = []
+        find = modular._modulus
+        monkeypatch.setattr(modular, "_modulus", lambda n, index=0: searched.append(n) or find(n, index))
+        monkeypatch.setattr(analysis, "_F_MATRICES", {})
+        for p in range(7, 31):
+            space = LensSpace(p, first_q(p))
+            assert rank(analysis._FMatrix(space)) + len(kernel(space)) == p // 2 + 1, p
+            element = random_skein(p, random.Random(p), max_exp=1, bound=2)
+            solution = outcome(recover_skein, space, [f_link(space, element, k).signed_body for k in range(p)])
+            assert solution is RankDeficient if kernel(space) else solution.a_form == element, p
+        assert searched and set(searched) == {1}
+
     def test_inconsistent_on_any_selection(self, monkeypatch):
         # with every row selected the contradiction is a pivot in the last
         # column; with the image pivots it is a row the solution fails
@@ -932,7 +964,7 @@ class TestDivisorRows:
         # rational, order-1 and zero coefficients in the -b column
         for p in range(2, 31):
             space = LensSpace(p, first_q(p) if p > 2 else 1)
-            ell = modular._modulus(p)[0]
+            ell = modular._modulus(1)[0]
             for polys in (link_polys(space, p), only_z(p), [z({})] * p, scaled_first_column(space, ell)):
                 self.check(analysis._FMatrix(space, tuple(polys)))
 
@@ -961,7 +993,7 @@ class TestDivisorRows:
 
     @pytest.mark.parametrize("p, q", [(7, 3), (10, 3), (11, 1), (14, 5)])
     def test_typed_recover_builds_no_entries(self, unbuilt, p, q):
-        space, ell = LensSpace(p, q), modular._modulus(p)[0]
+        space, ell = LensSpace(p, q), modular._modulus(1)[0]
         element = random_skein(p, random.Random(p), max_exp=1, bound=2)
         assert recover_skein(space, [f_link(space, element, k).signed_body for k in range(p)]).a_form == element
         solution = recover_skein(space, scaled_first_column(space, ell)).z_components
@@ -981,6 +1013,23 @@ def basis_digest(basis) -> str:
 
 def first_q(p):
     return next(q for q in valid_qs(p) if q >= 2)
+
+
+class TestMirror:
+    """L(p, p - q) mirrors L(p, q): s(-q, p) = -s(q, p) gives M(p, p - q)[k][c]
+    = -z^(p(c^2 + 2c)) sigma_-1(M(p, q)[k][c])(1/z), so a rational v in
+    ker M(p, q) gives w_c = z^(-p(c^2 + 2c)) v_c(1/z) in ker M(p, p - q).
+    The two kernels come from two separate eliminations."""
+
+    def test_mirrored_kernels_match(self):
+        for p in range(2, 31):
+            for q in valid_qs(p):
+                basis, mirror = kernel(LensSpace(p, q)), LensSpace(p, p - q)
+                assert len(basis) == len(kernel(mirror)), (p, q)
+                for v in basis:
+                    w = RationalFunctionVector(tuple(z({-e - p * (c * c + 2 * c): x for e, x in v_c.terms.items()})
+                                                     for c, v_c in enumerate(v)))
+                    assert annihilates(build_f_matrix(mirror), w), (p, q, v)
 
 
 class TestRowOrder:
@@ -1294,7 +1343,7 @@ class TestRecoverSkein:
         # 1/l has no image mod l, the prime of the pivot-row image; each row
         # is mapped only after its denominators are cleared
         space = LensSpace(5, 2)
-        ell = modular._modulus(5)[0]
+        ell = modular._modulus(1)[0]
         polys = [row[0].scale(Fraction(1, ell)) for row in build_f_matrix(space).entries]
         result = recover_skein(space, polys)
         assert result.z_components == (RationalFunction(z({0: Fraction(1, ell)})), RationalFunction(z({})),
@@ -1305,7 +1354,7 @@ class TestRecoverSkein:
         # _certified clears each row's denominators once: the image of the
         # 1/l right-hand side sees integral coefficients only
         space = LensSpace(5, 2)
-        ell = modular._modulus(5)[0]
+        ell = modular._modulus(1)[0]
         polys = [row[0].scale(Fraction(1, ell)) for row in build_f_matrix(space).entries]
         denominators = set()
         find = analysis._image_pivot_rows

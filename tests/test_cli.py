@@ -171,7 +171,7 @@ class TestRecoverCommand:
     def test_denominator_divisible_by_the_image_prime(self, capsys, tmp_path):
         # C_0 = 1/l, l the prime of the pivot-row image: a valid file
         space = LensSpace(5, 2)
-        ell = modular._modulus(5)[0]
+        ell = modular._modulus(1)[0]
         fpolys = [poly_to_json(f_poly(space, 0, k).signed_body.scale(Fraction(1, ell))) for k in range(5)]
         path = tmp_path / "samples.json"
         path.write_text(json.dumps({"p": 5, "q": 2, "fpolys": fpolys}))

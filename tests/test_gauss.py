@@ -4,11 +4,12 @@ import math
 
 import pytest
 
-from lenswrt import modular
+from lenswrt import gauss, modular
 from lenswrt.cyclotomic import root_of_unity
 from lenswrt.errors import UnsupportedCase
 from lenswrt.gauss import (
     GaussSumSpec,
+    _counted_sum,
     _odd_prime_closed_form,
     _quadratic_sum,
     _tabled_sum,
@@ -94,6 +95,24 @@ class TestSumTable:
                                 expected = fresh[a % p, b % p] = gauss_sum(GaussSumSpec(p, a, b))
                             got = g_pm(p, q, c, k, sign)
                             assert got == expected and got.order == p, (p, q, c, k, sign)
+
+    def test_table_equals_the_count_at_every_key(self):
+        # the zero rule, G(a, b; p) = 0 unless gcd(a, p) | b, at every key
+        for p in range(2, 41):
+            for a in range(p):
+                for b in range(p):
+                    got = _tabled_sum(p, a, b)
+                    assert got == _counted_sum(p, a, b) and got.order == p, (p, a, b)
+
+    def test_only_the_reference_counts_a_vanishing_key(self, monkeypatch):
+        # gcd(2, 12) = 2 does not divide 1: the table answers 0 uncounted,
+        # gauss_sum still counts it; a key with g | b is counted by both
+        counted = []
+        count = gauss._counted_sum
+        monkeypatch.setattr(gauss, "_counted_sum", lambda p, a, b: counted.append((p, a, b)) or count(p, a, b))
+        assert _tabled_sum.__wrapped__(12, 2, 1).is_zero() and counted == []
+        assert gauss_sum(GaussSumSpec(12, 2, 1)).is_zero() and counted == [(12, 2, 1)]
+        assert _tabled_sum.__wrapped__(12, 2, 4) == count(12, 2, 4) and counted[-1] == (12, 2, 4)
 
     def test_one_entry_per_reduced_spec(self):
         # colors c and c + p, and spaces q and q + p, share one sum

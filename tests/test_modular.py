@@ -114,21 +114,24 @@ def test_pivot_rows_are_the_first_nonzero_rows():
 
 def test_every_elimination_mod_l_is_echelon_mod(monkeypatch):
     # the image test of rank, kernel and recover_skein and the certificate
-    # determinants all eliminate mod l through the one routine
+    # determinants all eliminate mod l through the one routine: the image
+    # of the integer descended rows mod the one prime _modulus(1), the
+    # determinants mod primes l = 1 (mod 5), which need omega of order 5
     calls = []
     echelon = modular._echelon_mod
     monkeypatch.setattr(modular, "_echelon_mod", lambda rows, ell: calls.append(ell) or echelon(rows, ell))
     space = LensSpace(5, 2)
-    for name, run in (
-        ("rank", lambda: rank(build_f_matrix(space))),
-        ("kernel", lambda: kernel(space)),
-        ("recover_skein", lambda: recover_skein(space, [LaurentPoly("z")] * 5)),
-        ("fullrank_submatrix", lambda: fullrank_submatrix(space)),
+    image, certificate = {modular._modulus(1)[0]}, {modular._modulus(5, index)[0] for index in range(4)}
+    for name, run, allowed in (
+        ("rank", lambda: rank(build_f_matrix(space)), image),
+        ("kernel", lambda: kernel(space), image),
+        ("recover_skein", lambda: recover_skein(space, [LaurentPoly("z")] * 5), image),
+        ("fullrank_submatrix", lambda: fullrank_submatrix(space), certificate),
     ):
         calls.clear()
         analysis._F_MATRICES.clear()  # else kernel reads the basis that rank proved
         run()
-        assert calls and set(calls) <= {modular._modulus(5, index)[0] for index in range(4)}, name
+        assert calls and set(calls) <= allowed, name
 
 
 def test_vandermonde_solve_recovers_the_coefficients():
