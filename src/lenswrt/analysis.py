@@ -42,7 +42,7 @@ from .errors import (
 from .gauss import g_pm
 from .laurent import LaurentPoly, RationalFunction, laurent_gcd, terms_divexact, terms_gcd, terms_mul
 from .modular import _gauss_determinant, _image_pivot_rows
-from .numtheory import is_prime, mod_inverse
+from .numtheory import count_squares_mod, is_prime, mod_inverse
 from .record import record
 from .skein import SkeinElement
 from .wrt import LensSpace, _gauss_terms, _terms
@@ -337,17 +337,43 @@ def _weight(row) -> tuple[int, int]:
     return sum(map(len, row)), max(abs(v).bit_length() for entry in row for v in entry.values())
 
 
+# (M, its descended rows) of the last rank that left M's rows to refine:
+# the kernel that follows reads them, and _proof lets them go
+_CARRIED: tuple = (None, None)
+
+
+def _imaged(matrix: _FMatrix) -> tuple[list | None, list[int], list[int]]:
+    """(rows, selection, zero) of an _FMatrix: its descended rows, sparsest
+    first (fewest terms, then shortest largest coefficient) so that the
+    image picks the cheapest, the pivot rows of their image mod l, and
+    their zero columns.  The selection and the zero columns are kept on
+    the matrix (dict.setdefault, as _proof keeps the basis), so each
+    f-matrix is imaged once; on M the image stops at min(ncols - #zero,
+    count_squares_mod(p)) pivots, the most it can have (rank).  rows are
+    those just built or carried for this matrix (_CARRIED), else None.
+    """
+    kept = vars(matrix).get("_image")
+    if kept is not None:
+        carried, rows = _CARRIED
+        return (rows if carried is matrix else None), *kept
+    rows, ncols = sorted(_descended(matrix), key=_weight), matrix.ncols
+    zero = [c for c in range(ncols) if not any(row[c] for row in rows)]
+    stop = ncols if matrix._rhs is not None else min(ncols - len(zero), count_squares_mod(matrix._space.p))
+    selection = _image_pivot_rows(rows, 1, stop if stop < ncols else None)
+    return rows, *vars(matrix).setdefault("_image", (selection, zero))
+
+
 def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     """The normalized kernel basis, proven: the rank is ncols - len(basis).
 
-    An _FMatrix gives its descended rows, sparsest first (fewest terms,
-    then shortest largest coefficient) so that the image picks the
-    cheapest.  They annihilate the same rational vectors as M (_descended),
-    and sigma_u maps ker M onto itself, so ker M has a basis over Q(z)
+    An _FMatrix gives its descended rows and their kept image (_imaged).
+    They annihilate the same rational vectors as M (_descended), and
+    sigma_u maps ker M onto itself, so ker M has a basis over Q(z)
     (Speiser's lemma): a basis of their kernel over Q(z) is one of ker M.
     A column is zero in row k iff in row k/u, so they also have M's zero
     columns, and they are int rows: n = 1, one image prime for all orders.
-    Any other matrix gives its rows over Q(xi_n)(z), n the lcm of the
+    Rows that are not carried are built again, never imaged again.  Any
+    other matrix gives its rows over Q(xi_n)(z), n the lcm of the
     coefficient orders, each times the lcm of its denominators.
 
     On those rows the image pivot rows are independent; when they number
@@ -356,8 +382,9 @@ def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     has one vector per free column of its echelon form, so it spans the
     kernel.  Row order never moves the proven, normalized basis.
     """
+    ncols = matrix.ncols
     if isinstance(matrix, _FMatrix):
-        rows, n = sorted(_descended(matrix), key=_weight), 1
+        rows, selection, zero = _imaged(matrix)
     else:
         rows, n = [], 1
         for row in matrix.entries:
@@ -365,12 +392,11 @@ def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
             n = math.lcm(n, *(c.order for c in coeffs))
             scale = math.lcm(*(c.denominator for c in coeffs))
             rows.append([{e: c * scale for e, c in entry.terms.items()} if scale != 1 else entry.terms for entry in row])
-    ncols = matrix.ncols
-    zero = [c for c in range(ncols) if not any(row[c] for row in rows)]
-    selection = _image_pivot_rows(rows, n)
+        zero = [c for c in range(ncols) if not any(row[c] for row in rows)]
+        selection = _image_pivot_rows(rows, n)
     if len(selection) == ncols - len(zero):
         return [_unit(c, ncols) for c in zero]
-    return _refined(rows, selection)
+    return _refined(rows if rows is not None else sorted(_descended(matrix), key=_weight), selection)
 
 
 def _unit(c: int, ncols: int) -> RationalFunctionVector:
@@ -381,16 +407,53 @@ def _unit(c: int, ncols: int) -> RationalFunctionVector:
 def _proof(matrix: LaurentMatrix) -> tuple[RationalFunctionVector, ...]:
     """The proven, normalized kernel basis (_certified).  An _FMatrix keeps
     the first one proven on it, as it keeps its entries: racing proofs give
-    the same basis, and dict.setdefault keeps one tuple.  Any other matrix
-    is proven on every call."""
+    the same basis, and dict.setdefault keeps one tuple; _CARRIED then lets
+    its rows go (a race can only drop another matrix's rows, built again
+    when needed).  Any other matrix is proven on every call."""
+    global _CARRIED
     if not isinstance(matrix, _FMatrix):
         return tuple(_certified(matrix))
     basis = vars(matrix).get("_basis")
-    return basis if basis is not None else vars(matrix).setdefault("_basis", tuple(_certified(matrix)))
+    if basis is None:
+        basis = vars(matrix).setdefault("_basis", tuple(_certified(matrix)))
+        if _CARRIED[0] is matrix:
+            _CARRIED = (None, None)
+    return basis
 
 
 def rank(matrix: LaurentMatrix) -> int:
-    """Exact rank over the rational-function field: ncols less the nullity of its proof (_proof)."""
+    """Exact rank over the rational-function field.
+
+    Lemma: rank M <= count_squares_mod(p) for the f-matrix M of L(p, q).
+    Proof.  By wrt._terms, entry (k, c) is s_c z^(e0(c) - 2(c+1))
+    (G(qk, b_c + 1) z^(4(c+1)) - G(qk, b_c - 1)), b_c = q(c+1), where
+    s_c = (-1)^(c+1) and e0(c) = 12 p s(q, p) + q(c^2 + 2c) depend on c
+    alone and G(a, b) = sum_(n mod p) xi_p^(a n^2 + b n).  So M = P Gamma E D:
+    P picks row qk of Gamma[a, b] = G(a, b) for row k; column c of E, p x
+    ([p/2] + 1), is z^(4(c+1)) at row b_c + 1 less 1 at row b_c - 1; D is
+    the diagonal of the s_c z^(e0(c) - 2(c+1)).  Sorting the terms of G by
+    s = n^2 mod p gives Gamma = W Q F with W[a, s] = xi_p^(as), Q[s, n] =
+    [n^2 = s mod p] and F[n, b] = xi_p^(nb): W and F are Vandermonde on the
+    p distinct p-th roots of unity, so invertible, and the nonzero rows of
+    Q are distinct unit-vector sums with disjoint supports, one per square:
+    rank M <= rank Gamma = rank Q = count_squares_mod(p).
+
+    A nonzero r x r minor of an image mod l of M's descended rows (their
+    rank is M's, _certified) proves rank M >= r.  So when M's image
+    (_imaged) reaches the bound below ncols less the zero columns, the
+    rank is the bound, with no elimination over Z[z], and the rows wait in
+    _CARRIED for a kernel.  Otherwise, and on any other matrix, the rank
+    is ncols less the nullity of the proof (_proof), which refines a
+    selection short of the bound.
+    """
+    global _CARRIED
+    if isinstance(matrix, _FMatrix) and matrix._rhs is None:
+        rows, selection, zero = _imaged(matrix)
+        bound, independent = count_squares_mod(matrix._space.p), matrix.ncols - len(zero)
+        if rows is not None and len(selection) < independent:
+            _CARRIED = (matrix, rows)
+        if len(selection) == bound < independent:
+            return bound
     return matrix.ncols - len(_proof(matrix))
 
 

@@ -7,7 +7,11 @@ images eliminate mod l through one routine, _echelon_mod:
 - the image test of analysis: with z -> a fixed point t as well, the
   pivot rows of the image are exactly independent (a nonzero r x r image
   minor proves rank >= r); the f-matrix's descended rows are int rows,
-  so n = 1 and one prime serves every order;
+  so n = 1 and one prime serves every order.  The image is made row by
+  row and stops at a target: for an f-matrix the rank bound
+  count_squares_mod(p) that analysis.rank proves, so a deficient rank
+  is the bound and a minor that reaches it, with no elimination over
+  Z[z];
 - the certificate determinants: a Vandermonde solve on the determinants
   of the images gives the power-basis coordinates mod l, and CRT up to a
   bound proven from |G(a, b; p)|^2 <= 2p gcd(a, p) gives them over Z.
@@ -40,13 +44,15 @@ def _modulus(n: int, index: int = 0) -> tuple[int, int, int]:
     return ell, omega, t
 
 
-def _image_pivot_rows(rows, n: int) -> list[int]:
+def _image_pivot_rows(rows, n: int, stop: int | None = None) -> list[int]:
     """Indices of the pivot rows of the image in F_l, l from _modulus(n), of
     rows of term dicts whose coefficient orders divide n: integral rows, as
     analysis._certified clears them (image_mod inverts a denominator prime
     to l).  Int rows take n = 1: any prime works, and the one search is
     cached.  The images of xi_order (omega^(n/order)) and of z^e (t^e) are
-    tabled for this call.
+    tabled for this call.  Each row is imaged when _echelon_mod reaches it,
+    and the elimination ends at stop pivots when stop is given: the rows
+    after that are never imaged.
     """
     ell, omega, t = _modulus(n)
     roots: dict[int, int] = {}  # order -> omega^(n/order)
@@ -64,7 +70,8 @@ def _image_pivot_rows(rows, n: int) -> list[int]:
             values.append(total % ell)
         return values
 
-    return sorted(_echelon_mod([image(row) for row in rows], ell)[0])
+    images = map(image, rows)
+    return sorted((_echelon_mod(images, ell) if stop is None else _echelon_mod(images, ell, stop))[0])
 
 
 def _hadamard_square(p: int, row_a: list[int], width: int) -> int:
@@ -145,34 +152,47 @@ def _sum_table(p: int, ell: int, omega: int) -> list[list[int]]:
     return table
 
 
-def _echelon_mod(rows: list[list[int]], ell: int) -> tuple[list[int], int]:
-    """(pivot_rows, det): Gaussian elimination mod ell of int rows.
+def _echelon_mod(rows, ell: int, stop: int | None = None) -> tuple[list[int], int]:
+    """(pivot_rows, det): Gaussian elimination mod ell of int rows, one row
+    at a time, until the rows run out, every column has a pivot or there
+    are stop pivots.  rows may be any iterable: a row never reached is
+    never made.
 
-    Column by column, the pivot is the first remaining row, in input order,
-    nonzero mod ell there; pivot_rows lists the input indices of the pivots
-    in column order.  det is the determinant of a square input: 0 when a
-    column has no pivot, and the elimination goes on to the later columns'
-    pivots.  Each step drops the pivot row and column; only the pivot row
-    and the multipliers are reduced, and every other entry grows by one
-    product of two residues per step."""
-    index = list(range(len(rows)))
-    pivots, det = [], 1
-    for _ in range(len(rows[0]) if rows else 0):
-        piv = next((i for i, row in enumerate(rows) if row[0] % ell), None)
-        if piv is None:
-            det, rows = 0, [row[1:] for row in rows]
+    Each row is reduced against the pivots so far, in their order, and is a
+    pivot at its first nonzero column if anything is left.  So row i is a
+    pivot iff it is independent of the rows before it, and at column j iff
+    the leading (i+1) x (j+1) block has more rank than both blocks one
+    shorter: the rank profile, where column-by-column elimination with the
+    first remaining nonzero row as pivot also puts them (the same argument
+    on the transpose).  pivot_rows lists their input indices in column
+    order.  det is the determinant of a square input: 0 when a row has no
+    pivot, else the product of the pivots times the sign of their columns
+    in row order, whose inversions are the free columns left of each pivot
+    when it is placed.  A pivot is kept without its column and those
+    pivoted before it, and a row drops one column per pivot, so the work is
+    that of column-by-column elimination; only pivots are reduced mod ell,
+    and other entries grow by one product of two residues per pivot."""
+    free: list[int] | None = None  # the columns with no pivot yet
+    pivots, found, det, parity = [], [], 1, 0
+    for index, row in enumerate(rows):
+        if free is None:
+            free = list(range(len(row)))
+        row = list(row)
+        for pos, minus_inv, tail in pivots:
+            f = row.pop(pos) * minus_inv % ell
+            if f:
+                row = [a + f * b for a, b in zip(row, tail)]
+        pos = next((j for j, a in enumerate(row) if a % ell), None)
+        if pos is None:
+            det = 0
             continue
-        pivots.append(index.pop(piv))
-        pivot_row = rows[piv]
-        head = pivot_row[0] % ell
-        det = (-det if piv % 2 else det) * head % ell  # piv swaps bring the pivot row to the top
-        minus_inv = ell - pow(head, -1, ell)
-        tail = [b % ell for b in pivot_row[1:]]
-        rows = [
-            [a + f * b for a, b in zip(row[1:], tail)] if (f := row[0] * minus_inv % ell) else row[1:]
-            for row in rows[:piv] + rows[piv + 1:]
-        ]
-    return pivots, det
+        head = row.pop(pos) % ell
+        det, parity = det * head % ell, parity ^ pos & 1
+        pivots.append((pos, ell - pow(head, -1, ell), [b % ell for b in row]))
+        found.append((free.pop(pos), index))
+        if not free or len(found) == stop:
+            break
+    return [index for _, index in sorted(found)], -det % ell if parity else det
 
 
 def _vandermonde_solve(nodes: list[int], values: list[int], ell: int) -> list[int]:

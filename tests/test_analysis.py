@@ -383,7 +383,7 @@ class TestCertifiedPivots:
         calls = []
         find = analysis._image_pivot_rows
 
-        def drop_a_row(rows, n):
+        def drop_a_row(rows, n, stop=None):  # the full image, one row short: it ignores rank's stop
             calls.append(rows)
             return find(rows, n)[:-1]
 
@@ -418,12 +418,12 @@ class TestCertifiedPivots:
         element = random_skein(5, random.Random(3))
         polys = [f_link(space, element, k).signed_body for k in range(5)]
         find = analysis._image_pivot_rows
-        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda rows, n: find(rows, n)[:-1])
+        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda rows, n, stop=None: find(rows, n)[:-1])
         assert recover_skein(space, polys).a_form == element
 
     def test_refuted_rows_join_the_selection(self, monkeypatch):
         find = analysis._image_pivot_rows
-        shortened = {"empty": lambda rows, n: [], "one short": lambda rows, n: find(rows, n)[:-1]}
+        shortened = {"empty": lambda rows, n, stop=None: [], "one short": lambda rows, n, stop=None: find(rows, n)[:-1]}
         rng = random.Random(11)
         for p in range(2, 13):
             for q in valid_qs(p):
@@ -460,7 +460,7 @@ class TestCertifiedPivots:
         monkeypatch.setattr(analysis, "_back_substitute",
                             lambda rows, pivots, x: solved.append(next(c for c, t in enumerate(x) if t))
                             or substitute(rows, pivots, x))
-        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda rows, n: find(rows, n)[:-1])
+        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda rows, n, stop=None: find(rows, n)[:-1])
         monkeypatch.setattr(analysis, "_F_MATRICES", {})
         assert tuple(kernel(space)) == expected
         assert zero and solved and not zero & set(solved), (zero, solved)
@@ -529,7 +529,8 @@ class TestCertifiedPivots:
         # a short selection on the descended rows: the refinement over Q(z)
         # adds the refuting rows, with no Q(xi_p) step
         find = analysis._image_pivot_rows
-        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda rows, n: find(rows, n)[:-1] if integral(rows) else find(rows, n))
+        monkeypatch.setattr(analysis, "_image_pivot_rows",
+                            lambda rows, n, stop=None: find(rows, n)[:-1] if integral(rows) else find(rows, n))
         # every elimination ran on the descended rows, cleared to int
         # coefficients; M's own rows, CyclotomicNumber terms, fail the spy
         eliminations = []
@@ -553,7 +554,8 @@ class TestCertifiedPivots:
         xi = root_of_unity(3)
         matrix = LaurentMatrix(((z({}), z({})), (z({0: xi}), z({0: -xi})), (z({0: xi * xi}), z({}))))
         find = analysis._image_pivot_rows
-        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda rows, n: find(rows, n) if integral(rows) else find(rows, n)[:-1])
+        monkeypatch.setattr(analysis, "_image_pivot_rows",
+                            lambda rows, n, stop=None: find(rows, n) if integral(rows) else find(rows, n)[:-1])
         seen = refinements(monkeypatch)
         assert rank(matrix) == 2
         assert seen == [False]
@@ -1032,6 +1034,122 @@ class TestMirror:
                     assert annihilates(build_f_matrix(mirror), w), (p, q, v)
 
 
+class TestSquaresLemma:
+    """The lemma of analysis.rank: M(p, q) = P Gamma_p E D, so rank M <=
+    rank Gamma_p = count_squares_mod(p), Gamma_p[a, b] = G(a, b; p)."""
+
+    def test_entries_factor_through_the_gauss_matrix(self):
+        # entry (k, c) = s_c z^(e0(c) - 2(c+1)) (G(qk, b_c + 1) z^(4(c+1))
+        # - G(qk, b_c - 1)), b_c = q(c+1), s_c = (-1)^(c+1), e0(c) = 12 p s(q, p)
+        # + q(c^2 + 2c), with every G from the reference counter
+        checked = 0
+        for p in range(2, 31):
+            gamma = [[gauss_sum(GaussSumSpec(p, a, b)) for b in range(p)] for a in range(p)]
+            for q in valid_qs(p):
+                space = LensSpace(p, q)
+                twelve_ps = 12 * p * space.dedekind
+                assert twelve_ps.denominator == 1, (p, q)
+                for k, row in enumerate(build_f_matrix(space).entries):
+                    g = gamma[q * k % p]
+                    for c, entry in enumerate(row):
+                        b, low, sign = q * (c + 1), int(twelve_ps) + q * (c * c + 2 * c) - 2 * (c + 1), (-1) ** (c + 1)
+                        want = {low + 4 * (c + 1): sign * g[(b + 1) % p], low: -sign * g[(b - 1) % p]}
+                        assert entry == z({e: x for e, x in want.items() if x}), (p, q, k, c)
+                        checked += 1
+        assert checked == 67278
+
+    def test_gauss_matrix_image_has_the_squares_rank(self):
+        # the image of Gamma_p mod l, fully eliminated, has rank
+        # count_squares_mod(p) at every p <= 100: the bound is reached, and
+        # no image exceeds it
+        for p in range(2, 101):
+            ell, omega, _ = modular._modulus(p)
+            table = modular._sum_table(p, ell, omega)
+            assert len(modular._echelon_mod(table, ell)[0]) == count_squares_mod(p), p
+
+
+class TestRankFromTheBound:
+    """A deficient rank of an f-matrix is count_squares_mod(p), proven by the
+    lemma and an image minor that reaches it, with no elimination over Z[z];
+    the kernel that follows refines the rows that rank imaged, carried in
+    a slot that holds one matrix's rows."""
+
+    @staticmethod
+    def spy(monkeypatch, name, seen):
+        """Record the arguments of every call of analysis.<name>."""
+        real = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name, lambda *args: seen.append(args) or real(*args))
+
+    def test_rank_runs_no_elimination(self, monkeypatch):
+        def forbidden(rows):
+            raise AssertionError("the lemma and the image prove this rank")
+
+        monkeypatch.setattr(analysis, "_bareiss_echelon", forbidden)
+        deficient = 0
+        for p in range(2, 31):
+            for q in valid_qs(p):
+                matrix = build_f_matrix(LensSpace(p, q))
+                assert rank(matrix) == count_squares_mod(p), (p, q)
+                carried = analysis._CARRIED[0] is matrix
+                assert carried == ("_basis" not in vars(matrix)), (p, q)
+                deficient += carried
+        assert deficient == 94  # the spaces whose bound is below ncols less the zero columns
+
+    def test_kernel_after_rank_images_nothing(self, monkeypatch):
+        # the kernel refines the rows that rank imaged, from the kept
+        # selection, and proves every vector on all of them; when another
+        # rank took the slot, it builds them again, and still images none
+        images, descents, proofs = [], [], []
+        self.spy(monkeypatch, "_image_pivot_rows", images)
+        self.spy(monkeypatch, "_descended", descents)
+        self.spy(monkeypatch, "_refuting_row", proofs)
+        for p, q in ((9, 1), (15, 2), (16, 3), (21, 2), (25, 3)):
+            space, other = LensSpace(p, q), LensSpace(p, p - q)
+            rows = len(analysis._descended(analysis._FMatrix(space)))
+            for between in ((), (other,)):
+                analysis._F_MATRICES.clear()
+                images.clear(), descents.clear(), proofs.clear()
+                assert rank(build_f_matrix(space)) == count_squares_mod(p), (p, q)
+                for s in between:
+                    assert rank(build_f_matrix(s)) == count_squares_mod(p), (p, q)
+                assert len(images) == 1 + len(between) and len(descents) == 1 + len(between), (p, q)
+                basis = kernel(space)
+                assert len(images) == 1 + len(between), (p, q)
+                assert len(descents) == 1 + 2 * len(between), (p, q)  # rebuilt only after a slot miss
+                assert proofs and all(len(args[0]) == rows for args in proofs), (p, q)
+                assert len(basis) == p // 2 + 1 - count_squares_mod(p), (p, q)
+                for vec in basis:
+                    assert annihilates(build_f_matrix(space), vec), (p, q)
+
+    def test_short_image_falls_back(self, monkeypatch):
+        # a stand-in image one row short of the bound: rank refines that
+        # selection through the proof, which the refuting rows join
+        find, refined_calls = analysis._image_pivot_rows, []
+        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda rows, n, stop=None: find(rows, n, stop)[:-1])
+        self.spy(monkeypatch, "_refined", refined_calls)
+        for p in TestRowOrder.DEFICIENT:
+            space = LensSpace(p, first_q(p))
+            refined_calls.clear()
+            matrix = build_f_matrix(space)
+            assert rank(matrix) == count_squares_mod(p), p
+            assert len(refined_calls) == 1 and "_basis" in vars(matrix), p
+            assert len(vars(matrix)["_image"][0]) < count_squares_mod(p), p
+            assert rank(matrix) + len(kernel(space)) == matrix.ncols and len(refined_calls) == 1, p
+            assert analysis._CARRIED[0] is not matrix, p
+
+    def test_one_matrix_keeps_its_rows(self):
+        # ranking every q of p = 30 leaves the rows of the last alone; no
+        # matrix keeps more than its selection and zero columns, and the
+        # kernel's proof lets the carried rows go
+        for q in valid_qs(30):
+            assert rank(build_f_matrix(LensSpace(30, q))) == count_squares_mod(30), q
+        last = build_f_matrix(LensSpace(30, valid_qs(30)[-1]))
+        assert analysis._CARRIED[0] is last
+        assert len(analysis._F_MATRICES) == 8 and all(set(vars(m)) == {"_image"} for m in analysis._F_MATRICES.values())
+        kernel(LensSpace(30, valid_qs(30)[-1]))
+        assert analysis._CARRIED == (None, None) and set(vars(last)) == {"_image", "_basis"}
+
+
 class TestRowOrder:
     """The order of the descended rows decides which rows the image picks
     and the elimination runs on, never the answer: the proof is on all
@@ -1359,9 +1477,9 @@ class TestRecoverSkein:
         denominators = set()
         find = analysis._image_pivot_rows
 
-        def spy(rows, n):
+        def spy(rows, n, stop=None):
             denominators.update(c.denominator for row in rows for entry in row for c in entry.values())
-            return find(rows, n)
+            return find(rows, n, stop)
 
         monkeypatch.setattr(analysis, "_image_pivot_rows", spy)
         assert recover_skein(space, polys).z_components[0] == RationalFunction(z({0: Fraction(1, ell)}))

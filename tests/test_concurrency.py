@@ -63,42 +63,54 @@ def test_f_matrix_memo_single_insertion():
 
 def test_rank_keeps_the_first_basis(monkeypatch):
     # eight threads rank or read the kernel of one fresh f-matrix at once,
-    # switching as often as the interpreter allows, and no proof answers
-    # before all eight have started theirs, so that every query proves:
-    # each thread reads back the basis kept on the matrix right after its
-    # own query, and a second basis written over the first shows as a
-    # second object
-    certify = analysis._certified
-    proving = threading.Barrier(8)
+    # switching as often as the interpreter allows.  No image answers
+    # before all eight have started theirs, and no proof before every
+    # thread that proves has started its own, so that every query images
+    # and every proof races: each thread reads back the selection and the
+    # basis kept on the matrix right after its own query, and a second one
+    # written over the first shows as a second object.  A deficient rank
+    # answers from the image, the others from the proof, with rank =
+    # ncols - len(basis)
+    find, certify = analysis._image_pivot_rows, analysis._certified
+    barrier, imaging = threading.Barrier(8), threading.Barrier(8)
+    proving = {}
 
-    def overlapping(matrix):
+    def overlapping_image(*args):
+        selection = find(*args)
+        imaging.wait(timeout=60)
+        return selection
+
+    def overlapping_proof(matrix):
         basis = certify(matrix)
-        proving.wait(timeout=60)
+        proving[matrix._space.p].wait(timeout=60)
         return basis
 
-    monkeypatch.setattr(analysis, "_certified", overlapping)
-    barrier = threading.Barrier(8)
+    monkeypatch.setattr(analysis, "_image_pivot_rows", overlapping_image)
+    monkeypatch.setattr(analysis, "_certified", overlapping_proof)
 
     def work(query):
         matrix, i = query
         barrier.wait(timeout=60)
         if i % 2:
-            analysis.kernel(matrix._space)
-        else:
-            analysis.rank(matrix)
-        return vars(matrix)["_basis"]
+            answer = len(analysis.kernel(matrix._space))
+            return answer, vars(matrix)["_image"], vars(matrix)["_basis"]
+        return analysis.rank(matrix), vars(matrix)["_image"], None
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            for p, q in ((4, 1), (5, 2), (9, 1)):
+            for p, q, provers in ((4, 1, 8), (5, 2, 8), (9, 1, 4)):  # at p = 9 only the kernels prove
+                proving[p] = threading.Barrier(provers)
                 matrix = analysis.build_f_matrix(LensSpace(p, q))
-                kept = list(pool.map(work, [(matrix, i) for i in range(8)], timeout=60))
-                assert all(basis is kept[0] for basis in kept), (p, q)
+                read = list(pool.map(work, [(matrix, i) for i in range(8)], timeout=60))
+                image, basis = vars(matrix)["_image"], vars(matrix)["_basis"]
+                assert all(kept is image for _, kept, _ in read), (p, q)
+                assert all(kept is basis for _, _, kept in read[1::2]), (p, q)
+                assert all(answer == len(basis) for answer, _, _ in read[1::2]), (p, q)
+                assert all(answer == matrix.ncols - len(basis) for answer, _, _ in read[::2]), (p, q)
     finally:
         sys.setswitchinterval(interval)
-
 
 
 def test_entries_are_built_into_one_tuple(monkeypatch):
