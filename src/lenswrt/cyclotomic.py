@@ -449,16 +449,33 @@ def embed_complex(x: CyclotomicNumber, precision: int = 53) -> mpmath.mpc:
 
 
 def _embed_parts(x: CyclotomicNumber, precision: int) -> tuple:
-    """embed_complex's raw (re, im) parts: each (n_j / den) times the tabled xi^j, in order of j."""
+    """embed_complex's raw (re, im) parts: each (n_j / den) times the tabled xi^j, in order of j.
+
+    A rational is converted directly; an irrational number's parts come
+    from _embedded, which keeps the last 256 by (order, numerators, den,
+    precision).
+    """
+    num, den = x._num, x._den
+    if not any(num[1:]):
+        lm = _libmp()
+        cf = _rounded_int(num[0], precision)
+        return (cf if den == 1 else lm.mpf_div(cf, lm.from_int(den), precision, "n")), lm.fzero
+    return _embedded(x._order, num, den, precision)
+
+
+@functools.lru_cache(maxsize=256)
+def _embedded(order: int, num: tuple, den: int, precision: int) -> tuple:
+    """The parts of the irrational number num / den of Q(xi_order), summed in order of j.
+
+    Kept for the last 256 keys, since any value can be embedded: a Gauss
+    sum of an f-polynomial body is embedded again at every level of its
+    class mod p, and in every combination that holds it.
+    """
     lm = _libmp()
     mpf_add, mpf_div, mpf_mul = lm.mpf_add, lm.mpf_div, lm.mpf_mul
-    num, den = x._num, x._den
     dv = None if den == 1 else lm.from_int(den)
-    if not any(num[1:]):
-        cf = _rounded_int(num[0], precision)
-        return (cf if dv is None else mpf_div(cf, dv, precision, "n")), lm.fzero
     re = im = lm.fzero
-    roots = _roots(x._order, precision)
+    roots = _roots(order, precision)
     for j, c in enumerate(num):
         if c:
             cf = _rounded_int(c, precision)

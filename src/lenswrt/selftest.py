@@ -71,9 +71,15 @@ def check_oracle_equivalence():
     for p in range(2, 11):
         for q in _valid_qs(p):
             space = LensSpace(p, q)
-            for c in range(p // 2 + 1):
-                for r in range(2, 41):
-                    diff = abs(eval_meridian(space, c, r, 64) - jeffrey_oracle(space, c, r, 64))
+            colors, levels = range(p // 2 + 1), range(2, 41)
+            # level by level, so the oracle's frame serves every color of a level; read in (c, r) order
+            diffs = {
+                (c, r): abs(eval_meridian(space, c, r, 64) - jeffrey_oracle(space, c, r, 64))
+                for r in levels for c in colors
+            }
+            for c in colors:
+                for r in levels:
+                    diff = diffs[c, r]
                     worst = max(worst, float(diff))
                     if diff >= 1e-9:
                         return False, f"|diff| = {float(diff):.3e} at (p,q,c,r)=({p},{q},{c},{r})"
@@ -89,10 +95,9 @@ def check_conjugation_symmetry():
             q = rng.choice(_valid_qs(p))
             space = LensSpace(p, q)
             element = _random_skein(p, rng, 4)
+            bodies = [f_link(space, element, k).signed_body for k in range(p)]
             for k in range(p):
-                body_k = f_link(space, element, k).signed_body
-                body_conj = f_link(space, element, (p - k) % p).signed_body.conj_coeffs()
-                if not body_k == body_conj:
+                if not bodies[k] == bodies[(p - k) % p].conj_coeffs():
                     return False, f"symmetry fails at (p,q,k)=({p},{q},{k})"
             count += 1
             if count >= 100:

@@ -9,15 +9,20 @@ f(p,q,c,k) evaluated at e^(2 pi i / 4pr), where f has the shape
 with sign = (-1)^(c+1) and G_+- generalized Gauss sums in Z[xi_p].
 jeffrey_oracle evaluates the same invariant along an independent route
 (a direct double sum with the framing correction phi), deliberately in
-floating point, for cross-validation; it memoizes its roots of unity
-within one call and keeps nothing between calls.  Every root of unity is a
-cyclotomic.unit_root, and every evaluator computes on raw libmp (re, im)
-pairs, bit for bit the mpc arithmetic (see cyclotomic), with no workprec
-block: eval_z_combination combines the colors' pairs, and each public
+floating point, for cross-validation.  It keeps one level's frame between
+calls (the roots of order 4rpq by residue, the scale and the framing
+product of the last (p, q, r, precision) asked), so the colors of one
+level share their roots; a call at another level replaces it.  Every root
+of unity is a cyclotomic.unit_root, and every evaluator computes on raw
+libmp (re, im) pairs, bit for bit the mpc arithmetic (see cyclotomic),
+with no workprec block: eval_z_combination combines the colors' pairs,
+taking sqrt(2p) and sqrt(r) once for all of them, and each public
 function wraps its value in an mpmath.mpc once, on return.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .cyclotomic import _libmp, _to_mpc, _unit_parts, check_precision
 from .gauss import _tabled_sum
@@ -145,19 +150,24 @@ def eval_meridian(space: LensSpace, c: int, r: int, precision: int = 53) -> mpma
     check_precision(precision)
     if r < 2:
         raise ValueError(f"level parameter r must be >= 2, got {r}")
-    return _to_mpc(_meridian_parts(space, c, r, precision))
+    return _to_mpc(_meridian_parts(space, c, r, precision, *_level_sqrts(space.p, r, precision)))
 
 
-def _meridian_parts(space: LensSpace, c: int, r: int, precision: int) -> tuple:
+def _level_sqrts(p: int, r: int, precision: int) -> tuple:
+    """(sqrt(2p), sqrt(r)) at `precision` bits: what every color's meridian at level r divides by."""
+    lm = _libmp()
+    return lm.mpf_sqrt(lm.from_int(2 * p), precision, "n"), lm.mpf_sqrt(lm.from_int(r), precision, "n")
+
+
+def _meridian_parts(space: LensSpace, c: int, r: int, precision: int, sqrt_2p: tuple, sqrt_r: tuple) -> tuple:
     """eval_meridian's raw (re, im) parts: (sign i / sqrt(2p)) times the body, over sqrt(r)."""
     lm = _libmp()
-    from_int, mpf_sqrt, mpc_div_mpf = lm.from_int, lm.mpf_sqrt, lm.mpc_div_mpf
+    mpc_div_mpf = lm.mpc_div_mpf
     fp = f_poly(space, c, r % space.p)
     value = fp.body._parts(4 * space.p * r, precision)
-    sqrt_2p = mpf_sqrt(from_int(2 * fp.p), precision, "n")
-    scale = mpc_div_mpf((lm.fzero, from_int(fp.prefactor_sign)), sqrt_2p, precision, "n")
+    scale = mpc_div_mpf((lm.fzero, lm.from_int(fp.prefactor_sign)), sqrt_2p, precision, "n")
     value = lm.mpc_mul(scale, value, precision, "n")
-    return mpc_div_mpf(value, mpf_sqrt(from_int(r), precision, "n"), precision, "n")
+    return mpc_div_mpf(value, sqrt_r, precision, "n")
 
 
 def eval_link(space: LensSpace, element: SkeinElement, r: int, precision: int = 53) -> mpmath.mpc:
@@ -185,10 +195,11 @@ def eval_z_combination(space: LensSpace, components, r: int, precision: int = 53
     items = components.items() if isinstance(components, dict) else enumerate(components)
     total = lm.mpc_zero
     denom = 4 * space.p * r
+    sqrts = _level_sqrts(space.p, r, precision)
     for c, comp in items:
         if comp.is_zero():
             continue
-        term = mpc_mul(comp._parts(denom, precision), _meridian_parts(space, c, r, precision), precision, "n")
+        term = mpc_mul(comp._parts(denom, precision), _meridian_parts(space, c, r, precision, *sqrts), precision, "n")
         total = mpc_add(total, term, precision, "n")
     return _to_mpc(total)
 
@@ -200,21 +211,23 @@ def jeffrey_oracle(space: LensSpace, c: int, r: int, precision: int = 53) -> mpm
     cyclotomic.unit_root at the requested precision.  The underlying sum
     computes the invariant of (-1)^(l-1) mu_(l-1) with l = c + 1; the result
     is converted to plain mu_c.  The roots of order 4rpq are memoized by
-    residue for this call only (the residues (qg +- 1)^2 mod 4rpq repeat
-    within one sum), and the whole value is computed on raw libmp parts in
-    the order of the complex expression, so it is the same to the bit as
-    the sum and products of mpc values.
+    residue in the level's frame (_oracle_frame), which the next call at
+    the same (p, q, r, precision) reuses: the residues (qg +- 1)^2 mod 4rpq
+    repeat within one sum and across the colors of one level.  The whole
+    value is computed on raw libmp parts in the order of the complex
+    expression, so it is the same to the bit as the sum and products of
+    mpc values.
     """
     check_precision(precision)
     if r < 2:
         raise ValueError(f"level parameter r must be >= 2, got {r}")
     lm = _libmp()
     mpf_add, mpf_sub, mpc_mul = lm.mpf_add, lm.mpf_sub, lm.mpc_mul
-    p, q, b, phi = space.p, space.q, space.b, space.phi
+    p, q = space.p, space.q
     l = c + 1
+    memo, scale, framing = _oracle_frame(space, r, precision)
     big = 4 * r * p * q
     big_mpf = lm.from_int(big)
-    memo: dict[int, tuple] = {}
 
     def unit(num: int) -> tuple:
         key = num % big
@@ -229,10 +242,27 @@ def jeffrey_oracle(space: LensSpace, c: int, r: int, precision: int = 53) -> mpm
         (ar, ai), (br, bi) = unit((q * g + 1) ** 2), unit((q * g - 1) ** 2)
         re = mpf_add(re, mpf_sub(ar, br, precision, "n"), precision, "n")
         im = mpf_add(im, mpf_sub(ai, bi, precision, "n"), precision, "n")
-    sqrt_2rp = lm.mpf_sqrt(lm.from_int(2 * r * p), precision, "n")
-    value = lm.mpc_div_mpf((lm.fzero, lm.fnone), sqrt_2rp, precision, "n")  # mpc(0, -1) / sqrt(2rp)
-    framing = mpc_mul(_unit_parts(-phi, 4 * r, precision), _unit_parts(b, 4 * r * q, precision), precision, "n")
-    value = mpc_mul(value, mpc_mul(framing, (re, im), precision, "n"), precision, "n")
+    value = mpc_mul(scale, mpc_mul(framing, (re, im), precision, "n"), precision, "n")
     if c % 2 == 1:
         value = lm.mpc_neg(value, precision, "n")
     return _to_mpc(value)
+
+
+@functools.lru_cache(maxsize=1)
+def _oracle_frame(space: LensSpace, r: int, precision: int) -> tuple:
+    """One level's frame for jeffrey_oracle: (roots of order 4rpq by residue, (0, -1)/sqrt(2rp), framing).
+
+    The framing product is e^(2 pi i (-phi)/4r) e^(2 pi i b/4rq).  Keyed by
+    (p, q, r, precision), since a LensSpace hashes and compares by (p, q),
+    and one frame is kept: the memo fills with at most 2p roots for each
+    color asked at the level (the colors c and -c-2 share theirs), and a
+    call at another level drops it.  A global cache of these roots, kept
+    across levels, once raised the peak memory of a selftest process from
+    20 to 31 MB.
+    """
+    lm = _libmp()
+    p, q, b, phi = space.p, space.q, space.b, space.phi
+    sqrt_2rp = lm.mpf_sqrt(lm.from_int(2 * r * p), precision, "n")
+    scale = lm.mpc_div_mpf((lm.fzero, lm.fnone), sqrt_2rp, precision, "n")  # mpc(0, -1) / sqrt(2rp)
+    framing = lm.mpc_mul(_unit_parts(-phi, 4 * r, precision), _unit_parts(b, 4 * r * q, precision), precision, "n")
+    return {}, scale, framing

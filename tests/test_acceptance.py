@@ -48,6 +48,20 @@ def test_criterion_03_oracle_equivalence():
     _run(3)
 
 
+def test_criterion_03_names_the_first_failure_in_color_order(monkeypatch):
+    # the sweep evaluates level by level, so (c, r) = (1, 5) is evaluated
+    # before (0, 30); the detail still names the first in (c, r) order
+    oracle = selftest.jeffrey_oracle
+    failing = {(2, 1, 0, 30), (2, 1, 1, 5)}
+
+    def stand_in(space, c, r, precision):
+        value = oracle(space, c, r, precision)
+        return value + 1 if (space.p, space.q, c, r) in failing else value
+
+    monkeypatch.setattr(selftest, "jeffrey_oracle", stand_in)
+    assert selftest.check_oracle_equivalence() == (False, "|diff| = 1.000e+00 at (p,q,c,r)=(2,1,0,30)")
+
+
 def test_criterion_04_conjugation_symmetry():
     _run(4)
 

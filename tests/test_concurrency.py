@@ -7,9 +7,9 @@ import sys
 import threading
 import time
 
-from lenswrt import analysis
+from lenswrt import analysis, wrt
 from lenswrt.cyclotomic import CyclotomicNumber, root_of_unity
-from lenswrt.wrt import LensSpace, f_poly
+from lenswrt.wrt import LensSpace, f_poly, jeffrey_oracle
 
 
 def test_order_cache_concurrent_initialization():
@@ -43,6 +43,33 @@ def test_fpoly_cache_single_insertion():
     for snap in snapshots[1:]:
         for a, b in zip(first, snap):
             assert a is b  # every thread sees the same cached object
+
+
+def test_oracle_threads_at_different_levels_match_a_sequential_run():
+    # eight threads, one level each, sweep their colors at once, switching
+    # as often as the interpreter allows: the one-level frame of the oracle
+    # changes hands between calls, and every value keeps the bits of a
+    # sequential run
+    space = LensSpace(7, 3)
+    levels = [(r, precision) for r in (3, 8, 13, 21) for precision in (53, 256)]
+
+    def sweep(level):
+        r, precision = level
+        return [jeffrey_oracle(space, c, r, precision) for _ in range(3) for c in range(-1, 5)]
+
+    expected = [sweep(level) for level in levels]
+    wrt._oracle_frame.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(sweep, level) for level in levels]
+            got = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for level, want, values in zip(levels, expected, got):
+        assert [(v.real, v.imag) for v in values] == [(v.real, v.imag) for v in want], level
+    assert wrt._oracle_frame.cache_info().currsize == 1
 
 
 def test_f_matrix_memo_single_insertion():

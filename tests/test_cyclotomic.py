@@ -17,7 +17,7 @@ from lenswrt.cyclotomic import (
     embed_complex,
     root_of_unity,
 )
-from lenswrt.gauss import GaussSumSpec, gauss_sum
+from lenswrt.gauss import GaussSumSpec, _tabled_sum, gauss_sum
 from lenswrt.laurent import LaurentPoly
 from lenswrt.skein import SkeinElement
 from lenswrt.wrt import LensSpace, f_link
@@ -164,6 +164,28 @@ class TestEmbedding:
     def test_precision_floor(self):
         with pytest.raises(ValueError):
             embed_complex(root_of_unity(3, 1), 10)
+
+    def test_embedding_cache_is_bounded_and_keeps_the_uncached_sums(self):
+        # every Gauss-table key of order <= 30, read twice at two precisions:
+        # an irrational sum is read back from the cache, a rational one never
+        # enters it, and both reads equal the uncached sum
+        embedded = cyclotomic._embedded
+        assert embedded.cache_info().maxsize == 256
+        for p in range(2, 31):
+            for a in range(p):
+                for b in range(p):
+                    x = _tabled_sum(p, a, b)
+                    for precision in (53, 256):
+                        want = embedded.__wrapped__(x.order, x._num, x._den, precision)
+                        before = embedded.cache_info()
+                        assert cyclotomic._embed_parts(x, precision) == want, (p, a, b, precision)
+                        assert cyclotomic._embed_parts(x, precision) == want, (p, a, b, precision)
+                        after = embedded.cache_info()
+                        if any(x._num[1:]):
+                            assert after.hits > before.hits, (p, a, b, precision)
+                        else:
+                            assert (after.hits, after.misses) == (before.hits, before.misses), (p, a, b)
+        assert embedded.cache_info().currsize <= 256
 
 
 class TestValueSemantics:

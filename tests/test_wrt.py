@@ -269,6 +269,23 @@ class TestJeffreyOracle:
                 diff = abs(jeffrey_oracle(space, 0, r, 64) - eval_meridian(space, 0, r, 64))
                 assert diff < 1e-9
 
+    def test_frame_keeps_the_bits_across_levels_and_precisions(self):
+        # the colors of one level, then another level, another precision, another
+        # space at the first level, and the first level again: each value equals
+        # the memo-free route, and the frame holds one level, at most 2p roots
+        # for each color asked there
+        frame = wrt._oracle_frame
+        assert frame.cache_info().maxsize == 1
+        first, other = LensSpace(7, 3), LensSpace(7, 2)
+        colors = range(-2, 6)
+        for space, r, prec in ((first, 11, 53), (first, 12, 53), (first, 11, 256), (other, 11, 53), (first, 11, 53)):
+            for c in colors:
+                want = _expjpi_oracle(space, c, r, prec)
+                assert _same_bits(jeffrey_oracle(space, c, r, prec), want), (space, c, r, prec)
+            memo = frame(space, r, prec)[0]
+            assert frame.cache_info().currsize == 1
+            assert 0 < len(memo) <= 2 * space.p * len(colors)
+
 
 class TestZCombination:
     def test_matches_link_on_a_forms(self):
