@@ -1,22 +1,23 @@
 """Exact linear algebra over Laurent polynomials and rational functions.
 
 Builds the f-matrix, one read-only object per space that keeps the first
-kernel basis proven on it (_proof, which rank, kernel and recover_skein
-read), computes its rank and kernel, and recovers skein coefficients from
-link polynomials.  One certified flow (_certified) runs on rows of term
+kernel basis proven on it (_proof, which rank and kernel read), computes
+its rank and kernel, and recovers skein coefficients from link
+polynomials.  One certified flow (_certified) runs on rows of term
 dicts (exponent -> coefficient, one dict per column):
 
 - the rows: build_f_matrix's lazy _FMatrix (entries built when read) carries
   the Galois action in its type, so the proof reads its descended rows
   (_descended), int rows over Z[z, 1/z] read straight from the Gauss table
-  for its tau(p) rows d | p; any other LaurentMatrix gives its own rows;
+  for its tau(p) rows d | p, M's kept for the last space asked (_rows); any
+  other LaurentMatrix gives its own rows;
 - one image test mod l (modular._image_pivot_rows), its pivot rows independent;
 - one refinement loop (_refined): fraction-free elimination on the selected
   rows, then the exact proof on every row, which a refuting row joins.
 
-M's proof decides rank deficiency; a solution of M x = b is then the
-proven kernel vector (v, d) of [M | -b], x = v / d, an _FMatrix when b has
-M's action (_has_action).
+rank decides M's deficiency; a solution of M x = b is then the proven
+kernel vector (v, d) of [M | -b], x = v / d, an _FMatrix when b has M's
+action (_has_action).
 Kernel vectors are proven, then normalized.  The module also produces the
 explicit nonsingular-submatrix certificates for p prime or twice an odd
 prime, their determinants computed in modular, with no arithmetic in
@@ -26,6 +27,7 @@ multiple of an ordinary one (integer coefficients in A = -z^p).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -283,10 +285,11 @@ def _refined(rows, selection) -> list[RationalFunctionVector]:
             return basis
 
 
-def _descended(matrix: _FMatrix) -> list[list[dict]]:
-    """The descended rows: the power-basis coordinates in Z[xi_p] of row d
-    times the lcm of b_d's denominators, for each divisor d of p, as int
-    term dicts read from the Gauss-table numerators (wrt._gauss_terms).
+def _descended(space: LensSpace, rhs: tuple[LaurentPoly, ...] | None = None) -> list[list[dict]]:
+    """The descended rows of _FMatrix(space, rhs): the power-basis
+    coordinates in Z[xi_p] of row d times the lcm of b_d's denominators,
+    for each divisor d of p, as int term dicts read from the Gauss-table
+    numerators (wrt._gauss_terms).
 
     They annihilate exactly the rational vectors that all p rows do.  Each
     k is d u, d = gcd(k, p) and u a unit mod p, so row k is sigma_(1/u) of
@@ -295,7 +298,7 @@ def _descended(matrix: _FMatrix) -> list[list[dict]]:
     row times v, and the xi_p^j, j < phi(p), stay independent over Q(z)
     (Phi_p is irreducible there): row d annihilates v iff every s_j is 0.
     """
-    space, rhs, ncols, descended = matrix._space, matrix._rhs, matrix.ncols, []
+    ncols, descended = space.p // 2 + 1 + (rhs is not None), []
     for d in _divisor_rows(space.p):
         scale = 1 if rhs is None else math.lcm(*(x.denominator for x in rhs[d].terms.values()))
         # (column, exponent, factor, numerator) of each term of row d, as entry (d, c) orders them
@@ -337,44 +340,46 @@ def _weight(row) -> tuple[int, int]:
     return sum(map(len, row)), max(abs(v).bit_length() for entry in row for v in entry.values())
 
 
-# (M, its descended rows) of the last rank that left M's rows to refine:
-# the kernel that follows reads them, and _proof lets them go
-_CARRIED: tuple = (None, None)
+@functools.lru_cache(maxsize=1)
+def _rows(space: LensSpace) -> list[list[dict]]:
+    """M's descended rows, sparsest first (fewest terms, then shortest
+    largest coefficient) so that the image picks the cheapest.  Keyed by
+    the space, a LensSpace hashing as (p, q), and one space's rows are
+    kept: the kernel that follows a rank refines the rows that it imaged,
+    and a call for another space drops them.  No caller mutates them."""
+    return sorted(_descended(space), key=_weight)
 
 
-def _imaged(matrix: _FMatrix) -> tuple[list | None, list[int], list[int]]:
-    """(rows, selection, zero) of an _FMatrix: its descended rows, sparsest
-    first (fewest terms, then shortest largest coefficient) so that the
-    image picks the cheapest, the pivot rows of their image mod l, and
-    their zero columns.  The selection and the zero columns are kept on
-    the matrix (dict.setdefault, as _proof keeps the basis), so each
-    f-matrix is imaged once; on M the image stops at min(ncols - #zero,
-    count_squares_mod(p)) pivots, the most it can have (rank).  rows are
-    those just built or carried for this matrix (_CARRIED), else None.
+def _imaged(matrix: _FMatrix) -> tuple[list[int], list[int]]:
+    """(selection, zero) of M, an _FMatrix with no right-hand side: the
+    pivot rows of the image mod l of its rows (_rows), and their zero
+    columns.  Both are kept on M (dict.setdefault, as _proof keeps the
+    basis), so each f-matrix is imaged once; the image stops at
+    min(ncols - #zero, count_squares_mod(p)) pivots, the most it can have
+    (rank).
     """
     kept = vars(matrix).get("_image")
-    if kept is not None:
-        carried, rows = _CARRIED
-        return (rows if carried is matrix else None), *kept
-    rows, ncols = sorted(_descended(matrix), key=_weight), matrix.ncols
-    zero = [c for c in range(ncols) if not any(row[c] for row in rows)]
-    stop = ncols if matrix._rhs is not None else min(ncols - len(zero), count_squares_mod(matrix._space.p))
-    selection = _image_pivot_rows(rows, 1, stop if stop < ncols else None)
-    return rows, *vars(matrix).setdefault("_image", (selection, zero))
+    if kept is None:
+        rows, ncols = _rows(matrix._space), matrix.ncols
+        zero = [c for c in range(ncols) if not any(row[c] for row in rows)]
+        stop = min(ncols - len(zero), count_squares_mod(matrix._space.p))
+        kept = vars(matrix).setdefault("_image", (_image_pivot_rows(rows, 1, stop if stop < ncols else None), zero))
+    return kept
 
 
 def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     """The normalized kernel basis, proven: the rank is ncols - len(basis).
 
-    An _FMatrix gives its descended rows and their kept image (_imaged).
-    They annihilate the same rational vectors as M (_descended), and
-    sigma_u maps ker M onto itself, so ker M has a basis over Q(z)
-    (Speiser's lemma): a basis of their kernel over Q(z) is one of ker M.
-    A column is zero in row k iff in row k/u, so they also have M's zero
-    columns, and they are int rows: n = 1, one image prime for all orders.
-    Rows that are not carried are built again, never imaged again.  Any
-    other matrix gives its rows over Q(xi_n)(z), n the lcm of the
-    coefficient orders, each times the lcm of its denominators.
+    An _FMatrix gives its descended rows: M its kept image (_imaged),
+    reading its rows (_rows) only to refine, and a typed [M | -b] rows
+    built and imaged here.  They annihilate the same rational vectors as
+    the matrix (_descended), and sigma_u maps its kernel onto itself, so
+    the kernel has a basis over Q(z) (Speiser's lemma): a basis of their
+    kernel over Q(z) is one of the matrix's.  A column is zero in row k
+    iff in row k/u, so they also have its zero columns, and they are int
+    rows: n = 1, one image prime for all orders.  Any other matrix gives
+    its rows over Q(xi_n)(z), n the lcm of the coefficient orders, each
+    times the lcm of its denominators.
 
     On those rows the image pivot rows are independent; when they number
     ncols less the zero columns, the e_c of the zero columns are the
@@ -382,21 +387,25 @@ def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     has one vector per free column of its echelon form, so it spans the
     kernel.  Row order never moves the proven, normalized basis.
     """
-    ncols = matrix.ncols
-    if isinstance(matrix, _FMatrix):
-        rows, selection, zero = _imaged(matrix)
+    ncols, rows = matrix.ncols, None
+    if isinstance(matrix, _FMatrix) and matrix._rhs is None:
+        selection, zero = _imaged(matrix)
     else:
-        rows, n = [], 1
-        for row in matrix.entries:
-            coeffs = [c for entry in row for c in entry.terms.values()]
-            n = math.lcm(n, *(c.order for c in coeffs))
-            scale = math.lcm(*(c.denominator for c in coeffs))
-            rows.append([{e: c * scale for e, c in entry.terms.items()} if scale != 1 else entry.terms for entry in row])
+        if isinstance(matrix, _FMatrix):
+            rows, n = sorted(_descended(matrix._space, matrix._rhs), key=_weight), 1
+        else:
+            rows, n = [], 1
+            for row in matrix.entries:
+                coeffs = [c for entry in row for c in entry.terms.values()]
+                n = math.lcm(n, *(c.order for c in coeffs))
+                scale = math.lcm(*(c.denominator for c in coeffs))
+                rows.append([{e: c * scale for e, c in entry.terms.items()} if scale != 1 else entry.terms
+                             for entry in row])
         zero = [c for c in range(ncols) if not any(row[c] for row in rows)]
         selection = _image_pivot_rows(rows, n)
     if len(selection) == ncols - len(zero):
         return [_unit(c, ncols) for c in zero]
-    return _refined(rows if rows is not None else sorted(_descended(matrix), key=_weight), selection)
+    return _refined(rows if rows is not None else _rows(matrix._space), selection)
 
 
 def _unit(c: int, ncols: int) -> RationalFunctionVector:
@@ -405,20 +414,15 @@ def _unit(c: int, ncols: int) -> RationalFunctionVector:
 
 
 def _proof(matrix: LaurentMatrix) -> tuple[RationalFunctionVector, ...]:
-    """The proven, normalized kernel basis (_certified).  An _FMatrix keeps
-    the first one proven on it, as it keeps its entries: racing proofs give
-    the same basis, and dict.setdefault keeps one tuple; _CARRIED then lets
-    its rows go (a race can only drop another matrix's rows, built again
-    when needed).  Any other matrix is proven on every call."""
-    global _CARRIED
+    """The proven, normalized kernel basis (_certified), which rank and
+    kernel read.  An _FMatrix keeps the first one proven on it, as it
+    keeps its entries: racing proofs give the same basis, and
+    dict.setdefault keeps one tuple.  Any other matrix is proven on every
+    call."""
     if not isinstance(matrix, _FMatrix):
         return tuple(_certified(matrix))
     basis = vars(matrix).get("_basis")
-    if basis is None:
-        basis = vars(matrix).setdefault("_basis", tuple(_certified(matrix)))
-        if _CARRIED[0] is matrix:
-            _CARRIED = (None, None)
-    return basis
+    return basis if basis is not None else vars(matrix).setdefault("_basis", tuple(_certified(matrix)))
 
 
 def rank(matrix: LaurentMatrix) -> int:
@@ -441,19 +445,15 @@ def rank(matrix: LaurentMatrix) -> int:
     A nonzero r x r minor of an image mod l of M's descended rows (their
     rank is M's, _certified) proves rank M >= r.  So when M's image
     (_imaged) reaches the bound below ncols less the zero columns, the
-    rank is the bound, with no elimination over Z[z], and the rows wait in
-    _CARRIED for a kernel.  Otherwise, and on any other matrix, the rank
-    is ncols less the nullity of the proof (_proof), which refines a
+    rank is the bound, with no elimination over Z[z]; the rows stay in
+    _rows for a kernel.  Otherwise, and on any other matrix, the rank is
+    ncols less the nullity of the proof (_proof), which refines a
     selection short of the bound.
     """
-    global _CARRIED
     if isinstance(matrix, _FMatrix) and matrix._rhs is None:
-        rows, selection, zero = _imaged(matrix)
-        bound, independent = count_squares_mod(matrix._space.p), matrix.ncols - len(zero)
-        if rows is not None and len(selection) < independent:
-            _CARRIED = (matrix, rows)
-        if len(selection) == bound < independent:
-            return bound
+        selection, zero = _imaged(matrix)
+        if len(selection) == count_squares_mod(matrix._space.p) < matrix.ncols - len(zero):
+            return len(selection)
     return matrix.ncols - len(_proof(matrix))
 
 
@@ -587,11 +587,12 @@ def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
     """Solve sum_c M[k][c] x_c = fpolys[k] for all k (signed-body convention).
 
     fpolys must hold one Laurent polynomial in z per k = 0..p-1, in the
-    normalization of f_link(...).signed_body, checked here once.  M's
-    proof (_proof, the basis kept on it, if any) decides RankDeficient,
-    whatever b = fpolys is.  Then M has full column rank, so ker [M | -b]
-    is at most a line, and no vector on it has last component 0: [M | -b]
-    is an _FMatrix when b has M's action (_has_action), else the plain
+    normalization of f_link(...).signed_body, checked here once.  rank(M)
+    < ncols raises RankDeficient, whatever b = fpolys is: at a deficient
+    order the squares bound and M's image decide it with no elimination
+    (rank).  Then M has full column rank, so ker [M | -b] is at most a
+    line, and no vector on it has last component 0: [M | -b] is an
+    _FMatrix when b has M's action (_has_action), else the plain
     LaurentMatrix over Q(xi_p)(z).  No vector of its proven kernel raises
     Inconsistent; else its one vector (v, d) gives x = v / d.
     """
@@ -605,11 +606,9 @@ def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
         if fp and fp.var != "z":
             raise ValueError(f"right-hand side entry {k} is in {fp.var}, not z")
     matrix = build_f_matrix(space)
-    nullity = len(_proof(matrix))
-    if nullity:
-        raise RankDeficient(
-            f"f-matrix of L({space.p},{space.q}) has rank {matrix.ncols - nullity} < {matrix.ncols}"
-        )
+    found = rank(matrix)
+    if found < matrix.ncols:
+        raise RankDeficient(f"f-matrix of L({space.p},{space.q}) has rank {found} < {matrix.ncols}")
     if isinstance(matrix, _FMatrix) and _has_action(fpolys, p):
         basis = _certified(_FMatrix(space, tuple(fpolys)))
     else:

@@ -219,6 +219,11 @@ def term_rows(matrix):
     return [[entry.terms for entry in row] for row in matrix.entries]
 
 
+def descended(matrix):
+    """The descended rows of an _FMatrix, M or a typed [M | -b]."""
+    return analysis._descended(matrix._space, matrix._rhs)
+
+
 def integral(rows):
     """Whether every coefficient of rows of term dicts, as _bareiss_echelon
     eliminates them, is an int."""
@@ -286,8 +291,9 @@ class TestCertifiedPivots:
 
     @staticmethod
     def all_rows(monkeypatch, fn, *args):
-        # eliminate on every row: no image, so no full-column-rank shortcut;
-        # fresh f-matrices, so no kernel basis that rank proved is read
+        # eliminate on every row: no image, so no full-column-rank shortcut
+        # and no rank from the bound; fresh f-matrices, so no kernel basis
+        # that rank proved is read
         ran = []
 
         def slow(mat):
@@ -296,6 +302,7 @@ class TestCertifiedPivots:
 
         with monkeypatch.context() as m:
             m.setattr(analysis, "_certified", slow)
+            m.setattr(analysis, "rank", lambda mat: mat.ncols - len(slow(mat)))
             m.setattr(analysis, "_F_MATRICES", {})
             try:
                 return fn(*args)
@@ -352,7 +359,7 @@ class TestCertifiedPivots:
                            for entry in row] for row in rows]
                 mixed = [[{e: c.lift(2 * p) if (k + e) % 2 else c for e, c in entry.items()} for entry in row]
                          for k, row in enumerate(scaled)]
-                for case, n in ((rows, p), (analysis._descended(matrix), p), (scaled, p), (mixed, 2 * p)):
+                for case, n in ((rows, p), (descended(matrix), p), (scaled, p), (mixed, 2 * p)):
                     assert analysis._image_pivot_rows(case, n) == untabled_image_pivot_rows(case, n), (p, q, n)
 
     def test_recover_matches_all_rows(self, monkeypatch):
@@ -453,7 +460,7 @@ class TestCertifiedPivots:
         # a free column that is zero in every row gets e_f, proven by that
         # scan; only the other free columns are back-substituted
         space, expected = LensSpace(p, q), all_rows_kernel(p, q)
-        rows = analysis._descended(analysis._FMatrix(space))
+        rows = analysis._descended(space)
         zero = {c for c in range(p // 2 + 1) if not any(row[c] for row in rows)}
         solved = []  # the free column of each back-substituted vector: x arrives with D there alone
         substitute, find = analysis._back_substitute, analysis._image_pivot_rows
@@ -666,9 +673,8 @@ class TestGaloisAction:
                 for entry, image in zip(row, matrix.entries[k * inverse % p]):
                     assert {e: c.galois(g) for e, c in entry.terms.items()} == image.terms, (p, g, k)
         rows = term_rows(matrix)
-        descended = analysis._descended(matrix)
         cols = range(matrix.ncols)
-        assert [c for c in cols if not any(row[c] for row in descended)] == [c for c in cols if not any(row[c] for row in rows)]
+        assert [c for c in cols if not any(row[c] for row in descended(matrix))] == [c for c in cols if not any(row[c] for row in rows)]
 
     def test_unit_generators(self):
         for p in range(2, 99):
@@ -831,14 +837,14 @@ class TestRightHandSideAction:
         assert got == outcome(TestCertifiedPivots.all_rows, monkeypatch, recover_skein, space, polys)
 
     def test_deficient_order_needs_no_cyclotomic_refinement(self, monkeypatch):
-        # ker M, proven on the descended int rows, decides RankDeficient
-        # before any elimination over Q(xi_p)
+        # the squares bound and M's image decide RankDeficient (rank), with
+        # no refinement at all, over Q(z) or Q(xi_p)
         space, make = INCOMPATIBLE["row 1 + xi_9 at L(9,1)"]
         polys = make(space)
         seen = refinements(monkeypatch)
         with pytest.raises(RankDeficient):
             recover_skein(space, polys)
-        assert seen and all(seen)
+        assert seen == []
 
     @pytest.mark.parametrize("p, q", COMPATIBLE_INCONSISTENT)
     def test_compatible_inconsistent_in_one_typed_call(self, monkeypatch, p, q):
@@ -857,27 +863,32 @@ class TestRightHandSideAction:
         with pytest.raises(Inconsistent):
             TestCertifiedPivots.all_rows(monkeypatch, recover_skein, space, polys)
 
-    @pytest.mark.parametrize("p, q, r", [(9, 1, 4), (12, 5, 4)])
+    @pytest.mark.parametrize("p, q, r", [(9, 1, 4), (12, 5, 4), (15, 2, 6), (25, 3, 11), (49, 3, 22)])
     def test_proof_of_m_decides_rank_deficiency(self, monkeypatch, p, q, r):
-        # with or without M's action, b meets one rule: M's proof, one
-        # _certified call on M, raises RankDeficient, and no [M | -b] of
-        # either type is made
+        # with or without M's action, b meets one rule: rank(M) < ncols
+        # raises RankDeficient, with no elimination, and no [M | -b] of
+        # either type is made.  Below ncols less the zero columns the bound
+        # and M's image answer with no _certified call; at L(12,5) the bound
+        # is ncols less its three zero columns, and M's proof, one
+        # _certified call on M, reads the unit vectors off the image
         space = LensSpace(p, q)
         compatible, incompatible = link_polys(space, 5), changed(space, 1, z({0: root_of_unity(p)}))
         assert analysis._has_action(compatible, p) and not analysis._has_action(incompatible, p)
-        certify = analysis._certified
+        certify, eliminate = analysis._certified, analysis._bareiss_echelon
         for polys in (compatible, incompatible):
-            calls, made = [], []
+            calls, eliminations, made = [], [], []
             with monkeypatch.context() as m:
                 m.setattr(analysis, "_F_MATRICES", {})
                 m.setattr(analysis, "_certified", lambda matrix: calls.append(matrix) or certify(matrix))
+                m.setattr(analysis, "_bareiss_echelon", lambda rows: eliminations.append(rows) or eliminate(rows))
                 for cls in (LaurentMatrix, analysis._FMatrix):
                     m.setattr(cls, "__post_init__", lambda matrix: made.append(matrix))
                 with pytest.raises(RankDeficient) as err:
                     recover_skein(space, polys)
                 matrix = build_f_matrix(space)
             assert str(err.value) == f"f-matrix of L({p},{q}) has rank {r} < {p // 2 + 1}"
-            assert len(calls) == 1 and calls[0] is matrix
+            assert [call is matrix for call in calls] == ([True] if (p, q) == (12, 5) else [])
+            assert eliminations == []
             assert len(made) == 1 and made[0] is matrix  # M alone: no [M | -b]
 
     def test_queries_prove_m_once(self, monkeypatch):
@@ -951,7 +962,7 @@ class TestDivisorRows:
 
     @staticmethod
     def check(matrix):
-        assert ordered(analysis._descended(matrix)) == ordered(entries_descended(matrix))
+        assert ordered(descended(matrix)) == ordered(entries_descended(matrix))
 
     def test_every_space_up_to_30(self):
         for p in range(2, 31):
@@ -1071,8 +1082,8 @@ class TestSquaresLemma:
 class TestRankFromTheBound:
     """A deficient rank of an f-matrix is count_squares_mod(p), proven by the
     lemma and an image minor that reaches it, with no elimination over Z[z];
-    the kernel that follows refines the rows that rank imaged, carried in
-    a slot that holds one matrix's rows."""
+    the kernel that follows refines the rows that rank imaged, kept in a
+    cache (analysis._rows) that holds one space's rows."""
 
     @staticmethod
     def spy(monkeypatch, name, seen):
@@ -1085,29 +1096,32 @@ class TestRankFromTheBound:
             raise AssertionError("the lemma and the image prove this rank")
 
         monkeypatch.setattr(analysis, "_bareiss_echelon", forbidden)
-        deficient = 0
+        deficient = spaces = 0
         for p in range(2, 31):
             for q in valid_qs(p):
                 matrix = build_f_matrix(LensSpace(p, q))
                 assert rank(matrix) == count_squares_mod(p), (p, q)
-                carried = analysis._CARRIED[0] is matrix
-                assert carried == ("_basis" not in vars(matrix)), (p, q)
-                deficient += carried
+                deficient += "_basis" not in vars(matrix)  # the bound answered, with no proof
+                spaces += 1
         assert deficient == 94  # the spaces whose bound is below ncols less the zero columns
+        # one build of the rows per space, the last space's kept
+        assert analysis._rows.cache_info()[:2] == (0, spaces) and analysis._rows.cache_info().currsize == 1
 
     def test_kernel_after_rank_images_nothing(self, monkeypatch):
         # the kernel refines the rows that rank imaged, from the kept
         # selection, and proves every vector on all of them; when another
-        # rank took the slot, it builds them again, and still images none
+        # space's rank replaced them in the cache, it builds them again,
+        # and still images none
         images, descents, proofs = [], [], []
         self.spy(monkeypatch, "_image_pivot_rows", images)
         self.spy(monkeypatch, "_descended", descents)
         self.spy(monkeypatch, "_refuting_row", proofs)
         for p, q in ((9, 1), (15, 2), (16, 3), (21, 2), (25, 3)):
             space, other = LensSpace(p, q), LensSpace(p, p - q)
-            rows = len(analysis._descended(analysis._FMatrix(space)))
+            rows = len(analysis._descended(space))
             for between in ((), (other,)):
                 analysis._F_MATRICES.clear()
+                analysis._rows.cache_clear()
                 images.clear(), descents.clear(), proofs.clear()
                 assert rank(build_f_matrix(space)) == count_squares_mod(p), (p, q)
                 for s in between:
@@ -1115,7 +1129,7 @@ class TestRankFromTheBound:
                 assert len(images) == 1 + len(between) and len(descents) == 1 + len(between), (p, q)
                 basis = kernel(space)
                 assert len(images) == 1 + len(between), (p, q)
-                assert len(descents) == 1 + 2 * len(between), (p, q)  # rebuilt only after a slot miss
+                assert len(descents) == 1 + 2 * len(between), (p, q)  # rebuilt only after a cache miss
                 assert proofs and all(len(args[0]) == rows for args in proofs), (p, q)
                 assert len(basis) == p // 2 + 1 - count_squares_mod(p), (p, q)
                 for vec in basis:
@@ -1123,31 +1137,33 @@ class TestRankFromTheBound:
 
     def test_short_image_falls_back(self, monkeypatch):
         # a stand-in image one row short of the bound: rank refines that
-        # selection through the proof, which the refuting rows join
+        # selection through the proof, which the refuting rows join; the
+        # image and the refinement read one build of the rows
         find, refined_calls = analysis._image_pivot_rows, []
         monkeypatch.setattr(analysis, "_image_pivot_rows", lambda rows, n, stop=None: find(rows, n, stop)[:-1])
         self.spy(monkeypatch, "_refined", refined_calls)
         for p in TestRowOrder.DEFICIENT:
             space = LensSpace(p, first_q(p))
             refined_calls.clear()
+            analysis._rows.cache_clear()
             matrix = build_f_matrix(space)
             assert rank(matrix) == count_squares_mod(p), p
             assert len(refined_calls) == 1 and "_basis" in vars(matrix), p
             assert len(vars(matrix)["_image"][0]) < count_squares_mod(p), p
             assert rank(matrix) + len(kernel(space)) == matrix.ncols and len(refined_calls) == 1, p
-            assert analysis._CARRIED[0] is not matrix, p
+            assert analysis._rows.cache_info()[:2] == (1, 1), p
 
     def test_one_matrix_keeps_its_rows(self):
-        # ranking every q of p = 30 leaves the rows of the last alone; no
-        # matrix keeps more than its selection and zero columns, and the
-        # kernel's proof lets the carried rows go
+        # ranking every q of p = 30 leaves the rows of the last alone in the
+        # cache; no matrix keeps more than its selection and zero columns,
+        # and the last space's kernel refines the cached rows
         for q in valid_qs(30):
             assert rank(build_f_matrix(LensSpace(30, q))) == count_squares_mod(30), q
         last = build_f_matrix(LensSpace(30, valid_qs(30)[-1]))
-        assert analysis._CARRIED[0] is last
+        assert analysis._rows.cache_info()[1:] == (8, 1, 1)  # misses, maxsize, currsize
         assert len(analysis._F_MATRICES) == 8 and all(set(vars(m)) == {"_image"} for m in analysis._F_MATRICES.values())
         kernel(LensSpace(30, valid_qs(30)[-1]))
-        assert analysis._CARRIED == (None, None) and set(vars(last)) == {"_image", "_basis"}
+        assert analysis._rows.cache_info()[:2] == (1, 8) and set(vars(last)) == {"_image", "_basis"}
 
 
 class TestRowOrder:
@@ -1160,14 +1176,16 @@ class TestRowOrder:
     @staticmethod
     def shuffle(monkeypatch, seed, sort):
         """_descended returns its rows in a seeded shuffle.  Without sort,
-        _weight is constant, so _certified's stable sort keeps the shuffle.
-        The f-matrices are built afresh, so that kernel reads no basis that
-        rank proved before the shuffle."""
+        _weight is constant, so the stable sorts of _rows and _certified
+        keep the shuffle.  The f-matrices and the row cache are built
+        afresh, so that kernel reads no basis that rank proved, and no rows
+        descended, before the shuffle."""
         descend, rng = analysis._descended, random.Random(seed)
         monkeypatch.setattr(analysis, "_F_MATRICES", {})
+        analysis._rows.cache_clear()
 
-        def shuffled(matrix):
-            out = descend(matrix)
+        def shuffled(space, rhs=None):
+            out = descend(space, rhs)
             rng.shuffle(out)
             return out
 

@@ -140,6 +140,54 @@ def test_rank_keeps_the_first_basis(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_row_cache_changes_hands_between_queries(monkeypatch):
+    # eight threads run rank and kernel over two fresh deficient f-matrices,
+    # each thread in its own rotation of the four queries, switching as
+    # often as the interpreter allows, and each descent and each row proof
+    # yields first: the one-entry row cache (analysis._rows) moves to the
+    # other space while threads still image or refine the rows they read,
+    # and some rows are built again.  Every basis keeps the bits of a
+    # sequential run, and each matrix keeps one selection and one basis
+    spaces = [LensSpace(15, 2), LensSpace(16, 3)]
+    expected = [repr(analysis.kernel(space)) for space in spaces]
+    for name in ("_descended", "_refuting_row"):
+        monkeypatch.setattr(analysis, name, lambda *args, real=getattr(analysis, name): time.sleep(0) or real(*args))
+    queries = [(s, kind) for s in range(2) for kind in ("rank", "kernel")]
+    barrier = threading.Barrier(8)
+
+    def work(i):
+        barrier.wait(timeout=60)
+        seen = []
+        for s, kind in queries[i % 4:] + queries[:i % 4]:
+            matrix = analysis.build_f_matrix(spaces[s])
+            answer = analysis.rank(matrix) if kind == "rank" else repr(analysis.kernel(spaces[s]))
+            seen.append((s, kind, answer, vars(matrix)["_image"], vars(matrix).get("_basis")))
+        return seen
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rebuilt = 0
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(3):
+                analysis._F_MATRICES.clear()
+                analysis._rows.cache_clear()
+                read = [entry for seen in pool.map(work, range(8), timeout=120) for entry in seen]
+                rebuilt += analysis._rows.cache_info().misses - len(spaces)
+                for s, space in enumerate(spaces):
+                    matrix = analysis.build_f_matrix(space)
+                    image, basis = vars(matrix)["_image"], vars(matrix)["_basis"]
+                    for _, kind, answer, kept_image, kept_basis in (entry for entry in read if entry[0] == s):
+                        assert kept_image is image, space
+                        if kind == "kernel":
+                            assert answer == expected[s] and kept_basis is basis, space
+                        else:
+                            assert answer == matrix.ncols - len(basis), space
+    finally:
+        sys.setswitchinterval(interval)
+    assert rebuilt > 0 and analysis._rows.cache_info().currsize == 1
+
+
 def test_entries_are_built_into_one_tuple(monkeypatch):
     # eight threads read the entries of one fresh f-matrix, and of one
     # fresh [M | -b], at once; every term read from the Gauss table yields
