@@ -1,9 +1,9 @@
 """Exact linear algebra over Laurent polynomials and rational functions.
 
-Builds the f-matrix, one read-only object per space that keeps the first
-kernel basis proven on it (_proof, which rank and kernel read), computes
-its rank and kernel, and recovers skein coefficients from link
-polynomials.  One certified flow (_certified) runs on rows of term
+Builds the f-matrix, one read-only object per space that keeps its
+image (_imaged, which rank reads) and the first kernel basis proven on
+it (_proof, which kernel reads), and recovers skein coefficients from
+link polynomials.  One certified flow (_certified) runs on rows of term
 dicts (exponent -> coefficient, one dict per column):
 
 - the rows: build_f_matrix's lazy _FMatrix (entries built when read) carries
@@ -15,14 +15,14 @@ dicts (exponent -> coefficient, one dict per column):
 - one refinement loop (_refined): fraction-free elimination on the selected
   rows, then the exact proof on every row, which a refuting row joins.
 
-rank decides M's deficiency; a solution of M x = b is then the proven
-kernel vector (v, d) of [M | -b], x = v / d, an _FMatrix when b has M's
-action (_has_action).
-Kernel vectors are proven, then normalized.  The module also produces the
-explicit nonsingular-submatrix certificates for p prime or twice an odd
-prime, their determinants computed in modular, with no arithmetic in
-Q(xi_p), and decides whether a rational-function skein class is a unit
-multiple of an ordinary one (integer coefficients in A = -z^p).
+A solution of M x = b is the proven kernel vector (v, d) of M's kept
+rows with b's coordinates as one more column when b has M's action
+(_has_action), else of the plain [M | -b].  Kernel vectors are proven,
+then normalized.  The module also produces the nonsingular-submatrix
+certificates for p prime or twice an odd prime, their determinants
+computed in modular with no arithmetic in Q(xi_p), and decides whether a
+rational-function skein class is a unit multiple of an ordinary one
+(integer coefficients in A = -z^p).
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ class RationalFunctionVector:
 
 
 class _FMatrix(LaurentMatrix):
-    """M, the f-matrix of a space, or [M | -b] for a b with M's action: its
-    type asserts that sigma_u, the map xi_p -> xi_p^u fixing z, sends row k
-    to row k/u for every unit u mod p, sigma_u(M_k) = M_(k/u).
+    """M, the f-matrix of a space: its type asserts that sigma_u, the map
+    xi_p -> xi_p^u fixing z, sends row k to row k/u for every unit u mod p,
+    sigma_u(M_k) = M_(k/u).
 
     Proof.  Entry (k, c) is +-(z^(e+2(c+1)) G(qk, b_+) - z^(e-2(c+1))
     G(qk, b_-)), b_+- = qc + q +- 1, with e and the sign set by c alone
@@ -116,21 +116,19 @@ class _FMatrix(LaurentMatrix):
     term sigma_u G(a, b) = G(ua, ub), and n -> vn permutes Z/p for a unit
     v, so G(a, b) = G(av^2, bv).  With v = u^-1, sigma_u G(qk, b) =
     G(qk/u, b): each sum of entry (k, c) goes to the same sum of entry
-    (k/u, c), and the monomials are fixed.  [M | -b] has the action iff b
-    has it, sigma_u(b_k) = b_(k/u), which _has_action decides.
+    (k/u, c), and the monomials are fixed.
 
-    It keeps its space and b; the first read of .entries, from any thread,
+    It keeps its space; the first read of .entries, from any thread,
     builds them (dict.setdefault keeps one tuple), for == and repr, and a
-    pickle carries space and b.  _proof keeps the first kernel basis proven
+    pickle carries the space.  _proof keeps the first kernel basis proven
     on it the same way, under "_basis".
     """
 
-    __slots__ = ("_space", "_rhs", "ncols")  # ncols: a slot in place of the entries' count
+    __slots__ = ("_space", "ncols")  # ncols: a slot in place of the entries' count
 
-    def __init__(self, space: LensSpace, rhs: tuple[LaurentPoly, ...] | None = None):
+    def __init__(self, space: LensSpace):
         object.__setattr__(self, "_space", space)
-        object.__setattr__(self, "_rhs", rhs)
-        object.__setattr__(self, "ncols", space.p // 2 + 1 + (rhs is not None))
+        object.__setattr__(self, "ncols", space.p // 2 + 1)
         self.__post_init__()
 
     def __post_init__(self):
@@ -139,12 +137,9 @@ class _FMatrix(LaurentMatrix):
     def __getattr__(self, name):
         if name != "entries":
             raise AttributeError(name)
-        space, rhs, cols = self._space, self._rhs, range(self._space.p // 2 + 1)
-        if rhs is not None:
-            entries = tuple(row + (-fp,) for row, fp in zip(build_f_matrix(space).entries, rhs))
-        else:  # entry (k, c) is (-1)^(c+1) times f(p,q,c,k)'s body
-            entries = tuple(tuple(LaurentPoly._make("z", _terms(space, c, k, -1 if c % 2 == 0 else 1)) for c in cols)
-                            for k in range(space.p))
+        # entry (k, c) is (-1)^(c+1) times f(p,q,c,k)'s body
+        entries = tuple(tuple(LaurentPoly._make("z", _terms(self._space, c, k, -1 if c % 2 == 0 else 1))
+                              for c in range(self.ncols)) for k in range(self._space.p))
         return self.__dict__.setdefault("entries", entries)
 
     def __eq__(self, other):
@@ -154,7 +149,7 @@ class _FMatrix(LaurentMatrix):
         return f"_FMatrix(entries={self.entries!r})"
 
     def __reduce__(self):
-        return _FMatrix, (self._space, self._rhs)
+        return _FMatrix, (self._space,)
 
 
 _F_MATRICES: dict[tuple[int, int], _FMatrix] = {}
@@ -285,11 +280,11 @@ def _refined(rows, selection) -> list[RationalFunctionVector]:
             return basis
 
 
-def _descended(space: LensSpace, rhs: tuple[LaurentPoly, ...] | None = None) -> list[list[dict]]:
-    """The descended rows of _FMatrix(space, rhs): the power-basis
-    coordinates in Z[xi_p] of row d times the lcm of b_d's denominators,
-    for each divisor d of p, as int term dicts read from the Gauss-table
-    numerators (wrt._gauss_terms).
+def _descended(space: LensSpace) -> dict[tuple[int, int], list[dict]]:
+    """M's descended rows, keyed (d, j): the power-basis coordinate j in
+    Z[xi_p] of row d, for each divisor d of p, in the order of d, then j,
+    as int term dicts read from the Gauss-table numerators
+    (wrt._gauss_terms).
 
     They annihilate exactly the rational vectors that all p rows do.  Each
     k is d u, d = gcd(k, p) and u a unit mod p, so row k is sigma_(1/u) of
@@ -298,20 +293,15 @@ def _descended(space: LensSpace, rhs: tuple[LaurentPoly, ...] | None = None) -> 
     row times v, and the xi_p^j, j < phi(p), stay independent over Q(z)
     (Phi_p is irreducible there): row d annihilates v iff every s_j is 0.
     """
-    ncols, descended = space.p // 2 + 1 + (rhs is not None), []
+    ncols, descended = space.p // 2 + 1, {}
     for d in _divisor_rows(space.p):
-        scale = 1 if rhs is None else math.lcm(*(x.denominator for x in rhs[d].terms.values()))
-        # (column, exponent, factor, numerator) of each term of row d, as entry (d, c) orders them
-        terms = [(c, e, (-1) ** (c + 1) * sign * scale, g._num)
-                 for c in range(space.p // 2 + 1) for sign, (e, g) in zip((1, -1), _gauss_terms(space, c, d))]
-        if rhs is not None:
-            terms += [(ncols - 1, e, 1, (x * -scale).lift(space.p)._num) for e, x in rhs[d].terms.items()]
         coords: dict[int, list[dict]] = {}
-        for col, e, factor, num in terms:
-            for j, v in enumerate(num):
-                if v:
-                    (coords.get(j) or coords.setdefault(j, [{} for _ in range(ncols)]))[col][e] = factor * v
-        descended.extend(coords[j] for j in sorted(coords))
+        for c in range(ncols):
+            for sign, (e, g) in zip((1, -1), _gauss_terms(space, c, d)):
+                for j, v in enumerate(g._num):
+                    if v:
+                        (coords.get(j) or coords.setdefault(j, [{} for _ in range(ncols)]))[c][e] = (-1) ** (c + 1) * sign * v
+        descended.update(((d, j), coords[j]) for j in sorted(coords))
     return descended
 
 
@@ -341,26 +331,26 @@ def _weight(row) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=1)
-def _rows(space: LensSpace) -> list[list[dict]]:
-    """M's descended rows, sparsest first (fewest terms, then shortest
-    largest coefficient) so that the image picks the cheapest.  Keyed by
-    the space, a LensSpace hashing as (p, q), and one space's rows are
-    kept: the kernel that follows a rank refines the rows that it imaged,
-    and a call for another space drops them.  No caller mutates them."""
-    return sorted(_descended(space), key=_weight)
+def _rows(space: LensSpace) -> tuple[tuple[tuple[int, int], ...], tuple[list[dict], ...]]:
+    """(keys, rows): M's descended rows (_descended) and their keys (d, j),
+    sparsest first (fewest terms, then shortest largest coefficient) so
+    that the image picks the cheapest.  Keyed by the space, a LensSpace
+    hashing as (p, q), and one space's rows are kept: the kernel or
+    recover after a rank refines the rows that it imaged, and a call for
+    another space drops them.  No caller mutates them."""
+    return tuple(zip(*sorted(_descended(space).items(), key=lambda item: _weight(item[1]))))
 
 
 def _imaged(matrix: _FMatrix) -> tuple[list[int], list[int]]:
-    """(selection, zero) of M, an _FMatrix with no right-hand side: the
-    pivot rows of the image mod l of its rows (_rows), and their zero
-    columns.  Both are kept on M (dict.setdefault, as _proof keeps the
-    basis), so each f-matrix is imaged once; the image stops at
-    min(ncols - #zero, count_squares_mod(p)) pivots, the most it can have
-    (rank).
+    """(selection, zero) of M: the pivot rows of the image mod l of its
+    rows (_rows), and their zero columns.  Both are kept on M
+    (dict.setdefault, as _proof keeps the basis), so each f-matrix is
+    imaged once; the image stops at min(ncols - #zero,
+    count_squares_mod(p)) pivots, the most it can have (rank).
     """
     kept = vars(matrix).get("_image")
     if kept is None:
-        rows, ncols = _rows(matrix._space), matrix.ncols
+        rows, ncols = _rows(matrix._space)[1], matrix.ncols
         zero = [c for c in range(ncols) if not any(row[c] for row in rows)]
         stop = min(ncols - len(zero), count_squares_mod(matrix._space.p))
         kept = vars(matrix).setdefault("_image", (_image_pivot_rows(rows, 1, stop if stop < ncols else None), zero))
@@ -370,16 +360,15 @@ def _imaged(matrix: _FMatrix) -> tuple[list[int], list[int]]:
 def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     """The normalized kernel basis, proven: the rank is ncols - len(basis).
 
-    An _FMatrix gives its descended rows: M its kept image (_imaged),
-    reading its rows (_rows) only to refine, and a typed [M | -b] rows
-    built and imaged here.  They annihilate the same rational vectors as
-    the matrix (_descended), and sigma_u maps its kernel onto itself, so
+    M, an _FMatrix, gives its kept image (_imaged), reading its descended
+    rows (_rows) only to refine.  They annihilate the same rational
+    vectors as M (_descended), and sigma_u maps its kernel onto itself, so
     the kernel has a basis over Q(z) (Speiser's lemma): a basis of their
-    kernel over Q(z) is one of the matrix's.  A column is zero in row k
-    iff in row k/u, so they also have its zero columns, and they are int
-    rows: n = 1, one image prime for all orders.  Any other matrix gives
-    its rows over Q(xi_n)(z), n the lcm of the coefficient orders, each
-    times the lcm of its denominators.
+    kernel over Q(z) is one of M's.  A column is zero in row k iff in row
+    k/u, so they also have its zero columns, and they are int rows: n = 1,
+    one image prime for all orders.  Any other matrix gives its rows over
+    Q(xi_n)(z), n the lcm of the coefficient orders, each times the lcm of
+    its denominators.
 
     On those rows the image pivot rows are independent; when they number
     ncols less the zero columns, the e_c of the zero columns are the
@@ -388,24 +377,21 @@ def _certified(matrix: LaurentMatrix) -> list[RationalFunctionVector]:
     kernel.  Row order never moves the proven, normalized basis.
     """
     ncols, rows = matrix.ncols, None
-    if isinstance(matrix, _FMatrix) and matrix._rhs is None:
+    if isinstance(matrix, _FMatrix):
         selection, zero = _imaged(matrix)
     else:
-        if isinstance(matrix, _FMatrix):
-            rows, n = sorted(_descended(matrix._space, matrix._rhs), key=_weight), 1
-        else:
-            rows, n = [], 1
-            for row in matrix.entries:
-                coeffs = [c for entry in row for c in entry.terms.values()]
-                n = math.lcm(n, *(c.order for c in coeffs))
-                scale = math.lcm(*(c.denominator for c in coeffs))
-                rows.append([{e: c * scale for e, c in entry.terms.items()} if scale != 1 else entry.terms
-                             for entry in row])
+        rows, n = [], 1
+        for row in matrix.entries:
+            coeffs = [c for entry in row for c in entry.terms.values()]
+            n = math.lcm(n, *(c.order for c in coeffs))
+            scale = math.lcm(*(c.denominator for c in coeffs))
+            rows.append([{e: c * scale for e, c in entry.terms.items()} if scale != 1 else entry.terms
+                         for entry in row])
         zero = [c for c in range(ncols) if not any(row[c] for row in rows)]
         selection = _image_pivot_rows(rows, n)
     if len(selection) == ncols - len(zero):
         return [_unit(c, ncols) for c in zero]
-    return _refined(rows if rows is not None else _rows(matrix._space), selection)
+    return _refined(rows if rows is not None else _rows(matrix._space)[1], selection)
 
 
 def _unit(c: int, ncols: int) -> RationalFunctionVector:
@@ -414,11 +400,11 @@ def _unit(c: int, ncols: int) -> RationalFunctionVector:
 
 
 def _proof(matrix: LaurentMatrix) -> tuple[RationalFunctionVector, ...]:
-    """The proven, normalized kernel basis (_certified), which rank and
-    kernel read.  An _FMatrix keeps the first one proven on it, as it
-    keeps its entries: racing proofs give the same basis, and
-    dict.setdefault keeps one tuple.  Any other matrix is proven on every
-    call."""
+    """The proven, normalized kernel basis (_certified), which kernel
+    reads, and rank when M's image falls short of its stop.  An _FMatrix
+    keeps the first one proven on it, as it keeps its entries: racing
+    proofs give the same basis, and dict.setdefault keeps one tuple.  Any
+    other matrix is proven on every call."""
     if not isinstance(matrix, _FMatrix):
         return tuple(_certified(matrix))
     basis = vars(matrix).get("_basis")
@@ -443,16 +429,16 @@ def rank(matrix: LaurentMatrix) -> int:
     rank M <= rank Gamma = rank Q = count_squares_mod(p).
 
     A nonzero r x r minor of an image mod l of M's descended rows (their
-    rank is M's, _certified) proves rank M >= r.  So when M's image
-    (_imaged) reaches the bound below ncols less the zero columns, the
-    rank is the bound, with no elimination over Z[z]; the rows stay in
-    _rows for a kernel.  Otherwise, and on any other matrix, the rank is
-    ncols less the nullity of the proof (_proof), which refines a
-    selection short of the bound.
+    rank is M's, _certified) proves rank M >= r, and the zero columns rank
+    M <= ncols - #zero.  So when M's image (_imaged) reaches its stop,
+    min(count_squares_mod(p), ncols - #zero), full rank included, that is
+    the rank, with no elimination over Z[z]; the rows stay in _rows for a
+    kernel or a recover.  Otherwise, and on any other matrix, the rank is
+    ncols less the nullity of the proof (_proof).
     """
-    if isinstance(matrix, _FMatrix) and matrix._rhs is None:
+    if isinstance(matrix, _FMatrix):
         selection, zero = _imaged(matrix)
-        if len(selection) == count_squares_mod(matrix._space.p) < matrix.ncols - len(zero):
+        if len(selection) == min(count_squares_mod(matrix._space.p), matrix.ncols - len(zero)):
             return len(selection)
     return matrix.ncols - len(_proof(matrix))
 
@@ -590,11 +576,15 @@ def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
     normalization of f_link(...).signed_body, checked here once.  rank(M)
     < ncols raises RankDeficient, whatever b = fpolys is: at a deficient
     order the squares bound and M's image decide it with no elimination
-    (rank).  Then M has full column rank, so ker [M | -b] is at most a
-    line, and no vector on it has last component 0: [M | -b] is an
-    _FMatrix when b has M's action (_has_action), else the plain
-    LaurentMatrix over Q(xi_p)(z).  No vector of its proven kernel raises
-    Inconsistent; else its one vector (v, d) gives x = v / d.
+    (rank).  Then M has full column rank, so ker [M | -L b], L != 0, is
+    at most a line, and no vector on it has last component 0.  No vector
+    raises Inconsistent; else the one vector (v, d) gives x = v / (L d).
+    When b has M's action (_has_action), so has [M | -b], and its
+    descended rows (_descended) are M's kept rows (_rows) with column
+    -L b_(d,j), L the lcm of the denominators of b's divisor rows; a
+    coordinate where M's rows have none is 0 = b_(d,j) != 0.  _refined
+    starts from M's kept selection and proves on every row.  Otherwise
+    the plain [M | -b], L = 1, is proven over Q(xi_p)(z) (_certified).
     """
     p = space.p
     fpolys = list(fpolys)
@@ -610,13 +600,22 @@ def recover_skein(space: LensSpace, fpolys) -> RecoveredSkein:
     if found < matrix.ncols:
         raise RankDeficient(f"f-matrix of L({space.p},{space.q}) has rank {found} < {matrix.ncols}")
     if isinstance(matrix, _FMatrix) and _has_action(fpolys, p):
-        basis = _certified(_FMatrix(space, tuple(fpolys)))
+        divisors, column = _divisor_rows(p), {}
+        scale = math.lcm(*(x.denominator for d in divisors for x in fpolys[d].terms.values()))
+        for d in divisors:
+            for e, x in fpolys[d].terms.items():
+                for j, v in enumerate((x * -scale).lift(p)._num):
+                    if v:
+                        column.setdefault((d, j), {})[e] = v
+        keys, rows = _rows(space)
+        rows = [row + [column.pop(key, {})] for key, row in zip(keys, rows)]
+        basis = [] if column else _refined(rows, _imaged(matrix)[0])
     else:
-        basis = _certified(LaurentMatrix(tuple(row + (-fp,) for row, fp in zip(matrix.entries, fpolys))))
+        scale, basis = 1, _certified(LaurentMatrix(tuple(row + (-fp,) for row, fp in zip(matrix.entries, fpolys))))
     if not basis:
         raise Inconsistent("right-hand side is not in the column span")
     *num, den = basis[0]
-    x = [RationalFunction(v, den) for v in num]
+    x = [RationalFunction(v, den.scale(scale)) for v in num]
     a_form = _try_a_form(space.p, x)
     return RecoveredSkein(z_components=tuple(x), a_form=a_form)
 

@@ -220,8 +220,8 @@ def term_rows(matrix):
 
 
 def descended(matrix):
-    """The descended rows of an _FMatrix, M or a typed [M | -b]."""
-    return analysis._descended(matrix._space, matrix._rhs)
+    """The descended rows of an _FMatrix, in their (d, j) order."""
+    return list(analysis._descended(matrix._space).values())
 
 
 def integral(rows):
@@ -460,7 +460,7 @@ class TestCertifiedPivots:
         # a free column that is zero in every row gets e_f, proven by that
         # scan; only the other free columns are back-substituted
         space, expected = LensSpace(p, q), all_rows_kernel(p, q)
-        rows = analysis._descended(space)
+        rows = descended(build_f_matrix(space))
         zero = {c for c in range(p // 2 + 1) if not any(row[c] for row in rows)}
         solved = []  # the free column of each back-substituted vector: x arrives with D there alone
         substitute, find = analysis._back_substitute, analysis._image_pivot_rows
@@ -500,10 +500,10 @@ class TestCertifiedPivots:
 
     def test_typed_solution_must_solve_every_row(self, monkeypatch):
         # b = M x on the divisor rows 0, 1, 2 and 5 of p = 10 and changed on
-        # row 3: the descended rows of [M | -b] would see only the divisor
-        # rows and give x, so b, without M's action, is never typed.  The
-        # typed M alone proves full rank, and the plain [M | -b] proves
-        # that no solution exists
+        # row 3: b's coordinates on M's kept rows would see only the divisor
+        # rows and give x, so b, without M's action, never joins them.  M's
+        # image alone gives full rank, and the plain [M | -b] proves that
+        # no solution exists
         space = LensSpace(10, 3)
         polys = [f_link(space, random_skein(10, random.Random(5)), k).signed_body for k in range(10)]
         polys[3] = polys[3] + z({1: 1})
@@ -517,7 +517,7 @@ class TestCertifiedPivots:
         monkeypatch.setattr(analysis, "_certified", spy)
         with pytest.raises(Inconsistent):
             recover_skein(space, polys)
-        assert calls == [(analysis._FMatrix, 6, []), (LaurentMatrix, 7, [])]
+        assert calls == [(LaurentMatrix, 7, [])]
 
     def test_untyped_copy_gives_the_same_answers(self, monkeypatch):
         # a plain LaurentMatrix with the f-matrix's entries is refined on its
@@ -664,14 +664,19 @@ class TestGaloisAction:
     every unit; and the descended rows have M's zero columns."""
 
     @staticmethod
-    def check(matrix):
+    def acts(matrix):
+        """sigma_g(row k) = row k/g, entry by entry, for generators g."""
         p = matrix.nrows
-        assert type(matrix) is analysis._FMatrix
         for g in unit_generators(p):
             inverse = mod_inverse(g, p)
             for k, row in enumerate(matrix.entries):
                 for entry, image in zip(row, matrix.entries[k * inverse % p]):
                     assert {e: c.galois(g) for e, c in entry.terms.items()} == image.terms, (p, g, k)
+
+    @classmethod
+    def check(cls, matrix):
+        assert type(matrix) is analysis._FMatrix
+        cls.acts(matrix)
         rows = term_rows(matrix)
         cols = range(matrix.ncols)
         assert [c for c in cols if not any(row[c] for row in descended(matrix))] == [c for c in cols if not any(row[c] for row in rows)]
@@ -760,22 +765,19 @@ class TestFMatrixMemo:
 
     def test_lazy_matrix_is_a_record(self):
         # == and repr read the entries, as a LaurentMatrix's do; a
-        # pickle carries the space and b, and its copy builds them afresh
+        # pickle carries the space, and its copy builds them afresh
         space = LensSpace(10, 3)
-        polys = tuple(link_polys(space, 5))
-        matrix, augmented = build_f_matrix(space), analysis._FMatrix(space, polys)
-        for made, args in ((matrix, (space, None)), (augmented, (space, polys))):
-            assert "entries" not in vars(made) and made.__reduce__() == (analysis._FMatrix, args)
-            plain = LaurentMatrix(made.entries)
-            assert repr(made) == "_FMatrix" + repr(plain)[len("LaurentMatrix"):]
-            assert made != plain
-            for unhashable in (made, plain):  # LaurentPoly entries have no hash
-                with pytest.raises(TypeError):
-                    hash(unhashable)
-            copied = pickle.loads(pickle.dumps(made))
-            assert "entries" not in vars(copied) and copied == made
-        assert augmented.entries == tuple(row + (-fp,) for row, fp in zip(matrix.entries, polys))
-        assert augmented != matrix
+        made = build_f_matrix(space)
+        assert "entries" not in vars(made) and made.__reduce__() == (analysis._FMatrix, (space,))
+        plain = LaurentMatrix(made.entries)
+        assert repr(made) == "_FMatrix" + repr(plain)[len("LaurentMatrix"):]
+        assert made != plain
+        for unhashable in (made, plain):  # LaurentPoly entries have no hash
+            with pytest.raises(TypeError):
+                hash(unhashable)
+        copied = pickle.loads(pickle.dumps(made))
+        assert "entries" not in vars(copied) and copied == made
+        assert made != build_f_matrix(LensSpace(10, 7))
 
 def link_polys(space, seed):
     """The signed bodies f_link(J, k) of a seeded skein element J, k = 0..p-1."""
@@ -817,9 +819,10 @@ def only_z(p):
 
 
 class TestRightHandSideAction:
-    """recover_skein asks M's proof whether M is rank deficient, whatever b
-    is; then it types [M | -b] as an _FMatrix exactly when b has M's action
-    (analysis._has_action), and otherwise the plain [M | -b] decides."""
+    """recover_skein asks rank whether M is rank deficient, whatever b is;
+    then, exactly when b has M's action (analysis._has_action), it refines
+    M's kept rows with b's coordinates as one more column, and otherwise
+    the plain [M | -b] decides."""
 
     def test_link_invariants_have_the_action(self):
         for p in range(2, 31):
@@ -850,27 +853,28 @@ class TestRightHandSideAction:
     def test_compatible_inconsistent_in_one_typed_call(self, monkeypatch, p, q):
         space, polys = LensSpace(p, q), only_z(p)
         assert analysis._has_action(polys, p)
-        calls = []
-        certify = analysis._certified
+        calls, refinements = [], []
+        certify, refine = analysis._certified, analysis._refined
         with monkeypatch.context() as m:
             m.setattr(analysis, "_certified", lambda matrix: calls.append(matrix) or certify(matrix))
+            m.setattr(analysis, "_refined", lambda rows, selection: refinements.append(rows) or refine(rows, selection))
             with pytest.raises(Inconsistent):
                 recover_skein(space, polys)
-        # M's proof, then one typed [M | -b]
+        # M's image gives full rank, with no proof; then one refinement of
+        # M's kept int rows with b's column
         matrix = build_f_matrix(space)
-        assert len(calls) == 2 and calls[0] is matrix
-        assert type(calls[1]) is analysis._FMatrix and calls[1].ncols == matrix.ncols + 1
+        assert calls == [] and len(refinements) == 1
+        assert integral(refinements[0]) and {len(row) for row in refinements[0]} == {matrix.ncols + 1}
         with pytest.raises(Inconsistent):
             TestCertifiedPivots.all_rows(monkeypatch, recover_skein, space, polys)
 
     @pytest.mark.parametrize("p, q, r", [(9, 1, 4), (12, 5, 4), (15, 2, 6), (25, 3, 11), (49, 3, 22)])
     def test_proof_of_m_decides_rank_deficiency(self, monkeypatch, p, q, r):
         # with or without M's action, b meets one rule: rank(M) < ncols
-        # raises RankDeficient, with no elimination, and no [M | -b] of
-        # either type is made.  Below ncols less the zero columns the bound
-        # and M's image answer with no _certified call; at L(12,5) the bound
-        # is ncols less its three zero columns, and M's proof, one
-        # _certified call on M, reads the unit vectors off the image
+        # raises RankDeficient, with no elimination, and no [M | -b] is
+        # made.  The bound and M's image answer with no _certified call,
+        # also at L(12,5), where the bound is ncols less its three zero
+        # columns
         space = LensSpace(p, q)
         compatible, incompatible = link_polys(space, 5), changed(space, 1, z({0: root_of_unity(p)}))
         assert analysis._has_action(compatible, p) and not analysis._has_action(incompatible, p)
@@ -887,37 +891,79 @@ class TestRightHandSideAction:
                     recover_skein(space, polys)
                 matrix = build_f_matrix(space)
             assert str(err.value) == f"f-matrix of L({p},{q}) has rank {r} < {p // 2 + 1}"
-            assert [call is matrix for call in calls] == ([True] if (p, q) == (12, 5) else [])
+            assert calls == []
             assert eliminations == []
             assert len(made) == 1 and made[0] is matrix  # M alone: no [M | -b]
 
     def test_queries_prove_m_once(self, monkeypatch):
-        # rank, kernel, rank again and a recover at a full-rank space read
-        # one proof of M; the recover proves only its [M | -b]
+        # rank, kernel, rank again and a recover at a full-rank space: the
+        # ranks answer from M's image, kernel proves M once, and the
+        # recover proves nothing but its refinement of M's kept rows
         space = LensSpace(7, 3)
         element = random_skein(7, random.Random(5), max_exp=1, bound=2)
-        calls = []
-        certify = analysis._certified
+        calls, refinements = [], []
+        certify, refine = analysis._certified, analysis._refined
         monkeypatch.setattr(analysis, "_certified", lambda matrix: calls.append(matrix) or certify(matrix))
+        monkeypatch.setattr(analysis, "_refined", lambda rows, sel: refinements.append(rows) or refine(rows, sel))
         matrix = build_f_matrix(space)
         assert rank(matrix) == 4 and kernel(space) == [] and rank(matrix) == 4
+        assert len(calls) == 1 and calls[0] is matrix and refinements == []
         assert recover_skein(space, link_polys(space, 5)).a_form == element
-        assert len(calls) == 2 and calls[0] is matrix and calls[1].ncols == matrix.ncols + 1
+        assert len(calls) == 1 and len(refinements) == 1 and len(refinements[0][0]) == matrix.ncols + 1
 
     def test_every_typed_matrix_has_the_action(self, monkeypatch):
-        # every _FMatrix that the recovers above build, [M | -b] included,
-        # satisfies the lemma entry by entry
-        made = []
-        validate = LaurentMatrix.__post_init__
+        # the recovers above make no _FMatrix but M, which satisfies the
+        # lemma entry by entry; and every b whose coordinates join M's kept
+        # rows gives an [M | -b] that satisfies it too
+        made, typed = [], []
+        validate, has_action = LaurentMatrix.__post_init__, analysis._has_action
         monkeypatch.setattr(analysis._FMatrix, "__post_init__", lambda matrix: validate(matrix) or made.append(matrix))
+        monkeypatch.setattr(analysis, "_has_action", lambda b, p: has_action(b, p) and not typed.append(b))
         cases = [(space, make(space)) for space, make in INCOMPATIBLE.values()]
         cases += [(LensSpace(p, q), only_z(p)) for p, q in COMPATIBLE_INCONSISTENT]
         cases += [(LensSpace(p, q), link_polys(LensSpace(p, q), 5)) for p, q in ((7, 3), (10, 3), (9, 1))]
         for space, polys in cases:
+            before = len(typed)
             outcome(recover_skein, space, polys)
-        assert any(matrix.ncols == matrix.nrows // 2 + 2 for matrix in made)
+            if len(typed) > before:
+                matrix = build_f_matrix(space)
+                TestGaloisAction.acts(LaurentMatrix(tuple(row + (-fp,) for row, fp in zip(matrix.entries, polys))))
+        assert len(typed) == len(COMPATIBLE_INCONSISTENT) + 2  # L(9,1) is deficient: no b is read there
+        assert made and all(matrix.ncols == matrix.nrows // 2 + 1 for matrix in made)
         for matrix in made:
             TestGaloisAction.check(matrix)
+
+    def test_kept_rows_solve_matches_the_plain_solve(self):
+        # at every full-rank order p <= 30, the solve on M's kept rows gives
+        # what the plain [M | -b] over Q(xi_p)(z) gives, for a link's b, a
+        # b with denominator l (so L != 1), the zero b and an inconsistent
+        # b.  From p = 17 on, the plain solve of the first two takes 0.7 to
+        # 70 s per order, so there x must solve every row of [M | -b]
+        # exactly: M has full column rank, so that solution is the only one
+        ell = modular._modulus(1)[0]
+        for p in range(2, 31):
+            if classify_order(p) is not OrderClass.DETERMINING:
+                continue
+            space = LensSpace(p, first_q(p) if p > 2 else 1)
+            matrix = build_f_matrix(space)
+            cases = {"link": link_polys(space, p), "1/l": scaled_first_column(space, ell),
+                     "zero": [z({})] * p, "only z": only_z(p)}
+            for name, polys in cases.items():
+                got = outcome(recover_skein, space, polys)
+                got = got if got is Inconsistent else got.z_components
+                if p < 17 or name in ("zero", "only z"):
+                    assert got == solved(matrix, polys), (p, name)
+                else:
+                    x = RationalFunctionVector(tuple(v.as_polynomial() for v in got) + (z({0: 1}),))
+                    assert annihilates(LaurentMatrix(tuple(row + (-fp,) for row, fp in zip(matrix.entries, polys))), x), (p, name)
+            assert p < 3 or got is Inconsistent, p  # only z, the last case, has no solution but at p = 2
+
+
+def solved(matrix, polys):
+    """recover_skein's answer from the plain [M | -b] over Q(xi_p)(z):
+    its one proven kernel vector (v, d) as x = v / d, or Inconsistent."""
+    basis = analysis._certified(LaurentMatrix(tuple(row + (-fp,) for row, fp in zip(matrix.entries, polys))))
+    return tuple(RationalFunction(v, basis[0].components[-1]) for v in basis[0].components[:-1]) if basis else Inconsistent
 
 
 def entries_descended(matrix):
@@ -957,8 +1003,9 @@ def scaled_first_column(space, ell):
 class TestDivisorRows:
     """An _FMatrix gives _certified the descended rows of its tau(p)
     divisor rows, read from the Gauss table: the rows, in the order, that
-    the descent of all p materialized rows gives; rank, kernel and a
-    recover whose b has M's action never build the entries."""
+    the descent of all p materialized rows gives; a recover whose b has
+    M's action adds b's coordinates to them as one more column.  rank,
+    kernel and such a recover never build the entries."""
 
     @staticmethod
     def check(matrix):
@@ -973,13 +1020,30 @@ class TestDivisorRows:
     def test_large_orders(self, p, q):
         self.check(analysis._FMatrix(LensSpace(p, q)))
 
-    def test_right_hand_sides(self):
-        # rational, order-1 and zero coefficients in the -b column
+    def test_right_hand_sides(self, monkeypatch):
+        # rational, order-1 and zero coefficients in b's column: the rows
+        # that recover_skein refines, M's kept rows with -L b's coordinates
+        # (L the lcm of the denominators of b's divisor rows), are the
+        # descent of the materialized [M | -L b].  rank claims full rank
+        # and the refinement stops at its rows, so that every order gets
+        # there.  No b here has a coordinate where all of M's rows are zero
+        # (test_no_coordinate_of_b_is_dropped makes one)
+        def canonical(rows):
+            return sorted([sorted(entry.items()) for entry in row] for row in rows)
+
+        seen, ell = [], modular._modulus(1)[0]
+        monkeypatch.setattr(analysis, "rank", lambda matrix: matrix.ncols)
+        monkeypatch.setattr(analysis, "_refined", lambda rows, selection: seen.append(rows) or [])
         for p in range(2, 31):
             space = LensSpace(p, first_q(p) if p > 2 else 1)
-            ell = modular._modulus(1)[0]
+            matrix = build_f_matrix(space)
             for polys in (link_polys(space, p), only_z(p), [z({})] * p, scaled_first_column(space, ell)):
-                self.check(analysis._FMatrix(space, tuple(polys)))
+                scale = math.lcm(*(c.denominator for d in analysis._divisor_rows(p) for c in polys[d].terms.values()))
+                want = entries_descended(LaurentMatrix(tuple(
+                    row + (-fp.scale(scale),) for row, fp in zip(matrix.entries, polys))))
+                seen.clear()
+                assert outcome(recover_skein, space, polys) is Inconsistent
+                assert len(seen) == 1 and canonical(seen[0]) == canonical(want), p
 
     @pytest.fixture
     def unbuilt(self, monkeypatch):
@@ -1013,8 +1077,25 @@ class TestDivisorRows:
         assert solution == (RationalFunction(z({0: Fraction(1, ell)})),) + (RationalFunction(z({})),) * (p // 2)
         assert outcome(recover_skein, space, only_z(p)) is Inconsistent
         assert outcome(recover_skein, LensSpace(9, 1), [z({})] * 9) is RankDeficient
-        assert any(matrix.ncols == p // 2 + 2 for matrix in unbuilt)
+        # M is the only _FMatrix made, once per space
+        assert len(unbuilt) == 2 and unbuilt[0] is build_f_matrix(space) and unbuilt[1] is build_f_matrix(LensSpace(9, 1))
         assert not any("entries" in vars(matrix) for matrix in unbuilt)
+
+    def test_no_coordinate_of_b_is_dropped(self, monkeypatch):
+        # a coordinate (d, j) of b where M's kept rows have none is the
+        # equation 0 = b_(d,j): with a stand-in _rows that drops a row of M
+        # at L(7,3) where b's coordinate is nonzero, the recover is
+        # Inconsistent, while the zero b still solves.  Without that rule
+        # the rows left would give the true solution
+        space, polys = LensSpace(7, 3), link_polys(LensSpace(7, 3), 5)
+        keys, rows = analysis._rows(space)
+        drop = next(i for i, (d, j) in enumerate(keys) if any(x.lift(7)._num[j] for x in polys[d].terms.values()))
+        assert recover_skein(space, polys).a_form == random_skein(7, random.Random(5), max_exp=1, bound=2)
+        analysis._F_MATRICES.clear()
+        monkeypatch.setattr(analysis, "_rows", lambda s: (keys[:drop] + keys[drop + 1:], rows[:drop] + rows[drop + 1:]))
+        assert rank(build_f_matrix(space)) == 4
+        assert outcome(recover_skein, space, polys) is Inconsistent
+        assert recover_skein(space, [z({})] * 7).z_components == (RationalFunction(z({})),) * 4
 
 
 def basis_digest(basis) -> str:
@@ -1080,10 +1161,12 @@ class TestSquaresLemma:
 
 
 class TestRankFromTheBound:
-    """A deficient rank of an f-matrix is count_squares_mod(p), proven by the
-    lemma and an image minor that reaches it, with no elimination over Z[z];
-    the kernel that follows refines the rows that rank imaged, kept in a
-    cache (analysis._rows) that holds one space's rows."""
+    """The rank of an f-matrix is the number of its image pivot rows when
+    they reach min(count_squares_mod(p), ncols - #zero columns), proven by
+    the lemma, the zero columns and an image minor, with no elimination
+    over Z[z]; the kernel or recover that follows refines the rows that
+    rank imaged, kept in a cache (analysis._rows) that holds one space's
+    rows."""
 
     @staticmethod
     def spy(monkeypatch, name, seen):
@@ -1096,14 +1179,14 @@ class TestRankFromTheBound:
             raise AssertionError("the lemma and the image prove this rank")
 
         monkeypatch.setattr(analysis, "_bareiss_echelon", forbidden)
-        deficient = spaces = 0
+        proven = spaces = 0
         for p in range(2, 31):
             for q in valid_qs(p):
                 matrix = build_f_matrix(LensSpace(p, q))
                 assert rank(matrix) == count_squares_mod(p), (p, q)
-                deficient += "_basis" not in vars(matrix)  # the bound answered, with no proof
+                proven += "_basis" in vars(matrix)
                 spaces += 1
-        assert deficient == 94  # the spaces whose bound is below ncols less the zero columns
+        assert proven == 0  # the image reached its stop at every space, full rank included: no proof
         # one build of the rows per space, the last space's kept
         assert analysis._rows.cache_info()[:2] == (0, spaces) and analysis._rows.cache_info().currsize == 1
 
@@ -1153,6 +1236,23 @@ class TestRankFromTheBound:
             assert rank(matrix) + len(kernel(space)) == matrix.ncols and len(refined_calls) == 1, p
             assert analysis._rows.cache_info()[:2] == (1, 1), p
 
+    def test_recover_after_rank_images_nothing(self, monkeypatch):
+        # a recover whose b has M's action, right after its rank, refines
+        # M's kept selection and reads M's rows as a cache hit: no second
+        # image and no second descent
+        images, descents = [], []
+        self.spy(monkeypatch, "_image_pivot_rows", images)
+        self.spy(monkeypatch, "_descended", descents)
+        for p, q in ((7, 3), (10, 3), (13, 2), (22, 3)):
+            space = LensSpace(p, q)
+            analysis._rows.cache_clear()
+            images.clear(), descents.clear()
+            assert rank(build_f_matrix(space)) == p // 2 + 1, (p, q)
+            assert len(images) == len(descents) == 1 and analysis._rows.cache_info()[:2] == (0, 1), (p, q)
+            element = random_skein(p, random.Random(5), max_exp=1, bound=2)
+            assert recover_skein(space, link_polys(space, 5)).a_form == element, (p, q)
+            assert len(images) == len(descents) == 1 and analysis._rows.cache_info()[:2] == (1, 1), (p, q)
+
     def test_one_matrix_keeps_its_rows(self):
         # ranking every q of p = 30 leaves the rows of the last alone in the
         # cache; no matrix keeps more than its selection and zero columns,
@@ -1176,18 +1276,18 @@ class TestRowOrder:
     @staticmethod
     def shuffle(monkeypatch, seed, sort):
         """_descended returns its rows in a seeded shuffle.  Without sort,
-        _weight is constant, so the stable sorts of _rows and _certified
-        keep the shuffle.  The f-matrices and the row cache are built
+        _weight is constant, so the stable sort of _rows keeps the
+        shuffle.  The f-matrices and the row cache are built
         afresh, so that kernel reads no basis that rank proved, and no rows
         descended, before the shuffle."""
         descend, rng = analysis._descended, random.Random(seed)
         monkeypatch.setattr(analysis, "_F_MATRICES", {})
         analysis._rows.cache_clear()
 
-        def shuffled(space, rhs=None):
-            out = descend(space, rhs)
+        def shuffled(space):
+            out = list(descend(space).items())
             rng.shuffle(out)
-            return out
+            return dict(out)
 
         monkeypatch.setattr(analysis, "_descended", shuffled)
         if not sort:
@@ -1487,19 +1587,21 @@ class TestRecoverSkein:
         assert result.a_form == SkeinElement(5, [LaurentPoly("A", {0: Fraction(1, ell)}), 0, 0])
 
     def test_rows_reach_the_image_cleared(self, monkeypatch):
-        # _certified clears each row's denominators once: the image of the
-        # 1/l right-hand side sees integral coefficients only
+        # b's column is cleared of its denominators once, by L = l: the
+        # image of M's rows and the refinement of M's rows with the 1/l
+        # right-hand side's column see integral coefficients only
         space = LensSpace(5, 2)
         ell = modular._modulus(1)[0]
         polys = [row[0].scale(Fraction(1, ell)) for row in build_f_matrix(space).entries]
         denominators = set()
-        find = analysis._image_pivot_rows
+        find, refine = analysis._image_pivot_rows, analysis._refined
 
-        def spy(rows, n, stop=None):
+        def seen(rows):
             denominators.update(c.denominator for row in rows for entry in row for c in entry.values())
-            return find(rows, n, stop)
+            return rows
 
-        monkeypatch.setattr(analysis, "_image_pivot_rows", spy)
+        monkeypatch.setattr(analysis, "_image_pivot_rows", lambda rows, n, stop=None: find(seen(rows), n, stop))
+        monkeypatch.setattr(analysis, "_refined", lambda rows, selection: refine(seen(rows), selection))
         assert recover_skein(space, polys).z_components[0] == RationalFunction(z({0: Fraction(1, ell)}))
         assert denominators == {1}
 

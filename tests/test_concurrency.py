@@ -88,16 +88,15 @@ def test_f_matrix_memo_single_insertion():
             assert matrix is analysis._F_MATRICES[key]
 
 
-def test_rank_keeps_the_first_basis(monkeypatch):
+def test_kernel_keeps_the_first_basis(monkeypatch):
     # eight threads rank or read the kernel of one fresh f-matrix at once,
     # switching as often as the interpreter allows.  No image answers
-    # before all eight have started theirs, and no proof before every
-    # thread that proves has started its own, so that every query images
-    # and every proof races: each thread reads back the selection and the
-    # basis kept on the matrix right after its own query, and a second one
-    # written over the first shows as a second object.  A deficient rank
-    # answers from the image, the others from the proof, with rank =
-    # ncols - len(basis)
+    # before all eight have started theirs, and no proof before the four
+    # kernels have started theirs, so that every query images and every
+    # proof races: each thread reads back the selection and the basis
+    # kept on the matrix right after its own query, and a second one
+    # written over the first shows as a second object.  Every rank answers
+    # from the image, with rank = ncols - len(basis), and proves nothing
     find, certify = analysis._image_pivot_rows, analysis._certified
     barrier, imaging = threading.Barrier(8), threading.Barrier(8)
     proving = {}
@@ -127,8 +126,8 @@ def test_rank_keeps_the_first_basis(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-            for p, q, provers in ((4, 1, 8), (5, 2, 8), (9, 1, 4)):  # at p = 9 only the kernels prove
-                proving[p] = threading.Barrier(provers)
+            for p, q in ((4, 1), (5, 2), (9, 1)):
+                proving[p] = threading.Barrier(4)
                 matrix = analysis.build_f_matrix(LensSpace(p, q))
                 read = list(pool.map(work, [(matrix, i) for i in range(8)], timeout=60))
                 image, basis = vars(matrix)["_image"], vars(matrix)["_basis"]
@@ -189,10 +188,9 @@ def test_row_cache_changes_hands_between_queries(monkeypatch):
 
 
 def test_entries_are_built_into_one_tuple(monkeypatch):
-    # eight threads read the entries of one fresh f-matrix, and of one
-    # fresh [M | -b], at once; every term read from the Gauss table yields
-    # the interpreter, so that the builds overlap: each thread gets the
-    # tuple that the matrix keeps
+    # eight threads read the entries of one fresh f-matrix at once; every
+    # term read from the Gauss table yields the interpreter, so that the
+    # builds overlap: each thread gets the tuple that the matrix keeps
     terms = analysis._terms
 
     def slow_terms(*args):
@@ -212,10 +210,9 @@ def test_entries_are_built_into_one_tuple(monkeypatch):
         with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
             for p, q in ((5, 2), (9, 1), (12, 5)):
                 space = LensSpace(p, q)
-                rhs = tuple(f_poly(space, 0, k).signed_body for k in range(p))
-                for matrix in (analysis._FMatrix(space), analysis._FMatrix(space, rhs)):
-                    read = list(pool.map(work, [matrix] * 8, timeout=60))
-                    assert all(entries is matrix.entries for entries in read), (p, q, matrix.ncols)
+                matrix = analysis._FMatrix(space)
+                read = list(pool.map(work, [matrix] * 8, timeout=60))
+                assert all(entries is matrix.entries for entries in read), (p, q)
     finally:
         sys.setswitchinterval(interval)
 
